@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Time the link kernels at growing column counts.
 
 Times exact all-pairs thresholded link construction plus component
 labeling over random unit embeddings, the workload that dominates offline
 hypergraph builds.
 
-Usage: python benchmarks/bench_kernels.py [--dim 64] [--tau 0.2] [--repeat 3]
+Usage: python benchmarks/bench_kernels.py [--dim 64] [--tau 0.5] [--repeat 3]
 """
 
 import argparse
@@ -16,10 +16,10 @@ import numpy as np
 from construm import kernels
 
 
-def run_once(matrix, tau, backend):
+def run_once(matrix, tau):
     t0 = time.perf_counter()
-    links = kernels.threshold_links(matrix, tau, backend=backend)
-    labels = kernels.component_labels(matrix.shape[0], links, backend=backend)
+    links = kernels.threshold_links(matrix, tau)
+    labels = kernels.component_labels(matrix.shape[0], links)
     elapsed = time.perf_counter() - t0
     return elapsed, len(links), len(set(labels))
 
@@ -27,38 +27,25 @@ def run_once(matrix, tau, backend):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dim", type=int, default=64)
-    parser.add_argument("--tau", type=float, default=0.2)
+    parser.add_argument("--tau", type=float, default=0.5)
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--sizes", type=int, nargs="+",
-                        default=[200, 400, 800, 1600])
+                        default=[200, 400, 800, 1600, 5000, 10000])
     args = parser.parse_args()
 
-    backends = kernels.available_backends()
-    print(f"kernel backends: {', '.join(backends)} (active: {kernels.BACKEND})")
     print(f"dim={args.dim} tau={args.tau} best-of-{args.repeat}")
-    header = f"{'n':>6} | " + " | ".join(f"{b:>10}" for b in backends) + " | speedup"
+    header = f"{'n':>6} | {'time':>10} | {'links':>10} | components"
     print(header)
     print("-" * len(header))
     rng = np.random.default_rng(0)
     for n in args.sizes:
         m = rng.standard_normal((n, args.dim))
         m /= np.linalg.norm(m, axis=1, keepdims=True)
-        best = {}
-        checks = {}
-        for backend in backends:
-            times = []
-            for _ in range(args.repeat):
-                elapsed, n_links, n_comps = run_once(m, args.tau, backend)
-                times.append(elapsed)
-            best[backend] = min(times)
-            checks[backend] = (n_links, n_comps)
-        assert len(set(checks.values())) == 1, f"backends disagree: {checks}"
-        cells = " | ".join(f"{best[b] * 1e3:8.1f}ms" for b in backends)
-        speedup = ""
-        if len(backends) == 2:
-            speedup = f"{best['python'] / best['native']:.1f}x"
-        n_links, n_comps = checks[backends[0]]
-        print(f"{n:>6} | {cells} | {speedup:>7}  ({n_links} links, {n_comps} components)")
+        times = []
+        for _ in range(args.repeat):
+            elapsed, n_links, n_comps = run_once(m, args.tau)
+            times.append(elapsed)
+        print(f"{n:>6} | {min(times) * 1e3:8.1f}ms | {n_links:>10} | {n_comps}")
 
 
 if __name__ == "__main__":

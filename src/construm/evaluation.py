@@ -17,6 +17,9 @@ import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from construm import kernels
 from construm.catalog import ColumnRef, MatchQuery, SchemaCatalog
 from construm.gateway import ModelGateway
 from construm.graph import embedding_text
@@ -58,18 +61,17 @@ def similar_separated_pairs(spec: BenchmarkSpec, gateway: ModelGateway
     refs = list(cat.refs())
     texts = [embedding_text(cat, r) for r in refs]
     vectors = gateway.embed_batch(texts)
+    matrix = np.stack([v.values for v in vectors])
     pairs = []
-    for i in range(len(refs)):
-        for j in range(i + 1, len(refs)):
-            a, b = refs[i], refs[j]
-            if a.table_id != b.table_id:
-                continue
-            separation = abs(b.ordinal - a.ordinal) - 1
-            if separation < spec.min_separation:
-                continue
-            cos = float(vectors[i].values @ vectors[j].values)
-            if cos >= spec.pair_similarity_tau:
-                pairs.append((a, b))
+    start = 0
+    for table in cat.tables:
+        cols = table.columns
+        block = matrix[start:start + len(cols)]
+        start += len(cols)
+        for i, j, _ in kernels.threshold_links(block, spec.pair_similarity_tau):
+            # ordinals equal row positions within a table
+            if j - i - 1 >= spec.min_separation:
+                pairs.append((cols[i], cols[j]))
     pairs.sort(key=lambda p: (p[0].sort_key, p[1].sort_key))
     return pairs
 

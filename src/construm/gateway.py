@@ -21,7 +21,7 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -136,34 +136,23 @@ class TokenAccounting:
     def record_chat(self, reply: ChatReply):
         with self._lock:
             s = self._snap
-            self._snap = AccountingSnapshot(
+            self._snap = replace(
+                s,
                 llm_calls=s.llm_calls + 1,
                 prompt_tokens=s.prompt_tokens + reply.prompt_tokens,
                 completion_tokens=s.completion_tokens + reply.completion_tokens,
-                cache_hits=s.cache_hits,
-                embed_calls=s.embed_calls,
-                embed_texts=s.embed_texts,
                 latency=s.latency + reply.latency,
             )
 
     def record_cache_hit(self):
         with self._lock:
-            s = self._snap
-            self._snap = AccountingSnapshot(
-                llm_calls=s.llm_calls, prompt_tokens=s.prompt_tokens,
-                completion_tokens=s.completion_tokens, cache_hits=s.cache_hits + 1,
-                embed_calls=s.embed_calls, embed_texts=s.embed_texts, latency=s.latency,
-            )
+            self._snap = replace(self._snap, cache_hits=self._snap.cache_hits + 1)
 
     def record_embed(self, n_texts: int):
         with self._lock:
             s = self._snap
-            self._snap = AccountingSnapshot(
-                llm_calls=s.llm_calls, prompt_tokens=s.prompt_tokens,
-                completion_tokens=s.completion_tokens, cache_hits=s.cache_hits,
-                embed_calls=s.embed_calls + 1, embed_texts=s.embed_texts + n_texts,
-                latency=s.latency,
-            )
+            self._snap = replace(s, embed_calls=s.embed_calls + 1,
+                                 embed_texts=s.embed_texts + n_texts)
 
     def snapshot(self) -> AccountingSnapshot:
         with self._lock:

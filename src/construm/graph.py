@@ -4,7 +4,7 @@ Columns whose embedding cosine reaches the threshold tau get an undirected
 link; connected components of those links are the "confusable groups" --
 the sets of mutually near-duplicate columns that must be contrasted
 jointly rather than scored one by one. Link construction is exact
-all-pairs (quadratic), delegated to the compiled kernels. The built graph
+all-pairs (quadratic), delegated to the blocked numpy kernel. The built graph
 is immutable and the per-query helpers (`expand_candidates`,
 `groups_within`, `source_confusable_set`) only read it, so any number of
 queries can share one instance.
@@ -186,20 +186,11 @@ def groups_within(candidates: Sequence[ColumnRef], hypergraph: Hypergraph) -> li
     """
     if not candidates:
         raise ValueError("empty candidate set")
-    sub = np.ascontiguousarray(np.stack([hypergraph.vector(r) for r in candidates]))
-    raw_links = kernels.threshold_links(sub, hypergraph.tau)
-    links = [SimilarityLink(candidates[i], candidates[j], cos) for i, j, cos in raw_links]
     order = sorted(candidates, key=lambda r: r.sort_key)
-    pos = {ref: i for i, ref in enumerate(order)}
-    pairs = [(min(pos[l.a], pos[l.b]), max(pos[l.a], pos[l.b])) for l in links]
-    labels = kernels.component_labels(len(order), pairs)
-    by_label: dict[int, list[ColumnRef]] = {}
-    for ref, label in zip(order, labels):
-        by_label.setdefault(label, []).append(ref)
-    return [
-        SimilarityGroup(frozenset(members), hypergraph.side)
-        for _, members in sorted(by_label.items())
-    ]
+    sub = hypergraph.matrix[[hypergraph.index_of(r) for r in order]]
+    raw_links = kernels.threshold_links(sub, hypergraph.tau)
+    links = [SimilarityLink(order[i], order[j], cos) for i, j, cos in raw_links]
+    return extract_groups(links, order)
 
 
 def source_confusable_set(s: ColumnRef, hypergraph: Hypergraph,

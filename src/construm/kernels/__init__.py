@@ -1,31 +1,21 @@
-"""Numeric kernels for hypergraph construction, with a compiled fast path.
+"""Numeric kernels for hypergraph construction.
 
 Exact thresholded-link construction compares every pair of columns, which
-is quadratic in the column count and dominates offline graph builds. A
-Cython extension is used when it was built; otherwise a pure-Python
-implementation with identical semantics is selected at import time.
-``BACKEND`` reports which one is active.
+is quadratic in the column count and dominates offline graph builds. It
+runs as a row-blocked numpy matmul: each block of rows is multiplied
+against every row at or after it, and holds only about 8 MB of cosines
+whatever the column count.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-if os.environ.get("CONSTRUM_PURE_PYTHON"):
-    _native = None
-    BACKEND = "python"
-else:
-    try:
-        from construm.kernels import _native
+BACKEND = "numpy"
 
-        BACKEND = "native"
-    except ImportError:  # extension not built on this install
-        _native = None
-        BACKEND = "python"
-
-from construm.kernels import _fallback
+# Cosines held per row block: 1M float64 values, about 8 MB. A 32 MB
+# block raised a 2k-column build's peak RSS by about 16 MB; this one does not.
+_BLOCK_FLOATS = 1 << 20
 
 
 def _as_matrix(matrix) -> np.ndarray:
@@ -35,23 +25,27 @@ def _as_matrix(matrix) -> np.ndarray:
     return m
 
 
-def threshold_links(matrix, tau: float, *, backend: str | None = None):
+def threshold_links(matrix, tau: float) -> list[tuple[int, int, float]]:
     """All pairs (i, j, cosine) with i < j and cosine >= tau.
 
     Rows of ``matrix`` must be unit-normalized embeddings; pairs are
-    emitted in row-major order. ``backend`` forces "native" or "python"
-    (used by the cross-backend tests and benchmark).
+    emitted in row-major order.
     """
     m = _as_matrix(matrix)
-    if m.shape[0] < 2:
+    n = m.shape[0]
+    if n < 2:
         return []
-    impl = _select(backend)
-    if impl is _native:
-        return _native.threshold_links(m, float(tau))
-    return _fallback.threshold_links(m, float(tau))
+    rows = max(1, _BLOCK_FLOATS // n)
+    out: list[tuple[int, int, float]] = []
+    for s in range(0, n - 1, rows):
+        block = m[s:s + rows] @ m[s:].T
+        # block[r, c] pairs row s + r with row s + c; keep c > r only
+        r, c = np.nonzero(np.triu(block >= tau, k=1))
+        out.extend(zip((r + s).tolist(), (c + s).tolist(), block[r, c].tolist()))
+    return out
 
 
-def component_labels(n: int, pairs, *, backend: str | None = None) -> list[int]:
+def component_labels(n: int, pairs) -> list[int]:
     """Canonical component label (smallest member index) per node.
 
     ``pairs`` is any iterable of (i, j, ...) edge tuples over nodes
@@ -59,26 +53,20 @@ def component_labels(n: int, pairs, *, backend: str | None = None) -> list[int]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    impl = _select(backend)
-    if impl is _native:
-        edges = list(pairs)
-        us = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-        vs = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-        return _native.component_labels(n, us, vs)
-    return _fallback.component_labels(n, pairs)
+    parent = list(range(n))
 
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-def _select(backend: str | None):
-    if backend is None:
-        return _native if _native is not None else _fallback
-    if backend == "native":
-        if _native is None:
-            raise RuntimeError("native kernels are not built on this install")
-        return _native
-    if backend == "python":
-        return _fallback
-    raise ValueError(f"unknown kernel backend {backend!r}")
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("native", "python") if _native is not None else ("python",)
+    for pair in pairs:
+        ra, rb = find(pair[0]), find(pair[1])
+        if ra != rb:
+            # keep the smaller index as the root so roots are canonical
+            if ra < rb:
+                parent[rb] = ra
+            else:
+                parent[ra] = rb
+    return [find(i) for i in range(n)]

@@ -51,7 +51,6 @@ class PackBudgetError(TreeError):
 
 
 class NodeKind(str, Enum):
-    COLUMN_LEAF = "column_leaf"   # reserved: current builds always use group leaves
     GROUP_LEAF = "group_leaf"
     WITHIN_TABLE = "within_table"
     TABLE_ROOT = "table_root"
@@ -123,7 +122,7 @@ class ContextTree:
                 if child in self.parent:
                     raise TreeError(f"node {child} has two parents")
                 self.parent[child] = node.node_id
-            if node.kind in (NodeKind.GROUP_LEAF, NodeKind.COLUMN_LEAF):
+            if node.kind is NodeKind.GROUP_LEAF:
                 for ref in node.members or ():
                     if ref in self.leaf_of:
                         raise TreeError(f"column {ref} appears under two leaves")
@@ -143,7 +142,7 @@ class ContextTree:
 
     def leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes.values()
-                if n.kind in (NodeKind.GROUP_LEAF, NodeKind.COLUMN_LEAF)]
+                if n.kind is NodeKind.GROUP_LEAF]
 
     def with_relations(self, relations: Sequence[RelationSnippet]) -> "ContextTree":
         return ContextTree(self.side, self.root, self.nodes, self.params, tuple(relations))
@@ -670,27 +669,30 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
     class _Cluster:
         root_id: str
         items: list[int]        # indices into the original root list
-        key: str                # smallest member table root id
+        slot: int               # row and column in ``live``
 
-    clusters = [_Cluster(r, [i], r) for i, r in enumerate(roots)]
+    # live[s, t] is the average distance between the clusters in slots s
+    # and t, summed with the earlier-listed cluster's items first; dead
+    # slots and the diagonal hold inf. rank[s] indexes the slot's smallest
+    # member table root id, so rank order is root-id order.
+    n = len(roots)
+    live = np.full((n, n), np.inf)
+    upper = np.triu_indices(n, 1)
+    live[upper] = live[upper[::-1]] = dist[upper]
+    rank = np.arange(n)
+    clusters = [_Cluster(r, [i], i) for i, r in enumerate(roots)]
     counter = 0
 
-    def avg_distance(a: _Cluster, b: _Cluster) -> float:
-        return float(np.mean([dist[i, j] for i in a.items for j in b.items]))
-
     while len(clusters) > 1:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                a, b = clusters[i], clusters[j]
-                ka, kb = sorted((a.key, b.key))
-                cand = (avg_distance(a, b), ka, kb, i, j)
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
-        assert best is not None
-        d, _, _, i, j = best
+        d = live.min()
         if d > params.cluster_threshold:
             break
+        # exact ties go to the lexicographically smallest table-id pair
+        s, t = np.nonzero(live == d)
+        lo, hi = np.minimum(rank[s], rank[t]), np.maximum(rank[s], rank[t])
+        first = np.lexsort((hi, lo))[0]
+        pair = (s[first], t[first])
+        i, j = [pos for pos, c in enumerate(clusters) if c.slot in pair]
         a, b = clusters[i], clusters[j]
         counter += 1
         node_id = f"grp:{counter}"
@@ -702,13 +704,20 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
             node_id=node_id, kind=NodeKind.CLUSTER, summary=summary,
             children=tuple(sorted((a.root_id, b.root_id))),
         )
-        merged = _Cluster(node_id, a.items + b.items, min(a.key, b.key))
+        merged = _Cluster(node_id, a.items + b.items, a.slot)
+        rank[a.slot] = min(rank[a.slot], rank[b.slot])
+        live[b.slot, :] = live[:, b.slot] = np.inf
         clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
+        to_merged = dist[:, merged.items]
+        for c in clusters:
+            # c is listed before merged, so its items are the rows summed first
+            live[c.slot, merged.slot] = live[merged.slot, c.slot] = float(
+                to_merged[c.items].mean())
         clusters.append(merged)
 
     if len(clusters) == 1:
         return ContextTree(side, clusters[0].root_id, nodes, params)
-    clusters.sort(key=lambda c: c.key)
+    clusters.sort(key=lambda c: rank[c.slot])
     summary = _summarize_node(
         "node-summary", "",
         [nodes[c.root_id].summary for c in clusters], gateway,

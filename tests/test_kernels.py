@@ -4,11 +4,6 @@ import pytest
 from construm import kernels
 from helpers import dfs_components, oracle_threshold_pairs
 
-needs_native = pytest.mark.skipif(
-    "native" not in kernels.available_backends(),
-    reason="compiled kernels not built",
-)
-
 
 def random_unit_rows(seed, n, d=16):
     rng = np.random.default_rng(seed)
@@ -16,28 +11,20 @@ def random_unit_rows(seed, n, d=16):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-@needs_native
-def test_backends_agree_exactly():
-    for seed in range(10):
-        m = random_unit_rows(seed, n=40)
-        for tau in (0.0, 0.2, 0.5):
-            native = kernels.threshold_links(m, tau, backend="native")
-            python = kernels.threshold_links(m, tau, backend="python")
-            assert native == python
-            labels_n = kernels.component_labels(len(m), native, backend="native")
-            labels_p = kernels.component_labels(len(m), python, backend="python")
-            assert labels_n == labels_p
-
-
-def test_links_match_matmul_oracle():
-    for seed in range(8):
-        m = random_unit_rows(seed, n=30)
-        for tau in (0.1, 0.3, 0.6):
-            got = kernels.threshold_links(m, tau)
-            assert {(i, j) for i, j, _ in got} == oracle_threshold_pairs(m, tau)
-            cos = m @ m.T
-            for i, j, c in got:
-                assert c == pytest.approx(cos[i, j], abs=1e-9)
+def test_links_match_matmul_oracle(monkeypatch):
+    # the default budget is one block; 7 * 30 gives five 7-row blocks at
+    # n=30 and 7 gives one row per block
+    for block_floats in (kernels._BLOCK_FLOATS, 7 * 30, 7):
+        monkeypatch.setattr(kernels, "_BLOCK_FLOATS", block_floats)
+        for seed in range(8):
+            m = random_unit_rows(seed, n=30)
+            for tau in (0.1, 0.3, 0.6):
+                got = kernels.threshold_links(m, tau)
+                assert {(i, j) for i, j, _ in got} == oracle_threshold_pairs(m, tau)
+                assert got == sorted(got)
+                cos = m @ m.T
+                for i, j, c in got:
+                    assert c == pytest.approx(cos[i, j], abs=1e-9)
 
 
 def test_component_labels_match_dfs_oracle():

@@ -460,6 +460,21 @@ def test_full_merge_matches_reference_and_depth_bound():
     assert depth == math.ceil(math.log2(k)) + 1
 
 
+def test_exact_distance_ties_merge_in_key_order():
+    k = 8
+    cat = multi_table_catalog([2] * k)
+    subtrees = [build_table_tree(cat, t, PARAMS, tree_gateway()) for t in cat.tables]
+    same = np.eye(1, 16)[0]  # identical one-hot summaries: every distance is 0.0
+    gw = make_gateway(responder=tree_bot,
+                      embed_backend=PositionalEmbeddingBackend([[same] * k]))
+    tree = cluster_tables(subtrees, TreeParams(cluster_threshold=1.999), gw, Side.SOURCE)
+
+    assert tree.root == f"grp:{k - 1}"
+    assert tree.node("grp:1").children == ("tbl:t0", "tbl:t1")
+    for n in range(2, k):
+        assert tree.node(f"grp:{n}").children == (f"grp:{n - 1}", f"tbl:t{n}")
+
+
 # -- relations -------------------------------------------------------------------
 
 
