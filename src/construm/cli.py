@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: ``build-tree``, ``build-graph``, ``match``, ``bench
-generate|run|report``, and ``report``. Configuration is layered --
+generate|run``, and ``report``. Configuration is layered --
 built-in defaults, then a JSON config file, then environment variables
 (secrets only: API key and base URL), then explicit flags -- and every run
 writes its fully resolved configuration next to its outputs so a run can
@@ -19,6 +19,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from construm import evaluation as ev
@@ -65,15 +66,7 @@ DEFAULTS = {
     "relations": False,
     "tau": 0.90,
     "include_table_text": True,
-    "mode": "full",
-    "k": 20,
-    "pack_budget": 1200,
-    "cap_total": 5,
-    "cap_strong": 3,
-    "max_groups": 6,
-    "max_group_members": 24,
-    "decision_timeout": 90.0,
-    "diff_timeout": 45.0,
+    **asdict(PipelineConfig()),
     "mask_source": False,
     "mask_target": False,
     "workers": 1,
@@ -153,12 +146,7 @@ def tree_params(cfg: dict) -> tree_mod.TreeParams:
 
 
 def pipeline_config(cfg: dict) -> PipelineConfig:
-    return PipelineConfig.from_mode(
-        cfg["mode"], k=cfg["k"], pack_budget=cfg["pack_budget"],
-        cap_total=cfg["cap_total"], cap_strong=cfg["cap_strong"],
-        max_groups=cfg["max_groups"], max_group_members=cfg["max_group_members"],
-        decision_timeout=cfg["decision_timeout"], diff_timeout=cfg["diff_timeout"],
-    )
+    return PipelineConfig(**{f.name: cfg[f.name] for f in fields(PipelineConfig)})
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -202,22 +190,6 @@ def cmd_build_graph(args) -> int:
     non_singleton = sum(1 for g in hg.groups if len(g) > 1)
     print(f"hypergraph written to {out} ({len(hg.links)} links, "
           f"{len(hg.groups)} groups, {non_singleton} non-singleton)")
-    return 0
-
-
-def cmd_precompute_diff(args) -> int:
-    from construm.diff import precompute_blocks
-
-    cfg = resolve_config(args)
-    if not args.cache:
-        raise UsageError("precompute-diff needs --cache (the reply cache to fill)")
-    gateway = make_gateway(cfg, cache_dir=args.cache)
-    catalog = _load_catalog(args.catalog, args.side, _side_mask(args, cfg))
-    hg = graph_mod.load_hypergraph(args.graph)
-    blocks = precompute_blocks(hg, catalog, None, gateway,
-                               timeout=cfg["diff_timeout"],
-                               max_members=cfg["max_group_members"])
-    print(f"{len(blocks)} differentiation blocks cached under {args.cache}")
     return 0
 
 
@@ -483,16 +455,6 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_build_graph)
 
-    p = sub.add_parser("precompute-diff",
-                       help="generate differentiation blocks for all stored "
-                            "groups offline (fills the reply cache)")
-    p.add_argument("--catalog", required=True)
-    p.add_argument("--side", choices=["source", "target"], default="target")
-    p.add_argument("--graph", required=True, help="hypergraph file")
-    p.add_argument("--mask", action="store_const", const=True, default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_precompute_diff)
-
     p = sub.add_parser("match", help="run forced-choice matches")
     p.add_argument("--source-catalog", dest="source_catalog", required=True)
     p.add_argument("--target-catalog", dest="target_catalog", required=True)
@@ -537,11 +499,6 @@ def build_parser() -> _Parser:
     _add_tree_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_bench_run)
-
-    p = bsub.add_parser("report", help="re-render reports from run directories")
-    p.add_argument("--runs", nargs="+", required=True)
-    p.add_argument("--format", choices=["markdown", "csv"], default="markdown")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("report", help="render a report from run directories")
     p.add_argument("--runs", nargs="+", required=True)

@@ -2,9 +2,10 @@
 
 Every non-singleton similarity group that survives prioritization becomes
 one LLM call producing a short group summary (what the members share and
-along which axes they differ) plus one cue per member. The rendered
-differentiation section drops into the final decision prompt so the model
-chooses by explicit comparison instead of scoring lookalikes in isolation.
+along which axes they differ) plus one cue per member. The source-side and
+candidate-side blocks render as two separate sections of the final
+decision prompt, so the model chooses by explicit comparison instead of
+scoring lookalikes in isolation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from construm.catalog import ColumnRef, SchemaCatalog, Side
-from construm.gateway import ChatCall, GatewayError, ModelGateway
+from construm.gateway import ChatCall, ModelGateway
 from construm.graph import Hypergraph, SimilarityGroup
 from construm.tree import ContextPack
 
@@ -33,7 +34,6 @@ class DifferentiationBlock:
     group: SimilarityGroup
     summary: str
     cues: dict[ColumnRef, str]
-    side: Side
     members_in_prompt: tuple[ColumnRef, ...]
 
 
@@ -119,11 +119,11 @@ def generate_block(group: SimilarityGroup, members: Sequence[ColumnRef],
         logger.warning("differentiation reply unparseable for group of %d; summary only",
                        len(members))
         summary = reply.text.strip().splitlines()[0][:200]
-        return DifferentiationBlock(group, summary, {}, group.side, tuple(members))
+        return DifferentiationBlock(group, summary, {}, tuple(members))
     summary, cues = parsed
     for ref in members:
         cues.setdefault(ref, MISSING_CUE)
-    return DifferentiationBlock(group, summary, cues, group.side, tuple(members))
+    return DifferentiationBlock(group, summary, cues, tuple(members))
 
 
 def _parse_block(text: str, members: Sequence[ColumnRef],
@@ -140,31 +140,37 @@ def _parse_block(text: str, members: Sequence[ColumnRef],
     return m.group(1), cues
 
 
-def render_blocks(blocks: Sequence[DifferentiationBlock],
-                  catalog_by_side: Mapping[Side, SchemaCatalog]) -> str:
-    """Deterministic differentiation section for the decision prompt.
+def render_source_diff(blocks: Sequence[DifferentiationBlock],
+                       catalog: SchemaCatalog) -> str:
+    """Source-side section of the decision prompt.
 
-    Source-side blocks come first under a "Source diff" header, then
-    candidate groups numbered #1.. in the given (priority) order. Empty
-    input renders as the empty string.
+    Each block of the query's own confusable group goes under a "Source
+    diff" header with its summary and cues. Empty input renders as the
+    empty string.
     """
-    if not blocks:
-        return ""
     lines: list[str] = []
-    source_blocks = [b for b in blocks if b.side is Side.SOURCE]
-    target_blocks = [b for b in blocks if b.side is Side.TARGET]
-    for block in source_blocks:
-        catalog = catalog_by_side[Side.SOURCE]
+    for block in blocks:
         lines.append("Source diff (confusable source group):")
         lines.append(f"Summary: {block.summary}")
         lines.extend(_cue_lines(block, catalog))
-    if target_blocks:
-        lines.append("Differentiation among candidates:")
-        catalog = catalog_by_side[Side.TARGET]
-        for i, block in enumerate(target_blocks, start=1):
-            cids = [catalog.meta(r).cid for r in block.members_in_prompt]
-            lines.append(f"Group #{i} ({' vs '.join(cids)}): {block.summary}")
-            lines.extend(_cue_lines(block, catalog))
+    return "\n".join(lines)
+
+
+def render_candidate_diff(blocks: Sequence[DifferentiationBlock],
+                          catalog: SchemaCatalog) -> str:
+    """Candidate-side section of the decision prompt.
+
+    Candidate groups are numbered #1.. in the given (priority) order under
+    one "Differentiation among candidates" header. Empty input renders as
+    the empty string.
+    """
+    if not blocks:
+        return ""
+    lines = ["Differentiation among candidates:"]
+    for i, block in enumerate(blocks, start=1):
+        cids = [catalog.meta(r).cid for r in block.members_in_prompt]
+        lines.append(f"Group #{i} ({' vs '.join(cids)}): {block.summary}")
+        lines.extend(_cue_lines(block, catalog))
     return "\n".join(lines)
 
 
@@ -174,25 +180,3 @@ def _cue_lines(block: DifferentiationBlock, catalog: SchemaCatalog) -> list[str]
         for ref in block.members_in_prompt
         if ref in block.cues
     ]
-
-
-def precompute_blocks(hypergraph: Hypergraph, catalog: SchemaCatalog,
-                      packs: Mapping[ColumnRef, ContextPack] | None,
-                      gateway: ModelGateway, timeout: float = 45.0,
-                      max_members: int = DEFAULT_MAX_MEMBERS) -> list[DifferentiationBlock]:
-    """Offline pass generating a block for every stored non-singleton group.
-
-    Fills the disk cache so match-time generation amortizes to cache hits.
-    """
-    out = []
-    for g in hypergraph.groups:
-        if len(g) < 2:
-            continue
-        members = g.sorted_members()[:max_members]
-        try:
-            out.append(generate_block(g, members, catalog, packs,
-                                      query_meta="(offline precompute)",
-                                      gateway=gateway, timeout=timeout))
-        except GatewayError as exc:
-            logger.warning("skipping block for group of %d: %s", len(g), exc)
-    return out

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -150,9 +150,6 @@ class EvalReport:
     mean_latency: float
     rows: list[QueryRow] = field(default_factory=list)
 
-    def acc_at(self, k: int) -> float:
-        return {1: self.acc1, 3: self.acc3, 5: self.acc5}[k]
-
 
 def evaluate(queries: Sequence[MatchQuery], results: Sequence[MatchResult | None],
              source_catalog: SchemaCatalog, target_catalog: SchemaCatalog,
@@ -239,20 +236,14 @@ def run_ablation_suite(queries: Sequence[MatchQuery], modes: Sequence[str],
                        ) -> dict[str, tuple[EvalReport, list[MatchResult | None]]]:
     """Run every mode over the identical query list and score each.
 
-    Queries without a shortlist get one from embedding retrieval (size
-    ``k`` from the config). Per-query pipeline errors are recorded on the
-    row (scored incorrect) and the run continues.
+    Every mode runs with ``base_config``'s other fields. Queries without a
+    shortlist get one from embedding retrieval (size ``k`` from the
+    config). Per-query pipeline errors are recorded on the row (scored
+    incorrect) and the run continues.
     """
     out: dict[str, tuple[EvalReport, list[MatchResult | None]]] = {}
     for mode in modes:
-        cfg = PipelineConfig.from_mode(mode) if base_config is None else (
-            PipelineConfig.from_mode(mode, **{
-                f: getattr(base_config, f)
-                for f in ("k", "pack_budget", "max_pack_relations", "decision_timeout",
-                          "diff_timeout", "max_groups", "max_group_members",
-                          "cap_total", "cap_strong", "restrict_source_to_table")
-            })
-        )
+        cfg = replace(base_config or PipelineConfig(), mode=mode)
         results: list[MatchResult | None] = []
         errors: dict[int, str] = {}
         for i, q in enumerate(queries):

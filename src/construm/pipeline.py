@@ -10,28 +10,29 @@ Auxiliary failures (expansion, packs, differentiation) degrade gracefully
 to a smaller prompt; only an unparseable decision reply aborts, after one
 stricter retry.
 
-Ablation modes gate the evidence: ``full`` uses everything, ``no_tree``
-drops context packs, ``no_diff`` drops differentiation, ``llm_local`` uses
-bare metadata only, and ``embed_top1`` answers with the nearest embedding
-and never calls the LLM.
+The mode is the only switch for the evidence: ``full`` uses everything,
+``no_tree`` drops context packs, ``no_diff`` drops differentiation,
+``llm_local`` uses bare metadata only, and ``embed_top1`` answers with the
+nearest embedding and never calls the LLM.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from construm.catalog import ColumnRef, MatchQuery, SchemaCatalog, Side
+from construm.catalog import ColumnRef, MatchQuery, SchemaCatalog
 from construm.diff import (
     DEFAULT_MAX_GROUPS,
     DEFAULT_MAX_MEMBERS,
     DifferentiationBlock,
     generate_block,
-    render_blocks,
+    render_candidate_diff,
+    render_source_diff,
     select_groups,
 )
 from construm.gateway import ChatCall, GatewayError, ModelGateway
@@ -48,15 +49,6 @@ logger = logging.getLogger(__name__)
 
 MODES = ("full", "no_tree", "no_diff", "llm_local", "embed_top1")
 
-_MODE_FLAGS = {
-    # mode: (use_tree, use_diff, use_expansion)
-    "full": (True, True, True),
-    "no_tree": (False, True, True),
-    "no_diff": (True, False, True),
-    "llm_local": (False, False, False),
-    "embed_top1": (False, False, False),
-}
-
 
 class PipelineError(Exception):
     def __init__(self, message: str, prompt_snapshot: str = ""):
@@ -72,39 +64,39 @@ class InvalidChoiceError(PipelineError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """Per-query settings; ``mode`` alone decides which evidence is used."""
+
     mode: str = "full"
     k: int = 20
-    use_tree: bool = True
-    use_diff: bool = True
-    use_expansion: bool = True
     pack_budget: int = 1200
-    max_pack_relations: int = 3
     decision_timeout: float = 90.0
     diff_timeout: float = 45.0
     max_groups: int = DEFAULT_MAX_GROUPS
     max_group_members: int = DEFAULT_MAX_MEMBERS
     cap_total: int = 5
     cap_strong: int = 3
-    restrict_source_to_table: bool = True
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
 
     @classmethod
     def from_mode(cls, mode: str, **overrides) -> "PipelineConfig":
-        if mode not in _MODE_FLAGS:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-        tree, diff, expansion = _MODE_FLAGS[mode]
-        cfg = cls(mode=mode, use_tree=tree, use_diff=diff, use_expansion=expansion)
-        return replace(cfg, **overrides)
+        return cls(mode=mode, **overrides)
 
-    def validate(self):
-        tree, diff, expansion = _MODE_FLAGS[self.mode]
-        if (self.use_tree, self.use_diff) != (tree, diff):
-            raise ValueError(
-                f"mode {self.mode!r} implies use_tree={tree}, use_diff={diff}"
-            )
-        if self.mode in ("llm_local", "embed_top1") and self.use_expansion:
-            raise ValueError(f"mode {self.mode!r} does not expand the shortlist")
+    @property
+    def use_tree(self) -> bool:
+        return self.mode in ("full", "no_diff")
+
+    @property
+    def use_diff(self) -> bool:
+        return self.mode in ("full", "no_tree")
+
+    @property
+    def use_expansion(self) -> bool:
+        return self.mode in ("full", "no_tree", "no_diff")
 
 
 @dataclass
@@ -218,15 +210,16 @@ def _source_vector(s: ColumnRef, artifacts: Artifacts, gateway: ModelGateway) ->
 
 
 def final_prompt_sections(s_display: str, s_desc: str, s_pack: ContextPack | None,
-                          diff_section: str,
+                          source_diff: str, candidate_diff: str,
                           candidates: Sequence[tuple[str, str, str, ContextPack | None]],
                           ) -> list[tuple[str, str]]:
     """Ordered (name, text) sections of the decision prompt.
 
     Order: query block, source diff, candidate list (cid, name, desc, then
-    context), candidate differentiation, answer instruction. Every prompt
-    in a reduced mode is a subsequence of these sections for the same
-    query.
+    context), candidate differentiation, answer instruction. The two
+    differentiation sections arrive rendered and separate (empty when
+    absent). Every prompt in a reduced mode is a subsequence of these
+    sections for the same query.
     """
     sections: list[tuple[str, str]] = []
     query_line = f"Query column: {s_display}"
@@ -235,7 +228,6 @@ def final_prompt_sections(s_display: str, s_desc: str, s_pack: ContextPack | Non
     sections.append(("query", query_line))
     if s_pack is not None:
         sections.append(("query_context", "Query context:\n" + s_pack.rendered))
-    source_diff, _, candidate_diff = diff_section.partition("Differentiation among candidates:")
     source_diff = source_diff.strip()
     if source_diff:
         sections.append(("source_diff", source_diff))
@@ -245,9 +237,8 @@ def final_prompt_sections(s_display: str, s_desc: str, s_pack: ContextPack | Non
         if pack is not None:
             indented = pack.rendered.replace("\n", "\n    ")
             sections.append((f"candidate_context:{cid}", f"    context: {indented}"))
-    if candidate_diff.strip():
-        sections.append(("candidate_diff",
-                         "Differentiation among candidates:" + candidate_diff.rstrip()))
+    if candidate_diff:
+        sections.append(("candidate_diff", candidate_diff.rstrip()))
     sections.append((
         "instruction",
         "Select the single best matching target column from the candidates. "
@@ -257,14 +248,14 @@ def final_prompt_sections(s_display: str, s_desc: str, s_pack: ContextPack | Non
 
 
 def assemble_final_prompt(s_display: str, s_desc: str, s_pack: ContextPack | None,
-                          diff_section: str,
+                          source_diff: str, candidate_diff: str,
                           candidates: Sequence[tuple[str, str, str, ContextPack | None]],
                           ) -> str:
     if not candidates:
         raise PipelineError("cannot assemble a prompt with no candidates")
     return "\n".join(
-        text for _, text in final_prompt_sections(s_display, s_desc, s_pack,
-                                                  diff_section, candidates)
+        text for _, text in final_prompt_sections(s_display, s_desc, s_pack, source_diff,
+                                                  candidate_diff, candidates)
     )
 
 
@@ -295,7 +286,6 @@ def run_match(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     Returns the chosen candidate, the ranked candidate list (chosen first),
     and a trace whose counters equal the gateway's deltas for this query.
     """
-    config.validate()
     if not query.shortlist:
         raise PipelineError("query has an empty shortlist")
     scat, tcat = artifacts.source_catalog, artifacts.target_catalog
@@ -331,12 +321,13 @@ def run_match(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
                 if pack is not None:
                     cand_packs[t] = pack
 
-    blocks: list[DifferentiationBlock] = []
+    source_diff = candidate_diff = ""
     if config.use_diff and artifacts.source_graph is not None:
-        blocks.extend(_source_block(s, s_pack, config, artifacts, gateway))
+        source_diff = render_source_diff(
+            _source_block(s, s_pack, config, artifacts, gateway), scat)
     if config.use_diff and artifacts.target_graph is not None:
-        blocks.extend(_candidate_blocks(s, candidates, cand_packs, config, artifacts, gateway))
-    diff_section = render_blocks(blocks, {Side.SOURCE: scat, Side.TARGET: tcat})
+        candidate_diff = render_candidate_diff(
+            _candidate_blocks(s, candidates, cand_packs, config, artifacts, gateway), tcat)
 
     candidate_rows = [
         (tcat.meta(t).cid, tcat.display_name(t), tcat.meta(t).description,
@@ -344,8 +335,8 @@ def run_match(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
         for t in candidates
     ]
     prompt = assemble_final_prompt(
-        scat.display_name(s), scat.meta(s).description, s_pack, diff_section,
-        candidate_rows,
+        scat.display_name(s), scat.meta(s).description, s_pack, source_diff,
+        candidate_diff, candidate_rows,
     )
     by_cid = {tcat.meta(t).cid: t for t in candidates}
 
@@ -391,8 +382,7 @@ def _rank_candidates(chosen: ColumnRef, candidates: Sequence[ColumnRef], s: Colu
 def _safe_pack(tree: ContextTree, catalog: SchemaCatalog, ref: ColumnRef,
                config: PipelineConfig) -> ContextPack | None:
     try:
-        return build_context_pack(tree, catalog, ref, config.pack_budget,
-                                  config.max_pack_relations)
+        return build_context_pack(tree, catalog, ref, config.pack_budget)
     except (TreeError, KeyError) as exc:
         logger.warning("context pack unavailable for %s: %s", ref, exc)
         return None
@@ -403,8 +393,7 @@ def _source_block(s: ColumnRef, s_pack: ContextPack | None,
                   gateway: ModelGateway) -> list[DifferentiationBlock]:
     scat = artifacts.source_catalog
     try:
-        group = source_confusable_set(s, artifacts.source_graph,
-                                      config.restrict_source_to_table)
+        group = source_confusable_set(s, artifacts.source_graph)
         if len(group) < 2:
             return []
         members = group.sorted_members()[: config.max_group_members]

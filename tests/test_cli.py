@@ -126,7 +126,7 @@ def test_bench_generate_run_report_cycle(tmp_path):
     assert (out_dir / "traces" / "embed_top1" / "q0000.json").exists()
 
     assert main(["report", "--runs", str(out_dir), "--format", "markdown"]) == 0
-    assert main(["bench", "report", "--runs", str(out_dir), "--format", "csv"]) == 0
+    assert main(["report", "--runs", str(out_dir), "--format", "csv"]) == 0
 
 
 def test_bench_run_reproduces_byte_identical_traces(tmp_path):
@@ -156,19 +156,6 @@ def test_bench_run_reproduces_byte_identical_traces(tmp_path):
         assert blobs[0] == blobs[1] == blobs[2], f"{rel} differs between identical runs"
     assert (outs[0] / "run_config.json").read_bytes() == \
         (outs[1] / "run_config.json").read_bytes()
-
-
-def test_precompute_diff_fills_cache(tmp_path):
-    source, target, script = fixture_files(tmp_path)
-    backend = f"scripted:{script}"
-    graph = tmp_path / "sg.json"
-    assert main(["build-graph", "--catalog", str(source), "--side", "source",
-                 "--tau", "0.8", "--out", str(graph), "--backend", backend]) == 0
-    cache = tmp_path / "cache"
-    rc = main(["precompute-diff", "--catalog", str(source), "--side", "source",
-               "--graph", str(graph), "--cache", str(cache), "--backend", backend])
-    assert rc == 0
-    assert list(cache.glob("*.json"))  # cached differentiation replies exist
 
 
 def test_match_accepts_spec_style_aliases_and_llm_shortlist(tmp_path):

@@ -5,7 +5,8 @@ from construm.diff import (
     MISSING_CUE,
     DifferentiationBlock,
     generate_block,
-    render_blocks,
+    render_candidate_diff,
+    render_source_diff,
     select_groups,
 )
 from construm.gateway import DiskCache, ModelGateway
@@ -139,7 +140,8 @@ def test_generate_block_second_call_is_cached(tmp_path):
 
 
 def test_render_empty_is_empty_string():
-    assert render_blocks([], {}) == ""
+    assert render_source_diff([], None) == ""
+    assert render_candidate_diff([], None) == ""
 
 
 def source_and_target_blocks():
@@ -150,41 +152,42 @@ def source_and_target_blocks():
     t_refs = list(tcat.refs())
     sblock = DifferentiationBlock(
         SimilarityGroup(frozenset(s_refs), Side.SOURCE), "source contrast",
-        {s_refs[0]: "made", s_refs[1]: "entered"}, Side.SOURCE, tuple(s_refs))
+        {s_refs[0]: "made", s_refs[1]: "entered"}, tuple(s_refs))
     t1 = DifferentiationBlock(
         SimilarityGroup(frozenset(t_refs[:2]), Side.TARGET), "first pair",
-        {t_refs[0]: "cue a", t_refs[1]: "cue b"}, Side.TARGET, tuple(t_refs[:2]))
+        {t_refs[0]: "cue a", t_refs[1]: "cue b"}, tuple(t_refs[:2]))
     t2 = DifferentiationBlock(
         SimilarityGroup(frozenset(t_refs[2:]), Side.TARGET), "second pair",
-        {t_refs[2]: "cue c", t_refs[3]: "cue d"}, Side.TARGET, tuple(t_refs[2:]))
-    catalogs = {Side.SOURCE: scat, Side.TARGET: tcat}
-    return sblock, t1, t2, catalogs
+        {t_refs[2]: "cue c", t_refs[3]: "cue d"}, tuple(t_refs[2:]))
+    return sblock, t1, t2, scat, tcat
 
 
-def test_render_source_section_precedes_candidates():
-    sblock, t1, _, catalogs = source_and_target_blocks()
-    text = render_blocks([t1, sblock], catalogs)
-    assert text.index("Source diff (confusable source group):") \
-        < text.index("Differentiation among candidates:")
-    assert "Summary: source contrast" in text
+def test_render_source_section_exact_text():
+    sblock, _, _, scat, _ = source_and_target_blocks()
+    assert render_source_diff([sblock], scat) == (
+        "Source diff (confusable source group):\n"
+        "Summary: source contrast\n"
+        "- C1: made\n"
+        "- C2: entered"
+    )
 
 
 def test_render_numbers_groups_in_priority_order():
-    _, t1, t2, catalogs = source_and_target_blocks()
-    text = render_blocks([t1, t2], catalogs)
+    _, t1, t2, _, tcat = source_and_target_blocks()
+    text = render_candidate_diff([t1, t2], tcat)
+    assert text.splitlines()[0] == "Differentiation among candidates:"
     assert "Group #1 (C1 vs C2): first pair" in text
     assert "Group #2 (C3 vs C4): second pair" in text
     assert text.index("Group #1") < text.index("Group #2")
     # ordering oracle: swapping priority order swaps the numbering
-    swapped = render_blocks([t2, t1], catalogs)
+    swapped = render_candidate_diff([t2, t1], tcat)
     assert "Group #1 (C3 vs C4): second pair" in swapped
 
 
 def test_render_is_byte_deterministic():
-    sblock, t1, t2, catalogs = source_and_target_blocks()
-    a = render_blocks([sblock, t1, t2], catalogs)
-    b = render_blocks([sblock, t1, t2], catalogs)
-    assert a == b
+    sblock, t1, t2, scat, tcat = source_and_target_blocks()
+    assert render_source_diff([sblock], scat) == render_source_diff([sblock], scat)
+    assert render_candidate_diff([t1, t2], tcat) == render_candidate_diff([t1, t2], tcat)
 
 
 def test_diff_echo_bot_round_trip():

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from construm import evaluation
 from construm.catalog import MatchQuery
 from construm.evaluation import (
     BenchmarkError,
@@ -18,7 +21,7 @@ from construm.evaluation import (
 )
 from construm.gateway import HashEmbeddingBackend, ModelGateway
 from construm.graph import build_hypergraph, embedding_text
-from construm.pipeline import Artifacts, MatchResult, MatchTrace
+from construm.pipeline import Artifacts, MatchResult, MatchTrace, PipelineConfig
 from helpers import (
     build_catalog,
     chain_bots,
@@ -234,6 +237,28 @@ def test_suite_records_errors_and_continues():
     assert all(r is None for r in results)
     assert all(row.error for row in report.rows)
     assert report.acc1 == 0.0
+
+
+def test_suite_carries_every_non_mode_field_into_every_mode(monkeypatch):
+    queries, artifacts, gw = suite_fixture()
+    base = PipelineConfig(mode="full", k=2, pack_budget=900, decision_timeout=30.0,
+                          diff_timeout=15.0, max_groups=2, max_group_members=3,
+                          cap_total=4, cap_strong=1)
+    seen = []
+    run_match = evaluation.run_match
+
+    def recording_run_match(q, cfg, *args):
+        seen.append(cfg)
+        return run_match(q, cfg, *args)
+
+    monkeypatch.setattr(evaluation, "run_match", recording_run_match)
+    modes = ["llm_local", "no_tree"]
+    suite = run_ablation_suite(queries, modes, artifacts, gw, base_config=base)
+    assert [cfg.mode for cfg in seen] == [m for m in modes for _ in queries]
+    assert all(cfg == replace(base, mode=cfg.mode) for cfg in seen)
+    for mode in modes:
+        _, results = suite[mode]
+        assert all(len(r.query.shortlist) == 2 for r in results)
 
 
 def test_empty_mode_list_gives_empty_table():

@@ -112,21 +112,16 @@ def test_parse_choice_requires_candidate_membership():
 
 
 def test_final_prompt_section_order():
-    sections = final_prompt_sections(
-        "qcol", "desc", None,
-        "Source diff (confusable source group):\nSummary: s\n"
-        "Differentiation among candidates:\nGroup #1 (C1 vs C2): x",
-        [("C1", "a", "da", None), ("C2", "b", "db", None)],
-    )
+    source_diff = "Source diff (confusable source group):\nSummary: s\n"
+    candidate_diff = "Differentiation among candidates:\nGroup #1 (C1 vs C2): x"
+    candidates = [("C1", "a", "da", None), ("C2", "b", "db", None)]
+    sections = final_prompt_sections("qcol", "desc", None, source_diff,
+                                     candidate_diff, candidates)
     names = [n for n, _ in sections]
     assert names == ["query", "source_diff", "candidates_header",
                      "candidate:C1", "candidate:C2", "candidate_diff", "instruction"]
-    prompt = assemble_final_prompt(
-        "qcol", "desc", None,
-        "Source diff (confusable source group):\nSummary: s\n"
-        "Differentiation among candidates:\nGroup #1 (C1 vs C2): x",
-        [("C1", "a", "da", None), ("C2", "b", "db", None)],
-    )
+    prompt = assemble_final_prompt("qcol", "desc", None, source_diff,
+                                   candidate_diff, candidates)
     # substring-position oracle over the canonical section markers
     positions = [prompt.index("Query column:"), prompt.index("Source diff"),
                  prompt.index("Candidates:"), prompt.index("- C1:"),
@@ -136,7 +131,7 @@ def test_final_prompt_section_order():
 
 
 def test_llm_local_prompt_has_only_core_sections():
-    prompt = assemble_final_prompt("q", "d", None, "",
+    prompt = assemble_final_prompt("q", "d", None, "", "",
                                    [("C1", "a", "da", None), ("C2", "b", "db", None)])
     assert "Source diff" not in prompt
     assert "Differentiation" not in prompt
@@ -146,7 +141,7 @@ def test_llm_local_prompt_has_only_core_sections():
 
 def test_empty_candidates_rejected():
     with pytest.raises(PipelineError):
-        assemble_final_prompt("q", "d", None, "", [])
+        assemble_final_prompt("q", "d", None, "", "", [])
 
 
 # -- mode configs ------------------------------------------------------------------
@@ -160,10 +155,8 @@ def test_mode_flag_implications():
     assert not cfg.use_tree and not cfg.use_diff and not cfg.use_expansion
     with pytest.raises(ValueError):
         PipelineConfig.from_mode("nonsense")
-    bad = PipelineConfig.from_mode("no_tree")
-    bad.use_tree = True
     with pytest.raises(ValueError):
-        bad.validate()
+        PipelineConfig(mode="nonsense")
 
 
 # -- end-to-end runs ---------------------------------------------------------------
@@ -234,6 +227,30 @@ def test_time_column_scenario_full_vs_llm_local():
     assert local.chosen == tcat.resolve("recorded_time")
     assert full.ranked[0] == full.chosen
     assert local.ranked[0] == local.chosen
+
+
+def test_source_summary_echoing_candidate_header_stays_in_source_section():
+    artifacts, responder = time_fixture()
+    scat, tcat = artifacts.source_catalog, artifacts.target_catalog
+    summary = "Differentiation among candidates: made-time versus entry-time"
+    cue_lines = ["- C1: made-time, not entry time", "- C2: entered-not-made marker"]
+
+    def echoing_source_bot(prompt):
+        if "TASK: differentiate" in prompt and "SIDE: source" in prompt:
+            return "\n".join([f"Summary: {summary}"] + cue_lines)
+        return None
+
+    q = MatchQuery(source=scat.resolve("CHARTTIME"),
+                   shortlist=(tcat.resolve("observation_time"),
+                              tcat.resolve("recorded_time")))
+    gw = hash_gw(responder=chain_bots(echoing_source_bot, responder))
+    lines = run_match(q, PipelineConfig(mode="full"), artifacts, gw) \
+        .trace.prompt_snapshot.splitlines()
+    candidates_at = lines.index("Candidates:")
+    for line in [f"Summary: {summary}"] + cue_lines:
+        assert lines.index(line) < candidates_at, line
+    assert lines.count("Differentiation among candidates:") == 1
+    assert lines.index("Differentiation among candidates:") > candidates_at
 
 
 def test_all_singleton_groups_mean_no_diff_sections_and_one_call():
