@@ -38,7 +38,6 @@ from construm.pipeline import (
     MODES,
     Artifacts,
     PipelineConfig,
-    llm_shortlist,
     run_match,
     shortlist,
 )
@@ -138,15 +137,21 @@ def _load_catalog(path, side, mask: bool) -> SchemaCatalog:
 
 
 def tree_params(cfg: dict) -> tree_mod.TreeParams:
-    return tree_mod.TreeParams(
-        window=cfg["window"], leaf_budget=cfg["leaf_budget"], min_group=cfg["min_group"],
-        fan_out=cfg["fan_out"], switch_budget=cfg["switch_budget"],
-        cluster_threshold=cfg["delta"], sample_count=cfg["sample_count"],
-    )
+    try:
+        return tree_mod.TreeParams(
+            window=cfg["window"], leaf_budget=cfg["leaf_budget"], min_group=cfg["min_group"],
+            fan_out=cfg["fan_out"], switch_budget=cfg["switch_budget"],
+            cluster_threshold=cfg["delta"], sample_count=cfg["sample_count"],
+        )
+    except tree_mod.TreeError as exc:
+        raise UsageError(f"invalid tree settings: {exc}") from exc
 
 
 def pipeline_config(cfg: dict) -> PipelineConfig:
-    return PipelineConfig(**{f.name: cfg[f.name] for f in fields(PipelineConfig)})
+    try:
+        return PipelineConfig(**{f.name: cfg[f.name] for f in fields(PipelineConfig)})
+    except ValueError as exc:
+        raise UsageError(f"invalid pipeline settings: {exc}") from exc
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -161,13 +166,13 @@ def _side_mask(args, cfg) -> bool:
 def cmd_build_tree(args) -> int:
     cfg = resolve_config(args)
     out = Path(args.out)
-    gateway = make_gateway(cfg, cache_dir=args.cache)
+    params = tree_params(cfg)
+    gateway = make_gateway(cfg, cache_dir=args.cache or out.parent / "cache")
     catalog = _load_catalog(args.catalog, args.side, _side_mask(args, cfg))
     tree = tree_mod.build_context_tree(
-        catalog, tree_params(cfg), gateway,
+        catalog, params, gateway,
         annotate_relations=cfg["relations"],
         workers=cfg["workers"],
-        partial_path=str(out) + ".partial",
     )
     out.parent.mkdir(parents=True, exist_ok=True)
     tree_mod.save_tree(tree, out)
@@ -221,15 +226,14 @@ def _build_artifacts(cfg: dict, source_catalog: SchemaCatalog,
         )
     source_tree = target_tree = None
     if need_tree or paths.get("source_tree") or paths.get("target_tree"):
-        params = tree_params(cfg)
         source_tree = load_or(
             "source_tree", tree_mod.load_tree,
-            lambda: tree_mod.build_context_tree(source_catalog, params, gateway,
+            lambda: tree_mod.build_context_tree(source_catalog, tree_params(cfg), gateway,
                                                 annotate_relations=cfg["relations"],
                                                 workers=cfg["workers"]))
         target_tree = load_or(
             "target_tree", tree_mod.load_tree,
-            lambda: tree_mod.build_context_tree(target_catalog, params, gateway,
+            lambda: tree_mod.build_context_tree(target_catalog, tree_params(cfg), gateway,
                                                 annotate_relations=cfg["relations"],
                                                 workers=cfg["workers"]))
     return Artifacts(source_catalog, target_catalog, source_tree, target_tree,
@@ -277,11 +281,10 @@ def cmd_match(args) -> int:
         queries = [MatchQuery(source=source_catalog.resolve(args.source))]
     else:
         raise UsageError("match needs --queries or --source")
-    make_shortlist = llm_shortlist if args.shortlist == "llm" else shortlist
 
     def run_one(q: MatchQuery):
         if not q.shortlist:
-            q = q.with_shortlist(make_shortlist(q.source, artifacts, pcfg.k, gateway))
+            q = q.with_shortlist(shortlist(q.source, artifacts, pcfg.k, gateway))
         return q, run_match(q, pcfg, artifacts, gateway)
 
     if cfg["workers"] > 1 and len(queries) > 1:
@@ -342,6 +345,12 @@ def cmd_bench_generate(args) -> int:
 
 def cmd_bench_run(args) -> int:
     cfg = resolve_config(args)
+    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        raise UsageError(f"--modes names no mode; expected some of {MODES}")
+    for m in modes:
+        if m not in MODES:
+            raise UsageError(f"unknown mode {m!r}; expected one of {MODES}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = args.cache or out_dir / "cache"
@@ -349,10 +358,6 @@ def cmd_bench_run(args) -> int:
     spec, source, target = _load_benchspec(args.benchspec, cfg)
     queries = ev.load_benchmark(Path(args.bench).read_text(encoding="utf-8"),
                                 source, target)
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    for m in modes:
-        if m not in MODES:
-            raise UsageError(f"unknown mode {m!r}; expected one of {MODES}")
     need_tree = any(PipelineConfig.from_mode(m).use_tree for m in modes)
     need_diff = any(PipelineConfig.from_mode(m).use_diff for m in modes)
     artifacts = _build_artifacts(cfg, source, target, gateway,
@@ -466,8 +471,6 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", dest="target_graph", help="alias for --target-graph")
     p.add_argument("--queries", help="benchmark-style JSON query file")
     p.add_argument("--source", help="single query column (cid or unique name)")
-    p.add_argument("--shortlist", choices=["embed", "llm"], default="embed",
-                   help="internal shortlist strategy when a query has none")
     p.add_argument("--mode", choices=list(MODES))
     p.add_argument("--k", type=int, help="shortlist size")
     p.add_argument("--budget", dest="pack_budget", type=int,

@@ -71,10 +71,12 @@ class ChatReply:
 
 @dataclass
 class EmbeddingVector:
-    """Unit-normalized embedding plus the pre-normalization magnitude."""
+    """One unit-normalized float64 embedding, as ``embed_batch`` returns it.
+
+    A ``Hypergraph`` stacks these rows into its single embedding matrix.
+    """
 
     values: np.ndarray
-    norm: float
 
     @classmethod
     def from_raw(cls, raw) -> "EmbeddingVector":
@@ -82,14 +84,10 @@ class EmbeddingVector:
         n = float(np.linalg.norm(v))
         if n == 0.0:
             raise GatewayError("cannot normalize a zero embedding vector")
-        return cls(values=v / n, norm=n)
+        return cls(values=v / n)
 
     def tolist(self) -> list[float]:
         return self.values.tolist()
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
 
 
 def estimate_tokens(text: str) -> int:
@@ -193,8 +191,13 @@ class DiskCache:
         os.replace(tmp, p)
 
 
+def canonical_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def cache_key(backend_id: str, role_tag: str, prompt: str) -> str:
-    # timeout/retry settings are deliberately not part of the key
+    # backend_id covers everything else that decides a reply (script content,
+    # model, decoding); timeout/retry settings are deliberately not part of it
     h = hashlib.sha256()
     h.update(backend_id.encode("utf-8"))
     h.update(b"\x00")
@@ -228,7 +231,9 @@ class ScriptedChatBackend:
     matching rule wins, then the optional ``responder`` callable, then the
     optional ``default``. A missing match raises :class:`ScriptError`. An
     injected ``delay`` (seconds, slept for real) exercises timeout paths.
-    Every attempt is appended to ``call_log`` as (role_tag, prompt).
+    Every attempt is appended to ``call_log`` as (role_tag, prompt). A
+    script loaded with ``from_file`` puts a hash of its rules and default
+    into ``backend_id``, so an edited script never hits stale cached replies.
     """
 
     def __init__(self, rules: Sequence[ScriptRule] = (), default: str | None = None,
@@ -246,11 +251,16 @@ class ScriptedChatBackend:
     def from_file(cls, path) -> "ScriptedChatBackend":
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         rules = [ScriptRule(r["contains"], r["reply"]) for r in doc.get("rules", [])]
+        default = doc.get("default")
+        script = canonical_json({
+            "rules": [[r.contains, r.reply] for r in rules], "default": default,
+        })
+        digest = hashlib.sha256(script.encode("utf-8")).hexdigest()
         return cls(
             rules=rules,
-            default=doc.get("default"),
+            default=default,
             delay=float(doc.get("delay", 0.0)),
-            backend_id=f"scripted:{Path(path).name}",
+            backend_id=f"scripted:{Path(path).name}:{digest}",
         )
 
     def chat(self, call: ChatCall) -> BackendReply:
@@ -285,7 +295,8 @@ class HttpChatBackend:
 
     POSTs ``{model, messages: [{role, content}], **decoding}`` to
     ``<base_url>/chat/completions`` with a bearer key. Decoding parameters
-    are passed through untouched from configuration.
+    are passed through untouched from configuration, and ``backend_id``
+    carries them next to the model so the reply cache keys on both.
     """
 
     def __init__(self, base_url: str, model: str = "gpt-5", api_key: str | None = None,
@@ -294,7 +305,7 @@ class HttpChatBackend:
         self.model = model
         self.api_key = api_key
         self.decoding = dict(decoding or {})
-        self.backend_id = f"http:{self.base_url}:{model}"
+        self.backend_id = f"http:{self.base_url}:{model}:{canonical_json(self.decoding)}"
 
     def chat(self, call: ChatCall) -> BackendReply:
         import requests

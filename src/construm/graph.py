@@ -22,7 +22,7 @@ import numpy as np
 
 from construm import kernels
 from construm.catalog import ColumnRef, SchemaCatalog, Side, as_side
-from construm.gateway import EmbeddingVector, ModelGateway
+from construm.gateway import ModelGateway
 
 logger = logging.getLogger(__name__)
 
@@ -66,15 +66,23 @@ def embedding_text(catalog: SchemaCatalog, ref: ColumnRef, include_table: bool =
 
 
 class Hypergraph:
-    """Immutable tau-thresholded similarity structure for one side."""
+    """Immutable tau-thresholded similarity structure for one side.
+
+    ``embeddings`` is one C-contiguous float64 matrix of unit rows in
+    ``columns`` order; ``matrix`` names the same array.
+    """
 
     def __init__(self, side: Side, tau: float, columns: Sequence[ColumnRef],
-                 embeddings: dict[ColumnRef, EmbeddingVector],
+                 embeddings: np.ndarray,
                  links: Sequence[SimilarityLink], groups: Sequence[SimilarityGroup]):
         self.side = side
         self.tau = tau
         self.columns = tuple(columns)
-        self.embeddings = embeddings
+        self.embeddings = self.matrix = np.ascontiguousarray(embeddings, dtype=np.float64)
+        self.matrix.flags.writeable = False  # vector() hands out row views
+        if self.matrix.shape[0] != len(self.columns):
+            raise ValueError(f"{self.matrix.shape[0]} embedding rows for "
+                             f"{len(self.columns)} columns")
         self.links = tuple(links)
         self.groups = tuple(groups)
         self._index = {ref: i for i, ref in enumerate(self.columns)}
@@ -82,15 +90,9 @@ class Hypergraph:
         for g in self.groups:
             for ref in g.members:
                 self._group_of[ref] = g
-        self._matrix: np.ndarray | None = None
 
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.ascontiguousarray(
-                np.stack([self.embeddings[r].values for r in self.columns])
-            )
-        return self._matrix
+    def __contains__(self, ref: ColumnRef) -> bool:
+        return ref in self._index
 
     def index_of(self, ref: ColumnRef) -> int:
         return self._index[ref]
@@ -99,10 +101,7 @@ class Hypergraph:
         return self._group_of[ref]
 
     def vector(self, ref: ColumnRef) -> np.ndarray:
-        return self.embeddings[ref].values
-
-    def cosine(self, a: ColumnRef, b: ColumnRef) -> float:
-        return float(np.dot(self.vector(a), self.vector(b)))
+        return self.matrix[self._index[ref]]
 
 
 def build_hypergraph(catalog: SchemaCatalog, gateway: ModelGateway, tau: float = DEFAULT_TAU,
@@ -116,13 +115,11 @@ def build_hypergraph(catalog: SchemaCatalog, gateway: ModelGateway, tau: float =
     if not refs:
         raise ValueError("cannot build a hypergraph over an empty catalog")
     texts = [embedding_text(catalog, r, include_table) for r in refs]
-    vectors = gateway.embed_batch(texts)
-    embeddings = dict(zip(refs, vectors))
-    matrix = np.ascontiguousarray(np.stack([v.values for v in vectors]))
+    matrix = np.stack([v.values for v in gateway.embed_batch(texts)])
     raw_links = kernels.threshold_links(matrix, tau)
     links = [SimilarityLink(refs[i], refs[j], cos) for i, j, cos in raw_links]
     groups = extract_groups(links, refs)
-    return Hypergraph(catalog.side, tau, refs, embeddings, links, groups)
+    return Hypergraph(catalog.side, tau, refs, matrix, links, groups)
 
 
 def extract_groups(links: Iterable[SimilarityLink],
@@ -219,8 +216,7 @@ def save_hypergraph(hg: Hypergraph, catalog: SchemaCatalog, path):
             {"cid": catalog.meta(r).cid, "table_id": r.table_id, "ordinal": r.ordinal}
             for r in hg.columns
         ],
-        "embeddings": [hg.embeddings[r].tolist() for r in hg.columns],
-        "norms": [hg.embeddings[r].norm for r in hg.columns],
+        "embeddings": hg.matrix.tolist(),
         "links": [
             [hg.index_of(l.a), hg.index_of(l.b), l.cosine] for l in hg.links
         ],
@@ -235,10 +231,7 @@ def load_hypergraph(path) -> Hypergraph:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     side = as_side(doc["side"])
     columns = [ColumnRef(side, c["table_id"], int(c["ordinal"])) for c in doc["columns"]]
-    embeddings = {
-        ref: EmbeddingVector(values=np.asarray(vec, dtype=np.float64), norm=float(norm))
-        for ref, vec, norm in zip(columns, doc["embeddings"], doc["norms"])
-    }
+    embeddings = np.asarray(doc["embeddings"], dtype=np.float64)
     links = [
         SimilarityLink(columns[int(i)], columns[int(j)], float(cos))
         for i, j, cos in doc["links"]

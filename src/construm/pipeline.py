@@ -152,55 +152,8 @@ def shortlist(s: ColumnRef, artifacts: Artifacts, k: int,
     return [hg.columns[i] for i in order[: min(k, len(hg.columns))]]
 
 
-_CANDIDATE_LIST_RE = re.compile(r"C[1-9][0-9]*")
-
-
-def llm_shortlist(s: ColumnRef, artifacts: Artifacts, k: int,
-                  gateway: ModelGateway) -> list[ColumnRef]:
-    """Optional LLM-driven shortlist: one call over the target column list.
-
-    Convenience for running without an upstream matcher; any cids the
-    reply misses are back-filled by embedding retrieval.
-    """
-    tcat = artifacts.target_catalog
-    meta = artifacts.source_catalog.meta(s)
-    lines = "\n".join(
-        f"- {tcat.meta(r).cid}: {tcat.display_name(r)}: {tcat.meta(r).description[:80]}"
-        for r in tcat.refs()
-    )
-    prompt = (
-        f"TASK: shortlist\n"
-        f"Query column: {artifacts.source_catalog.display_name(s)}; "
-        f"desc: {meta.description}\n"
-        f"Target columns:\n{lines}\n"
-        f"Reply with one line 'CANDIDATES: <cid>, <cid>, ...' naming the "
-        f"{k} most plausible matches, best first."
-    )
-    reply = gateway.complete(ChatCall("decision", prompt))
-    picked: list[ColumnRef] = []
-    seen = set()
-    for cid in _CANDIDATE_LIST_RE.findall(reply.text):
-        try:
-            ref = tcat.by_cid(cid)
-        except Exception:
-            continue
-        if ref not in seen:
-            picked.append(ref)
-            seen.add(ref)
-        if len(picked) >= k:
-            break
-    if len(picked) < k and artifacts.target_graph is not None:
-        for ref in shortlist(s, artifacts, k, gateway):
-            if ref not in seen:
-                picked.append(ref)
-                seen.add(ref)
-            if len(picked) >= k:
-                break
-    return picked
-
-
 def _source_vector(s: ColumnRef, artifacts: Artifacts, gateway: ModelGateway) -> np.ndarray:
-    if artifacts.source_graph is not None and s in artifacts.source_graph.embeddings:
+    if artifacts.source_graph is not None and s in artifacts.source_graph:
         return artifacts.source_graph.vector(s)
     text = embedding_text(artifacts.source_catalog, s)
     return gateway.embed_batch([text])[0].values
@@ -370,7 +323,7 @@ def _rank_candidates(chosen: ColumnRef, candidates: Sequence[ColumnRef], s: Colu
     # else prompt order (external shortlists without a graph)
     rest = [c for c in candidates if c != chosen]
     hg = artifacts.target_graph
-    if hg is not None and all(c in hg.embeddings for c in rest):
+    if hg is not None and all(c in hg for c in rest):
         try:
             s_vec = _source_vector(s, artifacts, gateway)
             rest.sort(key=lambda c: (-float(np.dot(hg.vector(c), s_vec)), c.sort_key))

@@ -22,7 +22,7 @@ import json
 import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -68,7 +68,7 @@ class TreeParams:
     cluster_threshold: float = 0.5  # cosine-distance merge cutoff (delta)
     sample_count: int = 20     # columns sampled for the global theme
 
-    def validate(self):
+    def __post_init__(self):
         if not (self.window >= self.leaf_budget >= self.min_group >= 1):
             raise TreeError(
                 f"require window >= leaf_budget >= min_group >= 1, got "
@@ -571,7 +571,6 @@ def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParam
     stay comparable); wider tables go through the staged plan-and-recurse
     path. Every internal node carries an LLM summary.
     """
-    params.validate()
     nodes: dict[str, TreeNode] = {}
     root_id = f"tbl:{table.table_id}"
 
@@ -640,7 +639,6 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
     at or under the cutoff; whatever remains is joined under a final
     database root. A single table's root doubles as the database root.
     """
-    params.validate()
     if not table_trees:
         raise TreeError("no table trees to cluster")
 
@@ -796,44 +794,23 @@ def build_context_tree(catalog: SchemaCatalog, params: TreeParams, gateway: Mode
                        annotate_relations: bool = False,
                        relation_caps: RelationCaps = RelationCaps(),
                        relation_timeout: float = 75.0,
-                       workers: int = 1, partial_path=None) -> ContextTree:
+                       workers: int = 1) -> ContextTree:
     """Build the whole per-side tree: per-table subtrees, then clustering.
 
     Table subtrees are independent and build concurrently when ``workers``
-    > 1. If a gateway error aborts the build and ``partial_path`` is set,
-    completed subtrees are saved there and reused on the next attempt.
+    > 1. A build keeps no state of its own between attempts: to resume an
+    aborted build, rerun it through a gateway with a ``DiskCache``. It
+    sends the same prompts, so every call that finished before the abort
+    is a cache hit.
     """
-    params.validate()
-    done: dict[str, dict[str, TreeNode]] = {}
-    if partial_path is not None and Path(partial_path).exists():
-        doc = json.loads(Path(partial_path).read_text(encoding="utf-8"))
-        for table_id, payload in doc.get("tables", {}).items():
-            done[table_id] = {
-                nid: _node_from_dict(nid, nd, catalog.side) for nid, nd in payload.items()
-            }
-        logger.info("resuming build: %d table subtrees loaded from %s", len(done), partial_path)
+    def build(table: TableMeta) -> dict[str, TreeNode]:
+        return build_table_tree(catalog, table, params, gateway)
 
-    pending = [t for t in catalog.tables if t.table_id not in done]
-    try:
-        if workers > 1 and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    t.table_id: pool.submit(build_table_tree, catalog, t, params, gateway)
-                    for t in pending
-                }
-                for table_id, fut in futures.items():
-                    done[table_id] = fut.result()
-        else:
-            for t in pending:
-                done[t.table_id] = build_table_tree(catalog, t, params, gateway)
-    except (GatewayError, TreeError):
-        if partial_path is not None and done:
-            _save_partial(done, partial_path)
-            logger.warning("build aborted; %d completed subtrees saved to %s",
-                           len(done), partial_path)
-        raise
-
-    subtrees = [done[t.table_id] for t in catalog.tables]
+    if workers > 1 and len(catalog.tables) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            subtrees = list(pool.map(build, catalog.tables))
+    else:
+        subtrees = [build(t) for t in catalog.tables]
     tree = cluster_tables(subtrees, params, gateway, catalog.side)
     if annotate_relations:
         relations: list[RelationSnippet] = []
@@ -842,17 +819,7 @@ def build_context_tree(catalog: SchemaCatalog, params: TreeParams, gateway: Mode
                 relations.extend(annotate_sibling_relations(
                     tree, node_id, gateway, relation_caps, relation_timeout))
         tree = tree.with_relations(relations)
-    if partial_path is not None:
-        Path(partial_path).unlink(missing_ok=True)
     return tree
-
-
-def _save_partial(done: dict[str, dict[str, TreeNode]], path):
-    doc = {"tables": {
-        table_id: {nid: _node_to_dict(n) for nid, n in sub.items()}
-        for table_id, sub in done.items()
-    }}
-    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
 # -- context packs ------------------------------------------------------------
@@ -975,15 +942,7 @@ def tree_to_dict(tree: ContextTree) -> dict:
         "format": 1,
         "side": tree.side.value,
         "root": tree.root,
-        "params": {
-            "window": tree.params.window,
-            "leaf_budget": tree.params.leaf_budget,
-            "min_group": tree.params.min_group,
-            "fan_out": tree.params.fan_out,
-            "switch_budget": tree.params.switch_budget,
-            "cluster_threshold": tree.params.cluster_threshold,
-            "sample_count": tree.params.sample_count,
-        },
+        "params": asdict(tree.params),
         "nodes": {nid: _node_to_dict(n) for nid, n in tree.nodes.items()},
         "relations": [
             [r.from_node, r.to_node, r.relation_text] for r in tree.relations
@@ -1001,14 +960,7 @@ def save_tree(tree: ContextTree, path):
 def load_tree(path) -> ContextTree:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     side = as_side(doc["side"])
-    p = doc["params"]
-    params = TreeParams(
-        window=int(p["window"]), leaf_budget=int(p["leaf_budget"]),
-        min_group=int(p["min_group"]), fan_out=int(p["fan_out"]),
-        switch_budget=int(p["switch_budget"]),
-        cluster_threshold=float(p["cluster_threshold"]),
-        sample_count=int(p["sample_count"]),
-    )
+    params = TreeParams(**doc["params"])
     nodes = {nid: _node_from_dict(nid, nd, side) for nid, nd in doc["nodes"].items()}
     relations = [RelationSnippet(a, b, t) for a, b, t in doc.get("relations", [])]
     return ContextTree(side, doc["root"], nodes, params, relations)

@@ -158,12 +158,8 @@ def test_bench_run_reproduces_byte_identical_traces(tmp_path):
         (outs[1] / "run_config.json").read_bytes()
 
 
-def test_match_accepts_spec_style_aliases_and_llm_shortlist(tmp_path):
+def test_match_accepts_spec_style_aliases(tmp_path):
     source, target, script = fixture_files(tmp_path)
-    script_doc = json.loads(script.read_text())
-    script_doc["rules"].insert(0, {"contains": "TASK: shortlist",
-                                   "reply": "CANDIDATES: C1, C3"})
-    write_json(script, script_doc)
     backend = f"scripted:{script}"
     graph = tmp_path / "tg.json"
     assert main(["build-graph", "--catalog", str(target), "--side", "target",
@@ -171,13 +167,71 @@ def test_match_accepts_spec_style_aliases_and_llm_shortlist(tmp_path):
     out_dir = tmp_path / "aliasrun"
     rc = main(["match",
                "--source-catalog", str(source), "--target-catalog", str(target),
-               "--graph", str(graph), "--source", "city",
-               "--mode", "llm_local", "--k", "2", "--shortlist", "llm",
+               "--graph", str(graph), "--source", "income_main",
+               "--mode", "llm_local", "--k", "2",
                "--out", str(out_dir), "--backend", backend])
     assert rc == 0
     row = json.loads(next((out_dir / "traces").glob("q*.json")).read_text())
     assert row["ranked"][0] == row["chosen"] == "C1"
-    assert set(row["ranked"]) == {"C1", "C3"}  # the llm shortlist was used
+    assert len(row["ranked"]) == 2
+
+
+def test_edited_script_is_not_answered_from_cache(tmp_path):
+    source, target, script = fixture_files(tmp_path)
+    cache = tmp_path / "cache"
+
+    def run(name):
+        out_dir = tmp_path / name
+        assert main(["match",
+                     "--source-catalog", str(source), "--target-catalog", str(target),
+                     "--source", "income_main", "--mode", "llm_local", "--k", "3",
+                     "--cache", str(cache), "--out", str(out_dir),
+                     "--backend", f"scripted:{script}"]) == 0
+        return json.loads((out_dir / "traces" / "q0000.json").read_text())
+
+    first = run("r1")
+    assert first["chosen"] == "C1" and first["cache_hits"] == 0
+    assert run("r2")["cache_hits"] == 1  # same script: the reply comes from the cache
+    doc = json.loads(script.read_text())
+    doc["rules"][0]["reply"] = "ANSWER: C2"
+    write_json(script, doc)  # same file name, new reply
+    edited = run("r3")
+    assert edited["chosen"] == "C2" and edited["cache_hits"] == 0
+
+
+def test_leaf_budget_over_window_is_user_error(tmp_path, capsys):
+    source, target, script = fixture_files(tmp_path)
+    rc = main(["build-tree", "--catalog", str(source), "--out", str(tmp_path / "t.json"),
+               "--leaf-budget", "300", "--backend", f"scripted:{script}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "leaf_budget" in err and "Traceback" not in err
+
+
+def test_unknown_mode_in_config_file_is_user_error(tmp_path, capsys):
+    source, target, script = fixture_files(tmp_path)
+    config = write_json(tmp_path / "config.json", {"mode": "nonsense"})
+    rc = main(["match",
+               "--source-catalog", str(source), "--target-catalog", str(target),
+               "--source", "income_main", "--config", str(config),
+               "--out", str(tmp_path / "run"), "--backend", f"scripted:{script}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "nonsense" in err and "Traceback" not in err
+
+
+def test_empty_mode_list_is_user_error(tmp_path, capsys):
+    source, target, script, benchspec = bench_setup(tmp_path)
+    backend = f"scripted:{script}"
+    bench = tmp_path / "bench.json"
+    assert main(["bench", "generate", "--benchspec", str(benchspec),
+                 "--out", str(bench), "--backend", backend]) == 0
+    capsys.readouterr()
+    rc = main(["bench", "run", "--benchspec", str(benchspec), "--bench", str(bench),
+               "--modes", ",", "--out", str(tmp_path / "run"), "--backend", backend])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--modes" in err and "Traceback" not in err
 
 
 def test_config_file_layering_and_flag_override(tmp_path, capsys):

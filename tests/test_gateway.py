@@ -9,6 +9,7 @@ from construm.gateway import (
     GatewayError,
     GatewayTimeout,
     HashEmbeddingBackend,
+    HttpChatBackend,
     ModelGateway,
     ScriptError,
     ScriptRule,
@@ -50,6 +51,15 @@ def test_cache_key_ignores_timeout(tmp_path):
     assert reply.cache_hit
     assert cache_key("b", "decision", "x") == cache_key("b", "decision", "x")
     assert cache_key("b", "decision", "x") != cache_key("b", "relation", "x")
+
+
+def test_http_backend_id_keys_on_decoding():
+    def bid(decoding):
+        return HttpChatBackend("http://127.0.0.1:9", "m", decoding=decoding).backend_id
+
+    assert bid({"temperature": 0, "top_p": 1}) == bid({"top_p": 1, "temperature": 0})
+    assert bid({"temperature": 0}) != bid({"temperature": 1})
+    assert bid({"temperature": 0}) != bid(None)
 
 
 def test_timeout_retries_then_fails_with_attempt_log():
@@ -114,7 +124,6 @@ def test_vectors_are_unit_normalized():
     _, gw = scripted()
     for vec in gw.embed_batch(["alpha beta", "gamma", "alpha beta gamma delta"]):
         assert abs(np.linalg.norm(vec.values) - 1.0) < 1e-6
-        assert vec.norm > 0
 
 
 def test_cosine_matches_independent_dot_oracle():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -238,5 +240,17 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.columns == hg.columns
     assert loaded.links == hg.links
     assert loaded.groups == hg.groups
-    for r in hg.columns:
-        assert np.array_equal(loaded.embeddings[r].values, hg.embeddings[r].values)
+    assert np.array_equal(loaded.matrix, hg.matrix)
+    assert loaded.embeddings is loaded.matrix and loaded.matrix.flags.c_contiguous
+    assert not loaded.matrix.flags.writeable
+    doc = json.loads(path.read_text())
+    assert "norms" not in doc
+    # files written while graphs still stored per-column norms load unchanged
+    doc["norms"] = [1.0] * len(doc["columns"])
+    old = tmp_path / "old_graph.json"
+    old.write_text(json.dumps(doc))
+    assert np.array_equal(load_hypergraph(old).matrix, hg.matrix)
+    doc["embeddings"].pop()
+    old.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="embedding rows"):
+        load_hypergraph(old)

@@ -12,7 +12,6 @@ from construm.pipeline import (
     PipelineError,
     assemble_final_prompt,
     final_prompt_sections,
-    llm_shortlist,
     parse_choice,
     run_match,
     shortlist,
@@ -395,19 +394,3 @@ def test_expansion_appends_near_duplicates():
     result = run_match(q, PipelineConfig.from_mode("no_tree"), artifacts, gw_run)
     assert tcat.resolve("pair_b") in result.ranked
     assert result.ranked[0] == result.chosen
-
-
-def test_llm_shortlist_parses_and_backfills():
-    artifacts = basic_artifacts(n_targets=8)
-    s = next(artifacts.source_catalog.refs())
-
-    def lister(prompt):
-        if "TASK: shortlist" in prompt:
-            return "CANDIDATES: C3, C5"
-        return None
-
-    gw = hash_gw(responder=lister)
-    got = llm_shortlist(s, artifacts, k=4, gateway=gw)
-    tcat = artifacts.target_catalog
-    assert got[:2] == [tcat.by_cid("C3"), tcat.by_cid("C5")]
-    assert len(got) == 4

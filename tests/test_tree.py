@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from construm.catalog import Side
-from construm.gateway import TransportError
+from construm.gateway import DiskCache, TransportError
 from construm.tree import (
     ContextTree,
     GroupingPlan,
@@ -626,27 +626,28 @@ def test_concurrent_build_matches_serial():
     assert tree_to_dict(serial) == tree_to_dict(parallel)
 
 
-def test_partial_save_and_resume(tmp_path):
-    cat = multi_table_catalog([12, 12], seed=4)
-    partial = tmp_path / "tree.json.partial"
-
-    calls = {"fail": True}
+def test_rebuild_resumes_from_reply_cache(tmp_path):
+    cat = multi_table_catalog([12, 80], seed=4)
+    fail = {"on": True}
 
     def flaky(prompt):
-        if calls["fail"] and "t1_c" in prompt:
+        # t1 is wide: its window, theme and plan calls finish before a leaf fails
+        if fail["on"] and "TASK: leaf-summary" in prompt and "t1_c" in prompt:
             raise TransportError("injected failure")
         return tree_bot(prompt)
 
-    gw = make_gateway(responder=flaky)
-    with pytest.raises(Exception):
-        build_context_tree(cat, PARAMS, gw, partial_path=partial)
-    assert partial.exists()
-    saved = json.loads(partial.read_text())
-    assert "t0" in saved["tables"] and "t1" not in saved["tables"]
+    first = make_gateway(responder=flaky, cache=DiskCache(tmp_path))
+    with pytest.raises(TransportError):
+        build_context_tree(cat, PARAMS, first, annotate_relations=True)
+    aborted = first.accounting.snapshot()
+    assert aborted.llm_calls > 0 and aborted.cache_hits == 0
 
-    calls["fail"] = False
-    resumed = build_context_tree(cat, PARAMS, make_gateway(responder=flaky),
-                                 partial_path=partial)
-    clean = build_context_tree(cat, PARAMS, tree_gateway())
+    fail["on"] = False
+    second = make_gateway(responder=flaky, cache=DiskCache(tmp_path))
+    resumed = build_context_tree(cat, PARAMS, second, annotate_relations=True)
+    clean_gw = tree_gateway()
+    clean = build_context_tree(cat, PARAMS, clean_gw, annotate_relations=True)
     assert tree_to_dict(resumed) == tree_to_dict(clean)
-    assert not partial.exists()
+    rerun = second.accounting.snapshot()
+    assert rerun.cache_hits == aborted.llm_calls
+    assert rerun.llm_calls + rerun.cache_hits == clean_gw.accounting.snapshot().llm_calls
