@@ -18,7 +18,6 @@ import logging
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -37,9 +36,8 @@ from construm.gateway import (
 from construm.pipeline import (
     MODES,
     Artifacts,
+    MatchResult,
     PipelineConfig,
-    run_match,
-    shortlist,
 )
 
 
@@ -240,8 +238,9 @@ def _build_artifacts(cfg: dict, source_catalog: SchemaCatalog,
                      source_graph, target_graph)
 
 
-def _trace_row(query: MatchQuery, result, artifacts: Artifacts) -> dict:
+def _trace_row(result: MatchResult, artifacts: Artifacts) -> dict:
     scat, tcat = artifacts.source_catalog, artifacts.target_catalog
+    query = result.query
     truth_cid = tcat.meta(query.ground_truth).cid if query.ground_truth else None
     return {
         "source": scat.meta(query.source).cid,
@@ -256,6 +255,19 @@ def _trace_row(query: MatchQuery, result, artifacts: Artifacts) -> dict:
         "cache_hits": result.trace.cache_hits,
         "prompt_snapshot": result.trace.prompt_snapshot,
     }
+
+
+def _write_traces(traces_dir: Path, queries, outcomes, artifacts: Artifacts) -> list[dict]:
+    """One ``q<NNNN>.json`` per query; a failed query's row is its error."""
+    traces_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for i, (q, (result, error)) in enumerate(zip(queries, outcomes)):
+        row = (_trace_row(result, artifacts) if result is not None else
+               {"source": artifacts.source_catalog.meta(q.source).cid, "error": error})
+        (traces_dir / f"q{i:04d}.json").write_text(json.dumps(row, sort_keys=True),
+                                                   encoding="utf-8")
+        rows.append(row)
+    return rows
 
 
 def cmd_match(args) -> int:
@@ -282,26 +294,16 @@ def cmd_match(args) -> int:
     else:
         raise UsageError("match needs --queries or --source")
 
-    def run_one(q: MatchQuery):
-        if not q.shortlist:
-            q = q.with_shortlist(shortlist(q.source, artifacts, pcfg.k, gateway))
-        return q, run_match(q, pcfg, artifacts, gateway)
-
-    if cfg["workers"] > 1 and len(queries) > 1:
-        with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-            outcomes = list(pool.map(run_one, queries))
-    else:
-        outcomes = [run_one(q) for q in queries]
-    traces_dir = out_dir / "traces"
-    traces_dir.mkdir(exist_ok=True)
-    for i, (q, result) in enumerate(outcomes):
-        row = _trace_row(q, result, artifacts)
-        (traces_dir / f"q{i:04d}.json").write_text(
-            json.dumps(row, sort_keys=True), encoding="utf-8")
-        print(f"q{i:04d}: {row['source']} -> {row['chosen']}"
-              + (f" (truth {row['truth']})" if row["truth"] else ""))
+    outcomes = ev.run_queries(queries, pcfg, artifacts, gateway, cfg["workers"])
+    rows = _write_traces(out_dir / "traces", queries, outcomes, artifacts)
+    for i, row in enumerate(rows):
+        if "error" in row:
+            print(f"q{i:04d}: {row['source']} failed: {row['error']}", file=sys.stderr)
+        else:
+            print(f"q{i:04d}: {row['source']} -> {row['chosen']}"
+                  + (f" (truth {row['truth']})" if row["truth"] else ""))
     write_run_config(cfg, out_dir)
-    return 0
+    return 2 if any("error" in row for row in rows) else 0
 
 
 def _load_benchspec(path, cfg) -> tuple[ev.BenchmarkSpec, SchemaCatalog, SchemaCatalog]:
@@ -363,8 +365,8 @@ def cmd_bench_run(args) -> int:
     artifacts = _build_artifacts(cfg, source, target, gateway,
                                  need_tree=need_tree, need_diff=need_diff)
     base = pipeline_config({**cfg, "mode": modes[0]})
-    suite = ev.run_ablation_suite(queries, modes, artifacts, gateway,
-                                  base_config=base, slice_name=args.slice)
+    suite = ev.run_ablation_suite(queries, modes, artifacts, gateway, base_config=base,
+                                  slice_name=args.slice, workers=cfg["workers"])
     reports = {args.slice: {m: suite[m][0] for m in modes}}
     (out_dir / "report.md").write_text(ev.render_report(reports, "markdown"),
                                        encoding="utf-8")
@@ -372,16 +374,8 @@ def cmd_bench_run(args) -> int:
                                         encoding="utf-8")
     for mode in modes:
         report, results = suite[mode]
-        tdir = out_dir / "traces" / mode
-        tdir.mkdir(parents=True, exist_ok=True)
-        for i, (q, r) in enumerate(zip(queries, results)):
-            if r is None:
-                row = {"source": source.meta(q.source).cid, "error": report.rows[i].error}
-            else:
-                qq = q if q.shortlist else q.with_shortlist(r.query.shortlist)
-                row = _trace_row(qq, r, artifacts)
-            (tdir / f"q{i:04d}.json").write_text(json.dumps(row, sort_keys=True),
-                                                 encoding="utf-8")
+        _write_traces(out_dir / "traces" / mode, queries,
+                      zip(results, (row.error for row in report.rows)), artifacts)
     write_run_config(cfg, out_dir)
     print(ev.render_report(reports, "markdown"))
     return 0

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -21,12 +22,13 @@ import numpy as np
 
 from construm import kernels
 from construm.catalog import ColumnRef, MatchQuery, SchemaCatalog
-from construm.gateway import ModelGateway
+from construm.gateway import GatewayError, ModelGateway
 from construm.graph import embedding_text
 from construm.pipeline import (
     Artifacts,
     MatchResult,
     PipelineConfig,
+    PipelineError,
     run_match,
     shortlist,
 )
@@ -229,32 +231,54 @@ def weighted_total(reports: Sequence[EvalReport], slice_name: str = "Total") -> 
 # -- ablation suite -------------------------------------------------------------
 
 
+def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig,
+                artifacts: Artifacts, gateway: ModelGateway, workers: int = 1,
+                ) -> list[tuple[MatchResult | None, str | None]]:
+    """Run every query; one (result, error) pair per query, in query order.
+
+    Queries without a shortlist get one from embedding retrieval (size
+    ``config.k``). A query that raises gets ``(None, message)`` and the run
+    continues. With ``workers`` > 1 the queries run on a thread pool; each
+    trace still counts only its own query's calls. Known limit: two queries
+    that send the same prompt at the same time can both miss the reply
+    cache, so each books a call where a serial run books one call and one
+    cache hit.
+    """
+    def run_one(i: int) -> tuple[MatchResult | None, str | None]:
+        q = queries[i]
+        try:
+            if not q.shortlist:
+                q = q.with_shortlist(shortlist(q.source, artifacts, config.k, gateway))
+            return run_match(q, config, artifacts, gateway), None
+        except Exception as exc:  # noqa: BLE001 - record the row, keep running
+            # an error of another kind is a bug: keep its traceback
+            logger.warning("query %d failed in mode %s: %s", i, config.mode, exc,
+                           exc_info=not isinstance(exc, (PipelineError, GatewayError)))
+            return None, str(exc)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_one, range(len(queries))))
+    return [run_one(i) for i in range(len(queries))]
+
+
 def run_ablation_suite(queries: Sequence[MatchQuery], modes: Sequence[str],
                        artifacts: Artifacts, gateway: ModelGateway,
                        base_config: PipelineConfig | None = None,
-                       slice_name: str = "all",
+                       slice_name: str = "all", workers: int = 1,
                        ) -> dict[str, tuple[EvalReport, list[MatchResult | None]]]:
     """Run every mode over the identical query list and score each.
 
-    Every mode runs with ``base_config``'s other fields. Queries without a
-    shortlist get one from embedding retrieval (size ``k`` from the
-    config). Per-query pipeline errors are recorded on the row (scored
+    Every mode runs with ``base_config``'s other fields, through
+    ``run_queries``. A failed query is recorded on its row (scored
     incorrect) and the run continues.
     """
     out: dict[str, tuple[EvalReport, list[MatchResult | None]]] = {}
     for mode in modes:
         cfg = replace(base_config or PipelineConfig(), mode=mode)
-        results: list[MatchResult | None] = []
-        errors: dict[int, str] = {}
-        for i, q in enumerate(queries):
-            try:
-                if not q.shortlist:
-                    q = q.with_shortlist(shortlist(q.source, artifacts, cfg.k, gateway))
-                results.append(run_match(q, cfg, artifacts, gateway))
-            except Exception as exc:  # noqa: BLE001 - record the row, keep running
-                logger.warning("query %d failed in mode %s: %s", i, mode, exc)
-                errors[i] = str(exc)
-                results.append(None)
+        outcomes = run_queries(queries, cfg, artifacts, gateway, workers)
+        results = [result for result, _ in outcomes]
+        errors = {i: error for i, (_, error) in enumerate(outcomes) if error is not None}
         report = evaluate(queries, results, artifacts.source_catalog,
                           artifacts.target_catalog, slice_name, errors)
         out[mode] = (report, results)

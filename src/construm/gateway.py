@@ -21,9 +21,11 @@ import logging
 import os
 import threading
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,45 +114,21 @@ class AccountingSnapshot:
     def total_tokens(self) -> int:
         return self.prompt_tokens + self.completion_tokens
 
-    def __sub__(self, other: "AccountingSnapshot") -> "AccountingSnapshot":
-        return AccountingSnapshot(
-            llm_calls=self.llm_calls - other.llm_calls,
-            prompt_tokens=self.prompt_tokens - other.prompt_tokens,
-            completion_tokens=self.completion_tokens - other.completion_tokens,
-            cache_hits=self.cache_hits - other.cache_hits,
-            embed_calls=self.embed_calls - other.embed_calls,
-            embed_texts=self.embed_texts - other.embed_texts,
-            latency=self.latency - other.latency,
-        )
-
 
 class TokenAccounting:
     """Thread-safe counters; totals equal the sum over non-cache-hit replies."""
 
-    def __init__(self):
+    def __init__(self, parent: "TokenAccounting | None" = None):
         self._lock = threading.Lock()
         self._snap = AccountingSnapshot()
+        self._parent = parent
 
-    def record_chat(self, reply: ChatReply):
+    def _add(self, **deltas):
         with self._lock:
             s = self._snap
-            self._snap = replace(
-                s,
-                llm_calls=s.llm_calls + 1,
-                prompt_tokens=s.prompt_tokens + reply.prompt_tokens,
-                completion_tokens=s.completion_tokens + reply.completion_tokens,
-                latency=s.latency + reply.latency,
-            )
-
-    def record_cache_hit(self):
-        with self._lock:
-            self._snap = replace(self._snap, cache_hits=self._snap.cache_hits + 1)
-
-    def record_embed(self, n_texts: int):
-        with self._lock:
-            s = self._snap
-            self._snap = replace(s, embed_calls=s.embed_calls + 1,
-                                 embed_texts=s.embed_texts + n_texts)
+            self._snap = replace(s, **{k: getattr(s, k) + v for k, v in deltas.items()})
+        if self._parent is not None:
+            self._parent._add(**deltas)
 
     def snapshot(self) -> AccountingSnapshot:
         with self._lock:
@@ -333,7 +311,7 @@ class HttpChatBackend:
             text = doc["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed chat response: {doc!r:.200}") from exc
-        usage = doc.get("usage", {})
+        usage = doc.get("usage") or {}
         return BackendReply(
             text=text or "",
             prompt_tokens=int(usage.get("prompt_tokens", estimate_tokens(call.prompt))),
@@ -422,6 +400,11 @@ class HttpEmbeddingBackend:
 # -- gateway -----------------------------------------------------------------
 
 
+# the innermost open meter of this context, with the gateway it belongs to
+_METER: ContextVar[tuple["ModelGateway", TokenAccounting] | None] = ContextVar(
+    "construm_meter", default=None)
+
+
 class ModelGateway:
     """Shared front door for all chat and embedding traffic.
 
@@ -439,6 +422,28 @@ class ModelGateway:
     def enable_prompt_log(self):
         self.prompt_log = []
 
+    @contextmanager
+    def metered(self) -> Iterator[TokenAccounting]:
+        """Count this gateway's calls made in the current context.
+
+        Inside the block, records go to a fresh meter and from it to any
+        enclosing meter of this gateway and to ``accounting``. The meter
+        lives in a context variable, so concurrent queries on other threads
+        keep their own counts. Work that a query submits to a thread pool
+        must run in ``contextvars.copy_context()`` to stay counted; pool
+        threads do not inherit the submitter's context.
+        """
+        meter = TokenAccounting(parent=self._books())
+        token = _METER.set((self, meter))
+        try:
+            yield meter
+        finally:
+            _METER.reset(token)
+
+    def _books(self) -> TokenAccounting:
+        current = _METER.get()
+        return current[1] if current is not None and current[0] is self else self.accounting
+
     # -- chat ---------------------------------------------------------------
 
     def complete(self, call: ChatCall) -> ChatReply:
@@ -450,7 +455,7 @@ class ModelGateway:
         if self.cache is not None:
             rec = self.cache.get(key)
             if rec is not None:
-                self.accounting.record_cache_hit()
+                self._books()._add(cache_hits=1)
                 return ChatReply(
                     text=rec["text"],
                     prompt_tokens=int(rec["prompt_tokens"]),
@@ -476,7 +481,7 @@ class ModelGateway:
                 )
                 logger.warning("chat attempt %d/%d timed out", attempt + 1, attempts)
                 continue
-            if not raw.text:
+            if not raw.text.strip():
                 last_exc = TransportError("backend returned an empty reply")
                 continue
             reply = ChatReply(
@@ -485,7 +490,8 @@ class ModelGateway:
                 completion_tokens=raw.completion_tokens,
                 latency=latency,
             )
-            self.accounting.record_chat(reply)
+            self._books()._add(llm_calls=1, prompt_tokens=reply.prompt_tokens,
+                               completion_tokens=reply.completion_tokens, latency=latency)
             if self.cache is not None:
                 self.cache.put(key, {
                     "role_tag": call.role_tag,
@@ -512,5 +518,5 @@ class ModelGateway:
         dims = {int(np.asarray(v).shape[0]) for v in raw}
         if len(dims) != 1:
             raise GatewayError(f"dimension mismatch across batch: {sorted(dims)}")
-        self.accounting.record_embed(len(texts))
+        self._books()._add(embed_calls=1, embed_texts=len(texts))
         return [EmbeddingVector.from_raw(v) for v in raw]

@@ -81,6 +81,13 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        for name, least in (("k", 1), ("pack_budget", 1), ("max_group_members", 2),
+                            ("max_groups", 0), ("cap_total", 0), ("cap_strong", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("decision_timeout", "diff_timeout"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
     @classmethod
     def from_mode(cls, mode: str, **overrides) -> "PipelineConfig":
@@ -237,16 +244,29 @@ def run_match(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     query and every candidate, source-side differentiation, candidate-side
     differentiation, then a single decision call (none in ``embed_top1``).
     Returns the chosen candidate, the ranked candidate list (chosen first),
-    and a trace whose counters equal the gateway's deltas for this query.
+    and a trace that counts the gateway calls this query made, and only
+    those, even while other queries share the gateway.
     """
     if not query.shortlist:
         raise PipelineError("query has an empty shortlist")
-    scat, tcat = artifacts.source_catalog, artifacts.target_catalog
     for ref in query.shortlist:
-        tcat.meta(ref)  # raises on unknown candidates
-    s = query.source
-    before = gateway.accounting.snapshot()
+        artifacts.target_catalog.meta(ref)  # raises on unknown candidates
+    with gateway.metered() as meter:
+        if config.mode == "embed_top1":
+            chosen, ranked, prompt = query.shortlist[0], query.shortlist, ""
+        else:
+            chosen, ranked, prompt = _decide(query, config, artifacts, gateway)
+    spent = meter.snapshot()
+    trace = MatchTrace(llm_calls=spent.llm_calls, total_tokens=spent.total_tokens,
+                       latency=spent.latency, cache_hits=spent.cache_hits,
+                       prompt_snapshot=prompt, mode=config.mode)
+    return MatchResult(query, chosen, tuple(ranked), trace)
 
+
+def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
+            gateway: ModelGateway) -> tuple[ColumnRef, list[ColumnRef], str]:
+    scat, tcat = artifacts.source_catalog, artifacts.target_catalog
+    s = query.source
     c0 = list(query.shortlist)
     candidates = c0
     if config.use_expansion and artifacts.target_graph is not None:
@@ -258,10 +278,6 @@ def run_match(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
         except Exception as exc:
             logger.warning("candidate expansion failed, keeping shortlist: %s", exc)
             candidates = c0
-
-    if config.mode == "embed_top1":
-        trace = _finish_trace(gateway, before, config.mode, "")
-        return MatchResult(query, c0[0], tuple(c0), trace)
 
     s_pack = None
     cand_packs: dict[ColumnRef, ContextPack] = {}
@@ -312,9 +328,7 @@ def run_match(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
                 prompt_snapshot=prompt,
             ) from exc
 
-    ranked = _rank_candidates(chosen, candidates, s, artifacts, gateway)
-    trace = _finish_trace(gateway, before, config.mode, prompt)
-    return MatchResult(query, chosen, tuple(ranked), trace)
+    return chosen, _rank_candidates(chosen, candidates, s, artifacts, gateway), prompt
 
 
 def _rank_candidates(chosen: ColumnRef, candidates: Sequence[ColumnRef], s: ColumnRef,
@@ -394,15 +408,3 @@ def _candidate_blocks(s: ColumnRef, candidates: Sequence[ColumnRef],
             logger.warning("differentiation block skipped for group of %d: %s",
                            len(members), exc)
     return blocks
-
-
-def _finish_trace(gateway: ModelGateway, before, mode: str, prompt: str) -> MatchTrace:
-    delta = gateway.accounting.snapshot() - before
-    return MatchTrace(
-        llm_calls=delta.llm_calls,
-        total_tokens=delta.total_tokens,
-        latency=delta.latency,
-        cache_hits=delta.cache_hits,
-        prompt_snapshot=prompt,
-        mode=mode,
-    )

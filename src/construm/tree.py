@@ -792,8 +792,6 @@ def annotate_sibling_relations(tree: ContextTree, parent_id: str, gateway: Model
 
 def build_context_tree(catalog: SchemaCatalog, params: TreeParams, gateway: ModelGateway,
                        annotate_relations: bool = False,
-                       relation_caps: RelationCaps = RelationCaps(),
-                       relation_timeout: float = 75.0,
                        workers: int = 1) -> ContextTree:
     """Build the whole per-side tree: per-table subtrees, then clustering.
 
@@ -816,8 +814,7 @@ def build_context_tree(catalog: SchemaCatalog, params: TreeParams, gateway: Mode
         relations: list[RelationSnippet] = []
         for node_id in sorted(tree.nodes):
             if len(tree.node(node_id).children) >= 2:
-                relations.extend(annotate_sibling_relations(
-                    tree, node_id, gateway, relation_caps, relation_timeout))
+                relations.extend(annotate_sibling_relations(tree, node_id, gateway))
         tree = tree.with_relations(relations)
     return tree
 

@@ -176,6 +176,69 @@ def test_match_accepts_spec_style_aliases(tmp_path):
     assert len(row["ranked"]) == 2
 
 
+def test_match_writes_every_trace_and_exits_2_on_failed_queries(tmp_path, capsys):
+    source, target, script = fixture_files(tmp_path)
+    # the script always answers C1, so a shortlist without C1 cannot be decided
+    queries = write_json(tmp_path / "queries.json", [
+        {"source": "C1", "shortlist": ["C1", "C2"]},
+        {"source": "C2", "shortlist": ["C2", "C3"]},
+        {"source": "C3", "shortlist": ["C3", "C1"]},
+    ])
+    out_dir = tmp_path / "run"
+    rc = main(["match",
+               "--source-catalog", str(source), "--target-catalog", str(target),
+               "--queries", str(queries), "--mode", "llm_local",
+               "--out", str(out_dir), "--backend", f"scripted:{script}"])
+    assert rc == 2
+    rows = [json.loads(p.read_text()) for p in sorted((out_dir / "traces").glob("q*.json"))]
+    assert [row.get("chosen") for row in rows] == ["C1", None, "C1"]
+    assert set(rows[1]) == {"source", "error"} and rows[1]["source"] == "C2"
+    assert "unusable after retry" in rows[1]["error"]
+    captured = capsys.readouterr()
+    assert "q0001: C2 failed" in captured.err and "Traceback" not in captured.err
+    assert "q0000: C1 -> C1" in captured.out and "q0002: C3 -> C1" in captured.out
+    assert (out_dir / "run_config.json").exists()
+
+
+def test_traces_do_not_depend_on_workers(tmp_path):
+    source, target, script, benchspec = bench_setup(tmp_path)
+    doc = json.loads(script.read_text())
+    doc["delay"] = 0.005  # keeps several queries in flight at once
+    backend = f"scripted:{write_json(script, doc)}"
+    bench = tmp_path / "bench.json"
+    assert main(["bench", "generate", "--benchspec", str(benchspec),
+                 "--out", str(bench), "--backend", backend]) == 0
+    queries = write_json(tmp_path / "queries.json", [
+        {"source": c} for c in ("C1", "C2", "C3", "C4")])
+    for workers in ("1", "4"):
+        assert main(["match",
+                     "--source-catalog", str(source), "--target-catalog", str(target),
+                     "--queries", str(queries), "--mode", "full", "--k", "3",
+                     "--tau", "0.8", "--workers", workers,
+                     "--out", str(tmp_path / f"match{workers}"), "--backend", backend]) == 0
+        assert main(["bench", "run", "--benchspec", str(benchspec), "--bench", str(bench),
+                     "--modes", "full,no_tree", "--k", "2", "--workers", workers,
+                     "--out", str(tmp_path / f"bench{workers}"), "--backend", backend]) == 0
+    for name in ("match", "bench"):
+        serial, pooled = tmp_path / f"{name}1", tmp_path / f"{name}4"
+        files = sorted(p.relative_to(serial) for p in (serial / "traces").rglob("q*.json"))
+        assert len(files) == 4
+        for rel in files:
+            assert (serial / rel).read_bytes() == (pooled / rel).read_bytes(), rel
+
+
+def test_nonpositive_k_is_user_error(tmp_path, capsys):
+    source, target, script = fixture_files(tmp_path)
+    for k in ("-3", "0"):
+        rc = main(["match",
+                   "--source-catalog", str(source), "--target-catalog", str(target),
+                   "--source", "income_main", "--mode", "llm_local", "--k", k,
+                   "--out", str(tmp_path / "run"), "--backend", f"scripted:{script}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "k must be >= 1" in err and "Traceback" not in err
+
+
 def test_edited_script_is_not_answered_from_cache(tmp_path):
     source, target, script = fixture_files(tmp_path)
     cache = tmp_path / "cache"

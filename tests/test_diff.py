@@ -132,9 +132,9 @@ def test_generate_block_second_call_is_cached(tmp_path):
     reply = reply_for(cat, refs, ["x", "y", "z"])
     gw = make_gateway(default=reply, cache=DiskCache(tmp_path))
     generate_block(group, refs, cat, None, "q", gw)
-    before = gw.accounting.snapshot()
-    block = generate_block(group, refs, cat, None, "q", gw)
-    delta = gw.accounting.snapshot() - before
+    with gw.metered() as meter:
+        block = generate_block(group, refs, cat, None, "q", gw)
+    delta = meter.snapshot()
     assert delta.total_tokens == 0 and delta.llm_calls == 0 and delta.cache_hits == 1
     assert block.cues[refs[0]] == "x"
 

@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from construm.evaluation import (
     parse_report_csv,
     render_report,
     run_ablation_suite,
+    run_queries,
     save_benchmark,
     weighted_average,
     weighted_total,
@@ -28,6 +31,7 @@ from helpers import (
     diff_echo_bot,
     first_candidate_decision_bot,
     make_gateway,
+    random_catalog,
     table_doc,
     tree_bot,
 )
@@ -259,6 +263,33 @@ def test_suite_carries_every_non_mode_field_into_every_mode(monkeypatch):
     for mode in modes:
         _, results = suite[mode]
         assert all(len(r.query.shortlist) == 2 for r in results)
+
+
+def test_concurrent_query_traces_equal_serial_and_sum_to_totals():
+    scat = random_catalog(31, "source", n=20, table_id="S", tokens_per_desc=5)
+    tcat = random_catalog(32, "target", n=25, table_id="T", tokens_per_desc=5)
+    gw_build = hash_gw()
+    artifacts = Artifacts(scat, tcat, source_graph=build_hypergraph(scat, gw_build, tau=0.5),
+                          target_graph=build_hypergraph(tcat, gw_build, tau=0.5))
+    queries = [MatchQuery(source=s) for s in list(scat.refs())[:16]]
+    config = PipelineConfig.from_mode("no_tree", k=5)
+    traces = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 8):
+            # the per-call delay keeps several queries in flight at once
+            gw = make_gateway(responder=chain_bots(diff_echo_bot,
+                                                   first_candidate_decision_bot), delay=0.002)
+            outcomes = run_queries(queries, config, artifacts, gw, workers=workers)
+            assert [error for _, error in outcomes] == [None] * 16
+            traces[workers] = [result.trace for result, _ in outcomes]
+            total = gw.accounting.snapshot()
+            assert sum(t.llm_calls for t in traces[workers]) == total.llm_calls == 48
+            assert sum(t.total_tokens for t in traces[workers]) == total.total_tokens
+    finally:
+        sys.setswitchinterval(interval)
+    assert traces[8] == traces[1]
 
 
 def test_empty_mode_list_gives_empty_table():

@@ -1,4 +1,6 @@
+import contextvars
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from construm.gateway import (
     ScriptError,
     ScriptRule,
     ScriptedChatBackend,
+    TransportError,
     cache_key,
 )
 
@@ -35,13 +38,39 @@ def test_rule_match_returns_reply():
 def test_repeat_call_hits_cache_with_zero_new_tokens(tmp_path):
     _, gw = scripted(rules=[ScriptRule("ping", "pong")], cache=DiskCache(tmp_path))
     first = gw.complete(ChatCall("decision", "ping"))
-    before = gw.accounting.snapshot()
-    second = gw.complete(ChatCall("decision", "ping"))
-    delta = gw.accounting.snapshot() - before
+    with gw.metered() as meter:
+        second = gw.complete(ChatCall("decision", "ping"))
+    delta = meter.snapshot()
     assert second.text == first.text
     assert second.cache_hit
     assert delta.total_tokens == 0 and delta.llm_calls == 0
     assert delta.cache_hits == 1
+
+
+def test_meter_counts_its_own_gateway_in_its_own_context():
+    _, gw = scripted(rules=[ScriptRule("ping", "pong")])
+    _, other = scripted(rules=[ScriptRule("ping", "pong")])
+    call = ChatCall("decision", "ping")
+    with gw.metered() as outer:
+        gw.complete(call)
+        other.complete(call)  # another gateway's call is not this meter's
+        with gw.metered() as inner:
+            gw.complete(call)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(gw.complete, call).result()  # no context: gateway-wide only
+            pool.submit(contextvars.copy_context().run, gw.complete, call).result()
+    assert inner.snapshot().llm_calls == 1
+    assert outer.snapshot().llm_calls == 3
+    assert gw.accounting.snapshot().llm_calls == 4
+    assert other.accounting.snapshot().llm_calls == 1
+
+
+def test_whitespace_reply_is_retried_then_fails():
+    backend, gw = scripted(rules=[ScriptRule("", " \n\t ")])
+    with pytest.raises(TransportError, match="empty reply"):
+        gw.complete(ChatCall("differentiation", "anything"))
+    assert len(backend.call_log) == 2
+    assert gw.accounting.snapshot().llm_calls == 0
 
 
 def test_cache_key_ignores_timeout(tmp_path):

@@ -158,6 +158,17 @@ def test_mode_flag_implications():
         PipelineConfig(mode="nonsense")
 
 
+@pytest.mark.parametrize("field,bad,least", [
+    ("k", 0, 1), ("pack_budget", 0, 1), ("max_group_members", 1, 2),
+    ("max_groups", -1, 0), ("cap_total", -1, 0), ("cap_strong", -1, 0),
+    ("decision_timeout", -1.0, 0.5), ("diff_timeout", 0.0, 0.5),
+])
+def test_config_rejects_out_of_range_numbers(field, bad, least):
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(**{field: bad})
+    assert getattr(PipelineConfig(**{field: least}), field) == least
+
+
 # -- end-to-end runs ---------------------------------------------------------------
 
 
@@ -272,6 +283,29 @@ def test_all_singleton_groups_mean_no_diff_sections_and_one_call():
     decision_calls = [p for tag, p in gw.chat_backend.call_log if tag == "decision"]
     assert len(decision_calls) == 1
     assert result.trace.llm_calls == 1
+
+
+def test_blank_differentiation_replies_skip_blocks_not_the_query(caplog):
+    scat = random_catalog(31, "source", n=20, table_id="S", tokens_per_desc=5)
+    tcat = random_catalog(32, "target", n=25, table_id="T", tokens_per_desc=5)
+    gw_build = hash_gw()
+    artifacts = Artifacts(scat, tcat, source_graph=build_hypergraph(scat, gw_build, tau=0.5),
+                          target_graph=build_hypergraph(tcat, gw_build, tau=0.5))
+
+    def blank_diff(prompt):
+        return " \n\t " if "TASK: differentiate" in prompt else None
+
+    gw = hash_gw(responder=chain_bots(blank_diff, first_candidate_decision_bot))
+    s = next(scat.refs())
+    q = MatchQuery(source=s, shortlist=tuple(shortlist(s, artifacts, 5, gw)))
+    result = run_match(q, PipelineConfig.from_mode("no_tree"), artifacts, gw)
+    roles = [tag for tag, _ in gw.chat_backend.call_log]
+    assert roles.count("differentiation") == 4  # two blocks, each retried once
+    assert "Source diff" not in result.trace.prompt_snapshot
+    assert "Differentiation among candidates" not in result.trace.prompt_snapshot
+    assert result.trace.llm_calls == 1
+    assert "source differentiation skipped" in caplog.text
+    assert "differentiation block skipped" in caplog.text
 
 
 def test_ablation_containment_of_sections():
