@@ -257,13 +257,21 @@ def _trace_row(result: MatchResult, artifacts: Artifacts) -> dict:
     }
 
 
+def _failure_row(q: MatchQuery, failure: ev.QueryFailure, artifacts: Artifacts) -> dict:
+    spent = failure.spent
+    return {"source": artifacts.source_catalog.meta(q.source).cid, "error": failure.message,
+            "llm_calls": spent.llm_calls, "total_tokens": spent.total_tokens,
+            "latency": spent.latency, "cache_hits": spent.cache_hits}
+
+
 def _write_traces(traces_dir: Path, queries, outcomes, artifacts: Artifacts) -> list[dict]:
-    """One ``q<NNNN>.json`` per query; a failed query's row is its error."""
+    """One ``q<NNNN>.json`` per query; a failed query's row is its error
+    and the calls it made before failing."""
     traces_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, (q, (result, error)) in enumerate(zip(queries, outcomes)):
         row = (_trace_row(result, artifacts) if result is not None else
-               {"source": artifacts.source_catalog.meta(q.source).cid, "error": error})
+               _failure_row(q, error, artifacts))
         (traces_dir / f"q{i:04d}.json").write_text(json.dumps(row, sort_keys=True),
                                                    encoding="utf-8")
         rows.append(row)

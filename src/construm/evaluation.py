@@ -14,15 +14,15 @@ import csv
 import io
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from construm import kernels
 from construm.catalog import ColumnRef, MatchQuery, SchemaCatalog
-from construm.gateway import GatewayError, ModelGateway
+from construm.gateway import AccountingSnapshot, GatewayError, ModelGateway, concurrently
 from construm.graph import embedding_text
 from construm.pipeline import (
     Artifacts,
@@ -130,6 +130,14 @@ def load_benchmark(text: str, source_catalog: SchemaCatalog,
 # -- scoring -------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class QueryFailure:
+    """A query that raised: its message and the calls it made before that."""
+
+    message: str
+    spent: AccountingSnapshot
+
+
 @dataclass
 class QueryRow:
     source_cid: str
@@ -137,7 +145,7 @@ class QueryRow:
     chosen_cid: str | None
     truth_rank: int | None  # 1-based rank of the truth in the ranked list
     correct: bool
-    error: str | None = None
+    error: QueryFailure | str | None = None
 
 
 @dataclass
@@ -156,11 +164,12 @@ class EvalReport:
 def evaluate(queries: Sequence[MatchQuery], results: Sequence[MatchResult | None],
              source_catalog: SchemaCatalog, target_catalog: SchemaCatalog,
              slice_name: str = "all",
-             errors: Mapping[int, str] | None = None) -> EvalReport:
+             errors: Mapping[int, QueryFailure | str] | None = None) -> EvalReport:
     """Score one slice: accuracy@{1,3,5} plus mean efficiency counters.
 
     ``results[i]`` answers ``queries[i]``; a None result must come with an
-    entry in ``errors`` and scores as incorrect.
+    entry in ``errors`` and scores as incorrect. The efficiency means count
+    the calls a ``QueryFailure`` made before it failed.
     """
     if len(queries) != len(results):
         raise BenchmarkError(
@@ -177,8 +186,12 @@ def evaluate(queries: Sequence[MatchQuery], results: Sequence[MatchResult | None
         truth_cid = target_catalog.meta(q.ground_truth).cid
         source_cid = source_catalog.meta(q.source).cid
         if r is None:
-            rows.append(QueryRow(source_cid, truth_cid, None, None, False,
-                                 error=errors.get(i, "missing result")))
+            failure = errors.get(i, "missing result")
+            rows.append(QueryRow(source_cid, truth_cid, None, None, False, error=failure))
+            if isinstance(failure, QueryFailure):
+                calls += failure.spent.llm_calls
+                tokens += failure.spent.total_tokens
+                latency += failure.spent.latency
             continue
         rank = None
         if q.ground_truth in r.ranked:
@@ -233,18 +246,15 @@ def weighted_total(reports: Sequence[EvalReport], slice_name: str = "Total") -> 
 
 def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig,
                 artifacts: Artifacts, gateway: ModelGateway, workers: int = 1,
-                ) -> list[tuple[MatchResult | None, str | None]]:
-    """Run every query; one (result, error) pair per query, in query order.
+                ) -> list[tuple[MatchResult | None, QueryFailure | None]]:
+    """Run every query; one (result, failure) pair per query, in query order.
 
     Queries without a shortlist get one from embedding retrieval (size
-    ``config.k``). A query that raises gets ``(None, message)`` and the run
-    continues. With ``workers`` > 1 the queries run on a thread pool; each
-    trace still counts only its own query's calls. Known limit: two queries
-    that send the same prompt at the same time can both miss the reply
-    cache, so each books a call where a serial run books one call and one
-    cache hit.
+    ``config.k``). A query that raises gets ``(None, QueryFailure)``, which
+    keeps the calls it made, and the run continues. Up to ``workers``
+    queries run at once; each trace still counts only its own query's calls.
     """
-    def run_one(i: int) -> tuple[MatchResult | None, str | None]:
+    def run_one(i: int) -> tuple[MatchResult | None, QueryFailure | None]:
         q = queries[i]
         try:
             if not q.shortlist:
@@ -254,12 +264,9 @@ def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig,
             # an error of another kind is a bug: keep its traceback
             logger.warning("query %d failed in mode %s: %s", i, config.mode, exc,
                            exc_info=not isinstance(exc, (PipelineError, GatewayError)))
-            return None, str(exc)
+            return None, QueryFailure(str(exc), getattr(exc, "spent", AccountingSnapshot()))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_one, range(len(queries))))
-    return [run_one(i) for i in range(len(queries))]
+    return concurrently([partial(run_one, i) for i in range(len(queries))], limit=workers)
 
 
 def run_ablation_suite(queries: Sequence[MatchQuery], modes: Sequence[str],

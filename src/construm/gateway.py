@@ -7,6 +7,8 @@ The gateway owns the cross-cutting concerns so callers never do: per-call
 timeouts with bounded retries, token/call accounting, an append-only disk
 cache of chat replies (content-addressed by backend, role and prompt), and
 an optional log of every prompt sent (used by the masking scanner).
+``concurrently`` is the one place that starts threads: independent calls go
+out together through it, and their results come back in submission order.
 
 The deterministic embedder maps each whitespace token to a seeded random
 direction and sums them, so token overlap between two texts translates
@@ -21,17 +23,21 @@ import logging
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
 ROLE_TAGS = ("tree_summary", "relation", "differentiation", "decision")
+MAX_CONCURRENT = 8  # default cap on the items one ``concurrently`` call runs at once
+
+T = TypeVar("T")
 
 
 class GatewayError(Exception):
@@ -397,6 +403,37 @@ class HttpEmbeddingBackend:
             raise TransportError(f"malformed embedding response: {doc!r:.200}") from exc
 
 
+# -- fan-out -----------------------------------------------------------------
+
+
+def concurrently(thunks: Sequence[Callable[[], T]], limit: int = MAX_CONCURRENT) -> list[T]:
+    """Run independent thunks concurrently; results come in submission order.
+
+    Each thunk runs in a copy of the caller's context, so the gateway calls
+    it makes book into the caller's meter. At most ``limit`` run at once;
+    zero or one thunk, or a limit of 1, runs inline. Thunks start in
+    submission order and, once one raises, no further thunk starts. The
+    first exception in submission order is re-raised after every started
+    thunk has finished, so no thread outlives the call.
+    """
+    if len(thunks) <= 1 or limit <= 1:
+        return [thunk() for thunk in thunks]
+    failed = threading.Event()
+
+    def run(ctx, thunk):
+        if failed.is_set():
+            return None  # an earlier thunk raised, and its error is re-raised
+        try:
+            return ctx.run(thunk)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=min(limit, len(thunks))) as pool:
+        futures = [pool.submit(run, copy_context(), thunk) for thunk in thunks]
+    return [f.result() for f in futures]
+
+
 # -- gateway -----------------------------------------------------------------
 
 
@@ -409,7 +446,9 @@ class ModelGateway:
     """Shared front door for all chat and embedding traffic.
 
     Concurrency-safe: the cache writes atomically, counters take a lock,
-    and scripted backends are pure functions of the prompt.
+    and scripted backends are pure functions of the prompt. With a cache,
+    concurrent calls that share a cache key make one backend call, and the
+    others get its reply as a cache hit, as they would in a serial run.
     """
 
     def __init__(self, chat_backend=None, embed_backend=None, cache: DiskCache | None = None):
@@ -418,6 +457,8 @@ class ModelGateway:
         self.cache = cache
         self.accounting = TokenAccounting()
         self.prompt_log: list[tuple[str, str]] | None = None
+        self._flights: dict[str, list] = {}  # cache key -> [lock, holders and waiters]
+        self._flights_lock = threading.Lock()
 
     def enable_prompt_log(self):
         self.prompt_log = []
@@ -429,9 +470,8 @@ class ModelGateway:
         Inside the block, records go to a fresh meter and from it to any
         enclosing meter of this gateway and to ``accounting``. The meter
         lives in a context variable, so concurrent queries on other threads
-        keep their own counts. Work that a query submits to a thread pool
-        must run in ``contextvars.copy_context()`` to stay counted; pool
-        threads do not inherit the submitter's context.
+        keep their own counts. Work handed to ``concurrently`` stays counted,
+        because each of its items runs in a copy of the caller's context.
         """
         meter = TokenAccounting(parent=self._books())
         token = _METER.set((self, meter))
@@ -451,8 +491,10 @@ class ModelGateway:
             raise GatewayError("no chat backend configured")
         if self.prompt_log is not None:
             self.prompt_log.append((call.role_tag, call.prompt))
+        if self.cache is None:
+            return self._call_backend(call, None)
         key = cache_key(self.chat_backend.backend_id, call.role_tag, call.prompt)
-        if self.cache is not None:
+        with self._single_flight(key):
             rec = self.cache.get(key)
             if rec is not None:
                 self._books()._add(cache_hits=1)
@@ -463,6 +505,26 @@ class ModelGateway:
                     latency=0.0,
                     cache_hit=True,
                 )
+            return self._call_backend(call, key)
+
+    @contextmanager
+    def _single_flight(self, key: str) -> Iterator[None]:
+        # one caller per key at a time: a waiter that gets the lock after a
+        # successful leader finds its record, and after a failed one (which
+        # wrote none) makes its own attempt
+        with self._flights_lock:
+            flight = self._flights.setdefault(key, [threading.Lock(), 0])
+            flight[1] += 1
+        try:
+            with flight[0]:
+                yield
+        finally:
+            with self._flights_lock:
+                flight[1] -= 1
+                if not flight[1]:
+                    del self._flights[key]
+
+    def _call_backend(self, call: ChatCall, key: str | None) -> ChatReply:
         last_exc: GatewayError | None = None
         attempts = 1 + max(0, call.max_retries)
         for attempt in range(attempts):
@@ -492,7 +554,7 @@ class ModelGateway:
             )
             self._books()._add(llm_calls=1, prompt_tokens=reply.prompt_tokens,
                                completion_tokens=reply.completion_tokens, latency=latency)
-            if self.cache is not None:
+            if key is not None:
                 self.cache.put(key, {
                     "role_tag": call.role_tag,
                     "text": reply.text,

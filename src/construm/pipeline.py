@@ -4,8 +4,9 @@ Given a source column and a shortlist of target candidates (produced here
 by embedding retrieval, or supplied verbatim by an upstream matcher), the
 pipeline optionally expands the candidate set with near-duplicate
 neighbors, attaches budgeted context packs from the context trees, adds
-source-side and candidate-side differentiation blocks, and makes exactly
-one forced-choice LLM call whose reply must end with ``ANSWER: <cid>``.
+source-side and candidate-side differentiation blocks (the source block
+is sent beside the candidate blocks), and makes exactly one forced-choice
+LLM call whose reply must end with ``ANSWER: <cid>``.
 Auxiliary failures (expansion, packs, differentiation) degrade gracefully
 to a smaller prompt; only an unparseable decision reply aborts, after one
 stricter retry.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,9 +36,10 @@ from construm.diff import (
     render_source_diff,
     select_groups,
 )
-from construm.gateway import ChatCall, GatewayError, ModelGateway
+from construm.gateway import ChatCall, GatewayError, ModelGateway, concurrently
 from construm.graph import (
     Hypergraph,
+    SimilarityGroup,
     embedding_text,
     expand_candidates,
     groups_within,
@@ -241,21 +243,27 @@ def run_match(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     """Run one forced-choice query end to end.
 
     Steps, in order: optional shortlist expansion, context packs for the
-    query and every candidate, source-side differentiation, candidate-side
-    differentiation, then a single decision call (none in ``embed_top1``).
+    query and every candidate, the source-side differentiation block, sent
+    beside the candidate-side blocks, which go one after another, then a
+    single decision call (none in ``embed_top1``).
     Returns the chosen candidate, the ranked candidate list (chosen first),
     and a trace that counts the gateway calls this query made, and only
-    those, even while other queries share the gateway.
+    those, even while other queries share the gateway. An exception raised
+    on the way carries those counts as its ``spent`` snapshot.
     """
     if not query.shortlist:
         raise PipelineError("query has an empty shortlist")
     for ref in query.shortlist:
         artifacts.target_catalog.meta(ref)  # raises on unknown candidates
     with gateway.metered() as meter:
-        if config.mode == "embed_top1":
-            chosen, ranked, prompt = query.shortlist[0], query.shortlist, ""
-        else:
-            chosen, ranked, prompt = _decide(query, config, artifacts, gateway)
+        try:
+            if config.mode == "embed_top1":
+                chosen, ranked, prompt = query.shortlist[0], query.shortlist, ""
+            else:
+                chosen, ranked, prompt = _decide(query, config, artifacts, gateway)
+        except Exception as exc:
+            exc.spent = meter.snapshot()  # so the failed query's calls stay counted
+            raise
     spent = meter.snapshot()
     trace = MatchTrace(llm_calls=spent.llm_calls, total_tokens=spent.total_tokens,
                        latency=spent.latency, cache_hits=spent.cache_hits,
@@ -290,13 +298,22 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
                 if pack is not None:
                     cand_packs[t] = pack
 
-    source_diff = candidate_diff = ""
+    # the source block goes out beside the candidate blocks, which go out
+    # one after another; a skipped block comes back as None
+    source_jobs: list[BlockJob] = []
+    candidate_jobs: list[BlockJob] = []
     if config.use_diff and artifacts.source_graph is not None:
-        source_diff = render_source_diff(
-            _source_block(s, s_pack, config, artifacts, gateway), scat)
+        source_jobs = _source_jobs(s, s_pack, config, artifacts, gateway)
     if config.use_diff and artifacts.target_graph is not None:
-        candidate_diff = render_candidate_diff(
-            _candidate_blocks(s, candidates, cand_packs, config, artifacts, gateway), tcat)
+        candidate_jobs = _candidate_jobs(s, candidates, cand_packs, config, artifacts, gateway)
+
+    def candidate_lane() -> list[DifferentiationBlock | None]:
+        return [job() for job in candidate_jobs]
+
+    *source_blocks, candidate_blocks = concurrently(source_jobs + [candidate_lane])
+    source_diff = render_source_diff([b for b in source_blocks if b is not None], scat)
+    candidate_diff = render_candidate_diff(
+        [b for b in candidate_blocks if b is not None], tcat)
 
     candidate_rows = [
         (tcat.meta(t).cid, tcat.display_name(t), tcat.meta(t).description,
@@ -355,35 +372,46 @@ def _safe_pack(tree: ContextTree, catalog: SchemaCatalog, ref: ColumnRef,
         return None
 
 
-def _source_block(s: ColumnRef, s_pack: ContextPack | None,
-                  config: PipelineConfig, artifacts: Artifacts,
-                  gateway: ModelGateway) -> list[DifferentiationBlock]:
+BlockJob = Callable[[], DifferentiationBlock | None]
+
+
+def _block_job(group: SimilarityGroup, members: Sequence[ColumnRef], catalog: SchemaCatalog,
+               packs: dict[ColumnRef, ContextPack] | None, query_meta: str,
+               gateway: ModelGateway, timeout: float, skipped: str) -> BlockJob:
+    def job() -> DifferentiationBlock | None:
+        try:
+            return generate_block(group, members, catalog, packs, query_meta, gateway, timeout)
+        except GatewayError as exc:
+            logger.warning("%s: %s", skipped, exc)
+            return None
+    return job
+
+
+def _source_jobs(s: ColumnRef, s_pack: ContextPack | None,
+                 config: PipelineConfig, artifacts: Artifacts,
+                 gateway: ModelGateway) -> list[BlockJob]:
     scat = artifacts.source_catalog
-    try:
-        group = source_confusable_set(s, artifacts.source_graph)
-        if len(group) < 2:
-            return []
-        members = group.sorted_members()[: config.max_group_members]
-        packs: dict[ColumnRef, ContextPack] = {}
-        if config.use_tree and artifacts.source_tree is not None:
-            for m in members:
-                pack = _safe_pack(artifacts.source_tree, scat, m, config)
-                if pack is not None:
-                    packs[m] = pack
-        if s_pack is not None:
-            packs[s] = s_pack
-        query_meta = f"{scat.display_name(s)}: {scat.meta(s).description}"
-        return [generate_block(group, members, scat, packs if config.use_tree else None,
-                               query_meta, gateway, config.diff_timeout)]
-    except GatewayError as exc:
-        logger.warning("source differentiation skipped: %s", exc)
+    group = source_confusable_set(s, artifacts.source_graph)
+    if len(group) < 2:
         return []
+    members = group.sorted_members()[: config.max_group_members]
+    packs: dict[ColumnRef, ContextPack] = {}
+    if config.use_tree and artifacts.source_tree is not None:
+        for m in members:
+            pack = _safe_pack(artifacts.source_tree, scat, m, config)
+            if pack is not None:
+                packs[m] = pack
+    if s_pack is not None:
+        packs[s] = s_pack
+    query_meta = f"{scat.display_name(s)}: {scat.meta(s).description}"
+    return [_block_job(group, members, scat, packs if config.use_tree else None, query_meta,
+                       gateway, config.diff_timeout, "source differentiation skipped")]
 
 
-def _candidate_blocks(s: ColumnRef, candidates: Sequence[ColumnRef],
-                      cand_packs: dict[ColumnRef, ContextPack],
-                      config: PipelineConfig, artifacts: Artifacts,
-                      gateway: ModelGateway) -> list[DifferentiationBlock]:
+def _candidate_jobs(s: ColumnRef, candidates: Sequence[ColumnRef],
+                    cand_packs: dict[ColumnRef, ContextPack],
+                    config: PipelineConfig, artifacts: Artifacts,
+                    gateway: ModelGateway) -> list[BlockJob]:
     tcat = artifacts.target_catalog
     scat = artifacts.source_catalog
     try:
@@ -397,14 +425,10 @@ def _candidate_blocks(s: ColumnRef, candidates: Sequence[ColumnRef],
     except Exception as exc:
         logger.warning("candidate grouping skipped: %s", exc)
         return []
-    blocks = []
     query_meta = f"{scat.display_name(s)}: {scat.meta(s).description}"
-    for group, members in chosen:
-        try:
-            blocks.append(generate_block(
-                group, members, tcat, cand_packs if config.use_tree else None,
-                query_meta, gateway, config.diff_timeout))
-        except GatewayError as exc:
-            logger.warning("differentiation block skipped for group of %d: %s",
-                           len(members), exc)
-    return blocks
+    return [
+        _block_job(group, members, tcat, cand_packs if config.use_tree else None, query_meta,
+                   gateway, config.diff_timeout,
+                   f"differentiation block skipped for group of {len(members)}")
+        for group, members in chosen
+    ]

@@ -21,16 +21,16 @@ import hashlib
 import json
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from construm.catalog import ColumnRef, SchemaCatalog, Side, TableMeta, as_side
-from construm.gateway import ChatCall, GatewayError, ModelGateway
+from construm.gateway import ChatCall, GatewayError, ModelGateway, concurrently
 
 logger = logging.getLogger(__name__)
 
@@ -795,27 +795,22 @@ def build_context_tree(catalog: SchemaCatalog, params: TreeParams, gateway: Mode
                        workers: int = 1) -> ContextTree:
     """Build the whole per-side tree: per-table subtrees, then clustering.
 
-    Table subtrees are independent and build concurrently when ``workers``
-    > 1. A build keeps no state of its own between attempts: to resume an
-    aborted build, rerun it through a gateway with a ``DiskCache``. It
-    sends the same prompts, so every call that finished before the abort
-    is a cache hit.
+    Table subtrees are independent and build concurrently on ``workers``
+    threads. The relation calls, one per parent with two or more children,
+    are independent too and go out together; their snippets are kept in
+    parent-id order. A build keeps no state of its own between attempts:
+    to resume an aborted build, rerun it through a gateway with a
+    ``DiskCache``. It sends the same prompts, so every call that finished
+    before the abort is a cache hit.
     """
-    def build(table: TableMeta) -> dict[str, TreeNode]:
-        return build_table_tree(catalog, table, params, gateway)
-
-    if workers > 1 and len(catalog.tables) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            subtrees = list(pool.map(build, catalog.tables))
-    else:
-        subtrees = [build(t) for t in catalog.tables]
+    subtrees = concurrently([partial(build_table_tree, catalog, t, params, gateway)
+                             for t in catalog.tables], limit=workers)
     tree = cluster_tables(subtrees, params, gateway, catalog.side)
     if annotate_relations:
-        relations: list[RelationSnippet] = []
-        for node_id in sorted(tree.nodes):
-            if len(tree.node(node_id).children) >= 2:
-                relations.extend(annotate_sibling_relations(tree, node_id, gateway))
-        tree = tree.with_relations(relations)
+        parents = [n for n in sorted(tree.nodes) if len(tree.node(n).children) >= 2]
+        per_parent = concurrently([partial(annotate_sibling_relations, tree, n, gateway)
+                                   for n in parents])
+        tree = tree.with_relations([r for snippets in per_parent for r in snippets])
     return tree
 
 

@@ -192,7 +192,9 @@ def test_match_writes_every_trace_and_exits_2_on_failed_queries(tmp_path, capsys
     assert rc == 2
     rows = [json.loads(p.read_text()) for p in sorted((out_dir / "traces").glob("q*.json"))]
     assert [row.get("chosen") for row in rows] == ["C1", None, "C1"]
-    assert set(rows[1]) == {"source", "error"} and rows[1]["source"] == "C2"
+    assert set(rows[1]) == {"source", "error", "llm_calls", "total_tokens", "latency",
+                            "cache_hits"} and rows[1]["source"] == "C2"
+    assert rows[1]["llm_calls"] == 2 and rows[1]["total_tokens"] > 0  # decision and retry
     assert "unusable after retry" in rows[1]["error"]
     captured = capsys.readouterr()
     assert "q0001: C2 failed" in captured.err and "Traceback" not in captured.err

@@ -292,6 +292,34 @@ def test_concurrent_query_traces_equal_serial_and_sum_to_totals():
     assert traces[8] == traces[1]
 
 
+def test_failed_queries_count_their_calls_in_the_report():
+    spec = make_spec([(3, 33), (7, 47), (11, 51)], n=60)
+    gw_build = hash_gw()
+    artifacts = Artifacts(
+        spec.source_catalog, spec.target_catalog,
+        source_graph=build_hypergraph(spec.source_catalog, gw_build, tau=0.9),
+        target_graph=build_hypergraph(spec.target_catalog, gw_build, tau=0.9),
+    )
+    queries = generate_benchmark(spec, hash_gw())
+    assert len(queries) == 6
+
+    def never_decides(prompt):
+        if "Select the single best matching" in prompt:
+            return "still nothing useful"
+        return None
+
+    gw = make_gateway(responder=never_decides)
+    report, results = run_ablation_suite(queries, ["llm_local"], artifacts, gw)["llm_local"]
+    total = gw.accounting.snapshot()
+    assert all(r is None for r in results) and total.llm_calls == 12
+    assert report.mean_llm_calls == total.llm_calls / 6 == 2.0
+    assert report.mean_tokens == total.total_tokens / 6
+    assert "| llm_local | 6 | 2.00 |" in render_report({"all": {"llm_local": report}})
+    assert [row.error.spent.llm_calls for row in report.rows] == [2] * 6
+    outcomes = run_queries(queries, PipelineConfig.from_mode("llm_local"), artifacts, gw)
+    assert [failure.spent.llm_calls for _, failure in outcomes] == [2] * 6
+
+
 def test_empty_mode_list_gives_empty_table():
     queries, artifacts, gw = suite_fixture()
     assert run_ablation_suite(queries, [], artifacts, gw) == {}

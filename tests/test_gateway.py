@@ -1,11 +1,15 @@
 import contextvars
 import json
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
 from construm.gateway import (
+    MAX_CONCURRENT,
     ChatCall,
     DiskCache,
     GatewayError,
@@ -18,6 +22,7 @@ from construm.gateway import (
     ScriptedChatBackend,
     TransportError,
     cache_key,
+    concurrently,
 )
 
 
@@ -63,6 +68,115 @@ def test_meter_counts_its_own_gateway_in_its_own_context():
     assert outer.snapshot().llm_calls == 3
     assert gw.accounting.snapshot().llm_calls == 4
     assert other.accounting.snapshot().llm_calls == 1
+
+
+def test_concurrent_same_prompt_makes_one_backend_call(tmp_path):
+    backend, gw = scripted(rules=[ScriptRule("ping", "pong")], delay=0.05,
+                           cache=DiskCache(tmp_path))
+    start = threading.Barrier(4, timeout=5)
+
+    def ask():
+        start.wait()
+        return gw.complete(ChatCall("decision", "ping"))
+
+    replies = concurrently([ask] * 4)
+    assert len(backend.call_log) == 1
+    snap = gw.accounting.snapshot()
+    assert snap.llm_calls == 1 and snap.cache_hits == 3
+    assert [r.text for r in replies] == ["pong"] * 4
+    assert sorted(r.cache_hit for r in replies) == [False, True, True, True]
+
+
+def test_single_flight_holds_under_many_threads(tmp_path):
+    backend, gw = scripted(rules=[ScriptRule("", "pong")], delay=0.001,
+                           cache=DiskCache(tmp_path))
+    calls = [partial(gw.complete, ChatCall("decision", f"p{i % 4}")) for i in range(64)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        concurrently(calls, limit=16)
+    finally:
+        sys.setswitchinterval(interval)
+    snap = gw.accounting.snapshot()
+    assert len(backend.call_log) == snap.llm_calls == 4
+    assert snap.cache_hits == 60
+    assert gw._flights == {}  # every waiter released its key
+
+
+def test_waiters_retry_on_their_own_when_the_leader_fails(tmp_path):
+    backend, gw = scripted(rules=[ScriptRule("abc", "x")], delay=0.02,
+                           cache=DiskCache(tmp_path))
+    start = threading.Barrier(4, timeout=5)
+
+    def ask():
+        start.wait()
+        try:
+            gw.complete(ChatCall("decision", "nothing matches this"))
+        except ScriptError:
+            return "failed"
+
+    assert concurrently([ask] * 4) == ["failed"] * 4
+    assert len(backend.call_log) == 4  # each waiter made its own attempt
+    assert gw.accounting.snapshot().cache_hits == 0
+    assert list(tmp_path.glob("*.json")) == []
+
+
+def test_fan_out_caps_items_in_flight_and_keeps_order():
+    threads_before = threading.active_count()
+    lock = threading.Lock()
+    in_flight, most = [0], [0]
+    # the first two rounds of MAX_CONCURRENT items can only pass the barrier together
+    rounds = threading.Barrier(MAX_CONCURRENT, timeout=5)
+
+    def item(i):
+        with lock:
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+        if i < 2 * MAX_CONCURRENT:
+            rounds.wait()
+        with lock:
+            in_flight[0] -= 1
+        return i
+
+    assert concurrently([lambda i=i: item(i) for i in range(20)]) == list(range(20))
+    assert most[0] == MAX_CONCURRENT
+    assert threading.active_count() == threads_before
+
+
+def test_fan_out_raises_after_started_items_finish():
+    raised = threading.Event()
+    finished = []
+
+    def slow():
+        assert raised.wait(timeout=5)
+        finished.append("slow")
+
+    def failing():
+        raised.set()
+        raise ValueError("boom")
+
+    with pytest.raises(ValueError, match="boom"):
+        concurrently([slow, failing])
+    assert finished == ["slow"]
+
+
+def test_fan_out_raises_the_first_error_in_submission_order():
+    def fail(name):
+        def thunk():
+            raise ValueError(name)
+        return thunk
+
+    for _ in range(20):
+        with pytest.raises(ValueError, match="first"):
+            concurrently([fail("first"), fail("second"), fail("third")])
+
+
+def test_fan_out_items_book_into_the_callers_meter():
+    _, gw = scripted(rules=[ScriptRule("ping", "pong")])
+    with gw.metered() as meter:
+        concurrently([lambda: gw.complete(ChatCall("decision", "ping"))] * 3)
+    assert meter.snapshot().llm_calls == 3
+    assert gw.accounting.snapshot().llm_calls == 3
 
 
 def test_whitespace_reply_is_retried_then_fails():

@@ -1,8 +1,12 @@
+import re
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from construm.catalog import MatchQuery, mask_catalog, scan_for_raw_identifiers
-from construm.gateway import estimate_tokens
+from construm.gateway import TransportError, estimate_tokens
 from construm.graph import build_hypergraph
 from construm.pipeline import (
     Artifacts,
@@ -306,6 +310,85 @@ def test_blank_differentiation_replies_skip_blocks_not_the_query(caplog):
     assert result.trace.llm_calls == 1
     assert "source differentiation skipped" in caplog.text
     assert "differentiation block skipped" in caplog.text
+
+
+def four_groups_fixture():
+    """A query whose source group and four candidate groups each get a block."""
+    words = ["amount balance batch city", "dose event flag grade",
+             "hour index item label", "phase rate score stage"]
+    tcat = build_catalog("target", [table_doc("T", [
+        (f"g{g}_{v}", f"{w} {v}") for g, w in enumerate(words) for v in ("one", "two")])])
+    scat = build_catalog("source", [table_doc("S", [
+        ("q", "measure note order unit first"), ("q2", "measure note order unit second"),
+        ("other", "wave total value")])])
+    gw_build = hash_gw()
+    artifacts = Artifacts(scat, tcat, source_graph=build_hypergraph(scat, gw_build, tau=0.7),
+                          target_graph=build_hypergraph(tcat, gw_build, tau=0.7))
+    q = MatchQuery(source=scat.resolve("q"), shortlist=tuple(tcat.refs()))
+    return artifacts, q
+
+
+def test_source_block_goes_out_beside_the_candidate_blocks():
+    artifacts, q = four_groups_fixture()
+    config = PipelineConfig.from_mode("no_tree")
+    lock = threading.Lock()
+    candidates_back = threading.Event()
+    arrived, in_flight, most = [], [0], [0]
+
+    def beside(prompt):
+        if "TASK: differentiate" not in prompt:
+            return None
+        if "SIDE: source" in prompt:
+            # returns only once every candidate block is back, so a source
+            # block sent before or after them is skipped
+            if not candidates_back.wait(timeout=5):
+                raise TransportError("the source block was sent on its own")
+            return diff_echo_bot(prompt)
+        with lock:
+            arrived.append(" vs ".join(re.findall(r"^- (C\d+) \(", prompt, re.M)))
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+        try:
+            time.sleep(0.02)  # long enough for blocks sent together to overlap
+            return diff_echo_bot(prompt)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+                if len(arrived) == 4:
+                    candidates_back.set()
+
+    gw = hash_gw(responder=chain_bots(beside, first_candidate_decision_bot))
+    result = run_match(q, config, artifacts, gw)
+    snapshot = result.trace.prompt_snapshot
+    assert "Source diff (confusable source group):" in snapshot
+    groups = re.findall(r"^Group #(\d+) \(([^)]*)\)", snapshot, re.M)
+    assert [int(n) for n, _ in groups] == [1, 2, 3, 4]
+    # the candidate blocks went out one at a time, in the prompt's order
+    assert most[0] == 1
+    assert arrived == [members for _, members in groups]
+    assert result.trace.llm_calls == 6
+
+
+def test_block_completion_order_does_not_change_prompt_or_trace():
+    artifacts, q = four_groups_fixture()
+    config = PipelineConfig.from_mode("no_tree")
+    bots = chain_bots(diff_echo_bot, first_candidate_decision_bot)
+    plain = run_match(q, config, artifacts, hash_gw(responder=bots))
+    groups = re.findall(r"^Group #(\d+) \(([^)]*)\)", plain.trace.prompt_snapshot, re.M)
+    rank = {members: int(n) for n, members in groups}
+    assert len(rank) == 4
+
+    def earlier_is_slower(prompt):
+        if "TASK: differentiate" in prompt:
+            members = " vs ".join(re.findall(r"^- (C\d+) \(", prompt, re.M))
+            position = 0 if "SIDE: source" in prompt else rank[members]
+            time.sleep(0.01 * (len(rank) - position))
+        return None
+
+    gw = hash_gw(responder=chain_bots(earlier_is_slower, bots))
+    slow = run_match(q, config, artifacts, gw)
+    assert slow.trace == plain.trace
+    assert slow.ranked == plain.ranked
 
 
 def test_ablation_containment_of_sections():

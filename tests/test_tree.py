@@ -1,11 +1,13 @@
 import json
 import math
+import re
+import threading
 
 import numpy as np
 import pytest
 
 from construm.catalog import Side
-from construm.gateway import DiskCache, TransportError
+from construm.gateway import MAX_CONCURRENT, DiskCache, TransportError
 from construm.tree import (
     ContextTree,
     GroupingPlan,
@@ -624,6 +626,40 @@ def test_concurrent_build_matches_serial():
     serial = build_context_tree(cat, PARAMS, tree_gateway(), workers=1)
     parallel = build_context_tree(cat, PARAMS, tree_gateway(), workers=4)
     assert tree_to_dict(serial) == tree_to_dict(parallel)
+
+
+def test_relations_completing_in_reverse_order_give_the_same_tree():
+    cat = multi_table_catalog([60, 60, 60, 60], seed=3)
+
+    def relations(prompt):
+        if "TASK: sibling-relations" not in prompt:
+            return None
+        parent = re.search(r"^PARENT: (.*)$", prompt, re.M).group(1)
+        return f"A -> B: A feeds B under {parent}"
+
+    reference = build_context_tree(cat, PARAMS, tree_gateway(relations),
+                                   annotate_relations=True)
+    parents = sorted(n.node_id for n in reference.nodes.values() if len(n.children) >= 2)
+    assert 2 <= len(parents) <= MAX_CONCURRENT
+    assert [r.relation_text.rsplit(" ", 1)[1] for r in reference.relations] == parents
+    done = {p: threading.Event() for p in parents}
+    completed = []
+
+    def reversed_relations(prompt):
+        reply = relations(prompt)
+        if reply is not None:
+            parent = re.search(r"^PARENT: (.*)$", prompt, re.M).group(1)
+            later = parents[parents.index(parent) + 1:]
+            assert not later or done[later[0]].wait(timeout=5)
+            completed.append(parent)
+            done[parent].set()
+        return reply
+
+    tree = build_context_tree(cat, PARAMS, tree_gateway(reversed_relations),
+                              annotate_relations=True)
+    assert completed == parents[::-1]
+    assert json.dumps(tree_to_dict(tree), sort_keys=True) == \
+        json.dumps(tree_to_dict(reference), sort_keys=True)
 
 
 def test_rebuild_resumes_from_reply_cache(tmp_path):
