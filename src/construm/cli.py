@@ -62,7 +62,6 @@ DEFAULTS = {
     "sample_count": 20,
     "relations": False,
     "tau": 0.90,
-    "include_table_text": True,
     **asdict(PipelineConfig()),
     "mask_source": False,
     "mask_target": False,
@@ -185,8 +184,7 @@ def cmd_build_graph(args) -> int:
     out = Path(args.out)
     gateway = make_gateway(cfg, cache_dir=args.cache)
     catalog = _load_catalog(args.catalog, args.side, _side_mask(args, cfg))
-    hg = graph_mod.build_hypergraph(catalog, gateway, tau=cfg["tau"],
-                                    include_table=cfg["include_table_text"])
+    hg = graph_mod.build_hypergraph(catalog, gateway, tau=cfg["tau"])
     out.parent.mkdir(parents=True, exist_ok=True)
     graph_mod.save_hypergraph(hg, catalog, out)
     write_run_config(cfg, out.parent)
@@ -211,16 +209,14 @@ def _build_artifacts(cfg: dict, source_catalog: SchemaCatalog,
     target_graph = load_or(
         "target_graph",
         graph_mod.load_hypergraph,
-        lambda: graph_mod.build_hypergraph(target_catalog, gateway, cfg["tau"],
-                                           cfg["include_table_text"]),
+        lambda: graph_mod.build_hypergraph(target_catalog, gateway, cfg["tau"]),
     )
     source_graph = None
     if need_diff or paths.get("source_graph"):
         source_graph = load_or(
             "source_graph",
             graph_mod.load_hypergraph,
-            lambda: graph_mod.build_hypergraph(source_catalog, gateway, cfg["tau"],
-                                               cfg["include_table_text"]),
+            lambda: graph_mod.build_hypergraph(source_catalog, gateway, cfg["tau"]),
         )
     source_tree = target_tree = None
     if need_tree or paths.get("source_tree") or paths.get("target_tree"):

@@ -1,14 +1,22 @@
 """Uniform access to a chat model and an embedding model.
 
-One ``ModelGateway`` fronts whichever backends are configured: a live
-chat-completions HTTP endpoint for real runs, or a scripted backend that
-maps prompts to canned replies for deterministic tests and offline demos.
-The gateway owns the cross-cutting concerns so callers never do: per-call
-timeouts with bounded retries, token/call accounting, an append-only disk
-cache of chat replies (content-addressed by backend, role and prompt), and
-an optional log of every prompt sent (used by the masking scanner).
+One ``ModelGateway`` fronts whichever backends are configured: live
+chat-completions and embeddings HTTP endpoints for real runs, or a scripted
+backend that maps prompts to canned replies for deterministic tests and
+offline demos. The gateway owns the cross-cutting concerns so callers never
+do: per-call timeouts, one retry loop shared by chat and embeddings,
+embedding batches split into calls of at most ``MAX_EMBED_INPUTS``
+texts, token/call accounting, an append-only disk cache of chat replies
+(content-addressed by backend, role and prompt), and an optional log of
+every prompt sent (used by the masking scanner).
 ``concurrently`` is the one place that starts threads: independent calls go
 out together through it, and their results come back in submission order.
+
+Both live backends POST JSON through ``_post_json``, built on the standard
+library's ``urllib``. A timeout, HTTP 408, 429 or 5xx, a failed connection
+or a reply that is not JSON is retried once, after the wait a 429 or 503
+asks for in ``Retry-After`` (at most ``MAX_RETRY_AFTER`` seconds); any
+other HTTP error fails at once.
 
 The deterministic embedder maps each whitespace token to a seeded random
 direction and sums them, so token overlap between two texts translates
@@ -36,8 +44,13 @@ logger = logging.getLogger(__name__)
 
 ROLE_TAGS = ("tree_summary", "relation", "differentiation", "decision")
 MAX_CONCURRENT = 8  # default cap on the items one ``concurrently`` call runs at once
+MAX_ATTEMPTS = 2  # one try and one retry, for chat and embedding calls alike
+MAX_EMBED_INPUTS = 2048  # most texts one embeddings request carries (OpenAI's cap)
+MAX_RETRY_AFTER = 30.0  # longest Retry-After wait, in seconds, honoured before the retry
 
 T = TypeVar("T")
+
+_sleep = time.sleep  # the pause before a retry; tests replace it to record waits
 
 
 class GatewayError(Exception):
@@ -49,7 +62,14 @@ class GatewayTimeout(GatewayError):
 
 
 class TransportError(GatewayError):
-    pass
+    """A failed exchange worth one retry.
+
+    ``retry_after`` is the wait in seconds that a 429 or 503 reply asked for.
+    """
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class ScriptError(GatewayError):
@@ -61,7 +81,6 @@ class ChatCall:
     role_tag: str
     prompt: str
     timeout: float = 90.0
-    max_retries: int = 1
 
     def __post_init__(self):
         if self.timeout <= 0:
@@ -274,6 +293,60 @@ class ScriptedChatBackend:
         )
 
 
+def _post_json(url: str, body: dict, api_key: str | None, timeout: float):
+    """POST ``body`` as JSON and return the decoded JSON reply.
+
+    A timeout raises ``GatewayTimeout``. HTTP 408, 429 and 5xx, a failed
+    connection and a reply that is not JSON raise ``TransportError``, which
+    the gateway retries. Any other HTTP error raises a plain ``GatewayError``.
+    """
+    # imported here: with ssl they weigh a few MB, which offline runs never need
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    request = urllib.request.Request(url, data=json.dumps(body).encode("utf-8"),
+                                     headers=headers, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            payload = resp.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()  # the error body is not read
+        if exc.code in (408, 429) or exc.code >= 500:
+            wait = _retry_after(exc.headers) if exc.code in (429, 503) else None
+            raise TransportError(f"HTTP {exc.code} from {url}", retry_after=wait) from exc
+        raise GatewayError(f"HTTP {exc.code} from {url}") from exc
+    except (OSError, http.client.HTTPException) as exc:
+        # a timeout while connecting comes wrapped in a URLError
+        if isinstance(getattr(exc, "reason", exc), TimeoutError):
+            raise GatewayTimeout(f"{url} timed out after {timeout}s") from exc
+        raise TransportError(f"request to {url} failed: {exc}") from exc
+    try:
+        return json.loads(payload)
+    except ValueError as exc:
+        raise TransportError(f"reply from {url} is not JSON: {payload[:200]!r}") from exc
+
+
+def _retry_after(headers) -> float | None:
+    """Seconds a reply's ``Retry-After`` header asks to wait (RFC 9110 10.2.3).
+
+    The header holds either delta-seconds or an HTTP-date; a missing or
+    unreadable one gives None.
+    """
+    import email.utils
+
+    value = (headers.get("Retry-After") or "").strip()
+    if value.isdigit():
+        return float(value)
+    try:
+        return max(0.0, email.utils.parsedate_to_datetime(value).timestamp() - time.time())
+    except (TypeError, ValueError):
+        return None
+
+
 class HttpChatBackend:
     """Chat-completions style HTTP backend.
 
@@ -292,37 +365,19 @@ class HttpChatBackend:
         self.backend_id = f"http:{self.base_url}:{model}:{canonical_json(self.decoding)}"
 
     def chat(self, call: ChatCall) -> BackendReply:
-        import requests
-
-        body = {
-            "model": self.model,
-            "messages": [{"role": "user", "content": call.prompt}],
-            **self.decoding,
-        }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = {"model": self.model,
+                "messages": [{"role": "user", "content": call.prompt}], **self.decoding}
+        doc = _post_json(f"{self.base_url}/chat/completions", body, self.api_key, call.timeout)
         try:
-            resp = requests.post(
-                f"{self.base_url}/chat/completions",
-                json=body, headers=headers, timeout=call.timeout,
+            text = doc["choices"][0]["message"]["content"] or ""
+            usage = doc.get("usage") or {}
+            return BackendReply(
+                text=text,
+                prompt_tokens=int(usage.get("prompt_tokens", estimate_tokens(call.prompt))),
+                completion_tokens=int(usage.get("completion_tokens", estimate_tokens(text))),
             )
-            resp.raise_for_status()
-            doc = resp.json()
-        except requests.Timeout as exc:
-            raise GatewayTimeout(f"chat call timed out after {call.timeout}s") from exc
-        except requests.RequestException as exc:
-            raise TransportError(f"chat transport error: {exc}") from exc
-        try:
-            text = doc["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
             raise TransportError(f"malformed chat response: {doc!r:.200}") from exc
-        usage = doc.get("usage") or {}
-        return BackendReply(
-            text=text or "",
-            prompt_tokens=int(usage.get("prompt_tokens", estimate_tokens(call.prompt))),
-            completion_tokens=int(usage.get("completion_tokens", estimate_tokens(text or ""))),
-        )
 
 
 # -- embedding backends ------------------------------------------------------
@@ -381,26 +436,18 @@ class HttpEmbeddingBackend:
         self.backend_id = f"http-embed:{self.base_url}:{model}"
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            resp = requests.post(
-                f"{self.base_url}/embeddings",
-                json={"model": self.model, "input": list(texts)},
-                headers=headers, timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            doc = resp.json()
-        except requests.RequestException as exc:
-            raise TransportError(f"embedding transport error: {exc}") from exc
+        doc = _post_json(f"{self.base_url}/embeddings",
+                         {"model": self.model, "input": list(texts)}, self.api_key, self.timeout)
         try:
             rows = sorted(doc["data"], key=lambda d: d["index"])
-            return [np.asarray(r["embedding"], dtype=np.float64) for r in rows]
-        except (KeyError, TypeError) as exc:
+            indices = [r["index"] for r in rows]
+            vectors = [np.asarray(r["embedding"], dtype=np.float64) for r in rows]
+        except (KeyError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed embedding response: {doc!r:.200}") from exc
+        if indices != list(range(len(texts))):
+            raise TransportError(f"embedding reply indices {indices[:10]} are not "
+                                 f"0..{len(texts) - 1}")
+        return vectors
 
 
 # -- fan-out -----------------------------------------------------------------
@@ -524,61 +571,63 @@ class ModelGateway:
                 if not flight[1]:
                     del self._flights[key]
 
-    def _call_backend(self, call: ChatCall, key: str | None) -> ChatReply:
-        last_exc: GatewayError | None = None
-        attempts = 1 + max(0, call.max_retries)
-        for attempt in range(attempts):
-            t0 = time.monotonic()
+    def _with_retry(self, what: str, attempt: Callable[[], T]) -> T:
+        # a timeout or a transport error is retried, after the wait a
+        # Retry-After header asked for; any other error, or a failure of the
+        # last attempt, reaches the caller
+        for n in range(1, MAX_ATTEMPTS):
             try:
-                raw = self.chat_backend.chat(call)
+                return attempt()
             except (GatewayTimeout, TransportError) as exc:
-                last_exc = exc
-                logger.warning("chat attempt %d/%d failed: %s", attempt + 1, attempts, exc)
-                continue
-            elapsed = time.monotonic() - t0
-            latency = raw.latency if raw.latency is not None else elapsed
-            if latency > call.timeout:
-                last_exc = GatewayTimeout(
-                    f"chat call exceeded timeout ({latency:.3f}s > {call.timeout}s)"
-                )
-                logger.warning("chat attempt %d/%d timed out", attempt + 1, attempts)
-                continue
-            if not raw.text.strip():
-                last_exc = TransportError("backend returned an empty reply")
-                continue
-            reply = ChatReply(
-                text=raw.text,
-                prompt_tokens=raw.prompt_tokens,
-                completion_tokens=raw.completion_tokens,
-                latency=latency,
-            )
-            self._books()._add(llm_calls=1, prompt_tokens=reply.prompt_tokens,
-                               completion_tokens=reply.completion_tokens, latency=latency)
-            if key is not None:
-                self.cache.put(key, {
-                    "role_tag": call.role_tag,
-                    "text": reply.text,
-                    "prompt_tokens": reply.prompt_tokens,
-                    "completion_tokens": reply.completion_tokens,
-                })
-            return reply
-        assert last_exc is not None
-        raise last_exc
+                logger.warning("%s attempt %d/%d failed: %s", what, n, MAX_ATTEMPTS, exc)
+                wait = getattr(exc, "retry_after", None)
+                if wait:
+                    _sleep(min(wait, MAX_RETRY_AFTER))
+        return attempt()
+
+    def _chat_once(self, call: ChatCall) -> ChatReply:
+        t0 = time.monotonic()
+        raw = self.chat_backend.chat(call)
+        latency = raw.latency if raw.latency is not None else time.monotonic() - t0
+        if latency > call.timeout:
+            raise GatewayTimeout(f"chat call exceeded timeout ({latency:.3f}s > {call.timeout}s)")
+        if not raw.text.strip():
+            raise TransportError("backend returned an empty reply")
+        return ChatReply(text=raw.text, prompt_tokens=raw.prompt_tokens,
+                         completion_tokens=raw.completion_tokens, latency=latency)
+
+    def _call_backend(self, call: ChatCall, key: str | None) -> ChatReply:
+        reply = self._with_retry("chat", lambda: self._chat_once(call))
+        self._books()._add(llm_calls=1, prompt_tokens=reply.prompt_tokens,
+                           completion_tokens=reply.completion_tokens, latency=reply.latency)
+        if key is not None:
+            self.cache.put(key, {"role_tag": call.role_tag, "text": reply.text,
+                                 "prompt_tokens": reply.prompt_tokens,
+                                 "completion_tokens": reply.completion_tokens})
+        return reply
 
     # -- embeddings -----------------------------------------------------------
+
+    def _embed_once(self, texts: list[str]) -> list:
+        raw = self.embed_backend.embed(texts)
+        if len(raw) != len(texts):
+            raise TransportError(
+                f"embedding backend returned {len(raw)} vectors for {len(texts)} texts"
+            )
+        return raw
 
     def embed_batch(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         if self.embed_backend is None:
             raise GatewayError("no embedding backend configured")
         if not texts:
             raise GatewayError("empty batch")
-        raw = self.embed_backend.embed(list(texts))
-        if len(raw) != len(texts):
-            raise TransportError(
-                f"embedding backend returned {len(raw)} vectors for {len(texts)} texts"
-            )
+        starts = range(0, len(texts), MAX_EMBED_INPUTS)
+        raw = []
+        for start in starts:
+            chunk = list(texts[start:start + MAX_EMBED_INPUTS])
+            raw += self._with_retry("embedding", lambda: self._embed_once(chunk))
         dims = {int(np.asarray(v).shape[0]) for v in raw}
         if len(dims) != 1:
             raise GatewayError(f"dimension mismatch across batch: {sorted(dims)}")
-        self._books()._add(embed_calls=1, embed_texts=len(texts))
+        self._books()._add(embed_calls=len(starts), embed_texts=len(texts))
         return [EmbeddingVector.from_raw(v) for v in raw]

@@ -55,14 +55,12 @@ class SimilarityGroup:
         return sorted(self.members, key=lambda r: r.sort_key)
 
 
-def embedding_text(catalog: SchemaCatalog, ref: ColumnRef, include_table: bool = True) -> str:
+def embedding_text(catalog: SchemaCatalog, ref: ColumnRef) -> str:
     """Text a column embeds as (masked names once the catalog is masked)."""
     meta = catalog.meta(ref)
     table = catalog.table(ref.table_id)
-    text = f"name: {catalog.display_name(ref)}. description: {meta.description}."
-    if include_table:
-        text += f" table: {table.name}."
-    return text
+    return (f"name: {catalog.display_name(ref)}. description: {meta.description}."
+            f" table: {table.name}.")
 
 
 class Hypergraph:
@@ -104,8 +102,8 @@ class Hypergraph:
         return self.matrix[self._index[ref]]
 
 
-def build_hypergraph(catalog: SchemaCatalog, gateway: ModelGateway, tau: float = DEFAULT_TAU,
-                     include_table: bool = True) -> Hypergraph:
+def build_hypergraph(catalog: SchemaCatalog, gateway: ModelGateway,
+                     tau: float = DEFAULT_TAU) -> Hypergraph:
     """Embed every column and take exact all-pairs tau-links and components.
 
     Deterministic given the embeddings: link order is row-major over the
@@ -114,7 +112,7 @@ def build_hypergraph(catalog: SchemaCatalog, gateway: ModelGateway, tau: float =
     refs = list(catalog.refs())
     if not refs:
         raise ValueError("cannot build a hypergraph over an empty catalog")
-    texts = [embedding_text(catalog, r, include_table) for r in refs]
+    texts = [embedding_text(catalog, r) for r in refs]
     matrix = np.stack([v.values for v in gateway.embed_batch(texts)])
     raw_links = kernels.threshold_links(matrix, tau)
     links = [SimilarityLink(refs[i], refs[j], cos) for i, j, cos in raw_links]

@@ -1,0 +1,32 @@
+"""The package imports no third-party module that pyproject.toml does not declare."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def imported_top_level_names(package_dir: Path) -> set[str]:
+    names = set()
+    for path in package_dir.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_third_party_imports_are_exactly_the_declared_dependencies():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    imported = imported_top_level_names(ROOT / "src" / "construm")
+    third_party = imported - set(sys.stdlib_module_names) - {"construm"}
+    assert third_party == declared == {"numpy"}

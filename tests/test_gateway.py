@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from construm.gateway import (
+    MAX_ATTEMPTS,
     MAX_CONCURRENT,
     ChatCall,
     DiskCache,
@@ -208,9 +209,9 @@ def test_http_backend_id_keys_on_decoding():
 def test_timeout_retries_then_fails_with_attempt_log():
     backend, gw = scripted(rules=[ScriptRule("slow", "late reply")], delay=0.02)
     with pytest.raises(GatewayTimeout):
-        gw.complete(ChatCall("decision", "slow prompt", timeout=0.001, max_retries=2))
-    # one initial attempt plus max_retries retries
-    assert len(backend.call_log) == 3
+        gw.complete(ChatCall("decision", "slow prompt", timeout=0.001))
+    # one initial attempt plus the one retry
+    assert len(backend.call_log) == MAX_ATTEMPTS == 2
 
 
 def test_no_matching_rule_is_a_script_error():

@@ -65,11 +65,11 @@ def test_three_column_transitive_group_with_hand_cosines():
 
 
 def test_duplicate_texts_always_link():
-    # same name and description in two tables; table text excluded so the
+    # same column and table names and description in two tables, so the
     # embedded texts are byte-identical
-    cat = build_catalog("target", [table_doc("t1", [("a", "same words here")]),
-                                   table_doc("t2", [("a", "same words here")])])
-    hg = build_hypergraph(cat, hash_gateway(), tau=0.999999, include_table=False)
+    cat = build_catalog("target", [table_doc("t1", [("a", "same words here")], name="tab"),
+                                   table_doc("t2", [("a", "same words here")], name="tab")])
+    hg = build_hypergraph(cat, hash_gateway(), tau=0.999999)
     assert len(hg.links) == 1
     assert hg.links[0].cosine == pytest.approx(1.0, abs=1e-9)
     assert [len(g) for g in hg.groups] == [2]
@@ -196,10 +196,10 @@ def test_source_confusable_set_charttime_storetime_pair():
 
 def test_source_confusable_set_table_restriction_oracle():
     shared = "identical descriptive words repeated enough times to group"
-    tables = [table_doc("a", [("a0", shared), ("a1", shared)]),
-              table_doc("b", [("b0", shared)])]
+    tables = [table_doc("a", [("a0", shared), ("a1", shared)], name="tab"),
+              table_doc("b", [("b0", shared)], name="tab")]
     cat = build_catalog("source", tables)
-    hg = build_hypergraph(cat, hash_gateway(), tau=0.8, include_table=False)
+    hg = build_hypergraph(cat, hash_gateway(), tau=0.8)
     a0, a1, b0 = cat.refs()
     assert hg.group_of(a0).members == frozenset({a0, a1, b0})
     restricted = source_confusable_set(a0, hg, restrict_to_table=True)

@@ -1,15 +1,21 @@
 """Live HTTP backends against an in-process loopback server on 127.0.0.1."""
 
 import json
+import socket
 import threading
 import time
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
+from construm import gateway
 from construm.gateway import (
+    MAX_EMBED_INPUTS,
+    MAX_RETRY_AFTER,
     ChatCall,
+    GatewayError,
     GatewayTimeout,
     HttpChatBackend,
     HttpEmbeddingBackend,
@@ -20,11 +26,11 @@ from construm.gateway import (
 
 
 class Loopback:
-    """Answers each POST with the next queued (status, body, delay) reply
-    and records (path, headers, parsed body) of every request."""
+    """Answers each POST with the next queued (status, body, delay, headers)
+    reply and records (path, headers, parsed body) of every request."""
 
     def __init__(self):
-        self.replies: list[tuple[int, bytes, float]] = []
+        self.replies: list[tuple[int, bytes, float, dict]] = []
         self.requests: list[tuple[str, dict, dict]] = []
         loop = self
 
@@ -32,11 +38,13 @@ class Loopback:
             def do_POST(self):
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 loop.requests.append((self.path, dict(self.headers), body))
-                status, payload, delay = loop.replies.pop(0)
+                status, payload, delay, headers = loop.replies.pop(0)
                 time.sleep(delay)
                 try:
                     self.send_response(status)
                     self.send_header("Content-Type", "application/json")
+                    for name, value in headers.items():
+                        self.send_header(name, value)
                     self.send_header("Content-Length", str(len(payload)))
                     self.end_headers()
                     self.wfile.write(payload)
@@ -52,9 +60,9 @@ class Loopback:
         self.thread.start()
         self.url = f"http://127.0.0.1:{self.server.server_port}/v1"
 
-    def reply(self, doc, status=200, delay=0.0):
+    def reply(self, doc, status=200, delay=0.0, headers=None):
         payload = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
-        self.replies.append((status, payload, delay))
+        self.replies.append((status, payload, delay, headers or {}))
 
     def close(self):
         self.server.shutdown()
@@ -145,3 +153,103 @@ def test_embedding_rows_come_back_in_input_order(loopback):
     assert body == {"model": "e-1", "input": ["a", "b", "c"]}
     assert headers["Authorization"] == "Bearer sk-test"
     np.testing.assert_array_equal(np.stack(rows), np.diag([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("usage", [{"prompt_tokens": "many"}, ["not", "a", "dict"]])
+def test_unreadable_usage_is_a_transport_error(loopback, usage):
+    loopback.reply(chat_doc("a reply", usage))
+    with pytest.raises(TransportError, match="malformed"):
+        HttpChatBackend(loopback.url, "m-1").chat(ChatCall("decision", "p"))
+
+
+def embed_doc(rows):
+    return {"data": [{"index": i, "embedding": row} for i, row in enumerate(rows)]}
+
+
+@pytest.fixture
+def waits(monkeypatch):
+    recorded = []
+    monkeypatch.setattr(gateway, "_sleep", recorded.append)
+    return recorded
+
+
+def test_embedding_server_error_then_success_goes_through_one_retry(loopback, waits):
+    gw = ModelGateway(embed_backend=HttpEmbeddingBackend(loopback.url, "e-1"))
+    loopback.reply({"error": "overloaded"}, status=500)
+    loopback.reply(embed_doc([[1.0, 0.0], [0.0, 1.0]]))
+    a, b = gw.embed_batch(["a", "b"])
+    np.testing.assert_array_equal(np.stack([a.values, b.values]), np.eye(2))
+    assert len(loopback.requests) == 2
+    assert gw.accounting.snapshot().embed_calls == 1
+    assert waits == []  # no Retry-After: the retry is immediate
+
+
+def test_client_error_fails_at_once_without_retry(loopback):
+    gw = ModelGateway(chat_backend=HttpChatBackend(loopback.url, "m-1", api_key="bad"))
+    loopback.reply({"error": "invalid api key"}, status=401)
+    with pytest.raises(GatewayError, match="401") as info:
+        gw.complete(ChatCall("decision", "p"))
+    assert not isinstance(info.value, TransportError)
+    assert len(loopback.requests) == 1
+    assert gw.accounting.snapshot().llm_calls == 0
+
+
+@pytest.mark.parametrize("status,retry_after,expected", [
+    (429, "7", [7.0]),
+    (503, "3600", [MAX_RETRY_AFTER]),
+    (429, formatdate(time.time() + 3600, usegmt=True), [MAX_RETRY_AFTER]),
+    (429, formatdate(time.time() - 3600, usegmt=True), []),
+    (429, "soon", []),
+    (500, "7", []),  # only 429 and 503 carry a wait
+])
+def test_retry_after_wait_precedes_the_one_retry(loopback, waits, status, retry_after,
+                                                 expected):
+    gw = ModelGateway(chat_backend=HttpChatBackend(loopback.url, "m-1"))
+    loopback.reply({"error": "slow down"}, status=status, headers={"Retry-After": retry_after})
+    loopback.reply(chat_doc("after the wait"))
+    assert gw.complete(ChatCall("decision", "p")).text == "after the wait"
+    assert waits == expected
+    assert len(loopback.requests) == 2
+    assert gw.accounting.snapshot().llm_calls == 1
+
+
+def test_embedding_batch_over_the_cap_is_split_in_order(loopback):
+    texts = [f"t{i}" for i in range(MAX_EMBED_INPUTS + 1)]
+    # row i points at angle i, so its direction says which text it belongs to
+    angles = np.arange(len(texts)) * 1e-3
+    rows = np.stack([np.cos(angles), np.sin(angles)], axis=1).tolist()
+    first = embed_doc(rows[:MAX_EMBED_INPUTS])
+    first["data"].reverse()  # served out of order; the backend sorts by index
+    loopback.reply(first)
+    loopback.reply(embed_doc(rows[MAX_EMBED_INPUTS:]))
+    gw = ModelGateway(embed_backend=HttpEmbeddingBackend(loopback.url, "e-1"))
+    vectors = gw.embed_batch(texts)
+    assert [body["input"] for _, _, body in loopback.requests] == \
+        [texts[:MAX_EMBED_INPUTS], texts[MAX_EMBED_INPUTS:]]
+    np.testing.assert_allclose(np.stack([v.values for v in vectors]), rows, atol=1e-12)
+    snap = gw.accounting.snapshot()
+    assert (snap.embed_calls, snap.embed_texts) == (2, len(texts))
+
+
+@pytest.mark.parametrize("data,message", [
+    ([{"index": 0, "embedding": [1.0, 0.0]}, {"index": 0, "embedding": [0.0, 1.0]},
+      {"index": 2, "embedding": [1.0, 1.0]}], "indices"),
+    ([{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [1.0]}], "indices"),
+    ([{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [1.0]},
+      {"index": 2, "embedding": "not numbers"}], "malformed"),
+], ids=["duplicate-index", "missing-row", "non-numeric"])
+def test_embedding_reply_that_does_not_fit_its_inputs_is_a_transport_error(loopback, data,
+                                                                           message):
+    backend = HttpEmbeddingBackend(loopback.url, "e-1")
+    loopback.reply({"data": data})
+    with pytest.raises(TransportError, match=message):
+        backend.embed(["a", "b", "c"])
+
+
+def test_refused_connection_is_a_transport_error():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]  # closed again before the request
+    backend = HttpChatBackend(f"http://127.0.0.1:{port}/v1", "m-1")
+    with pytest.raises(TransportError, match="failed"):
+        backend.chat(ChatCall("decision", "p", timeout=5.0))
