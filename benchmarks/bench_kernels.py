@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Time the link kernels at growing column counts.
+"""Time the link kernels at growing column counts, and table-merge planning.
 
 Times exact all-pairs thresholded link construction plus component
 labeling over random unit embeddings, the workload that dominates offline
-hypergraph builds.
+hypergraph builds. Then times ``tree.plan_merges``, the average-linkage
+plan behind a context tree's table clustering, on random unit root
+embeddings with a cutoff every pair is within, so each run makes n - 1
+merges. Neither part makes an LLM call.
 
 Usage: python benchmarks/bench_kernels.py [--dim 64] [--tau 0.5] [--repeat 3]
+                                          [--sizes ...] [--tables 200 1000 2000]
 """
 
 import argparse
@@ -14,6 +18,10 @@ import time
 import numpy as np
 
 from construm import kernels
+from construm.tree import plan_merges
+
+
+FULL_MERGE = 1.999  # a cosine-distance cutoff every pair of tables is within
 
 
 def run_once(matrix, tau):
@@ -31,6 +39,7 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--sizes", type=int, nargs="+",
                         default=[200, 400, 800, 1600, 5000, 10000])
+    parser.add_argument("--tables", type=int, nargs="+", default=[200, 1000, 2000])
     args = parser.parse_args()
 
     print(f"dim={args.dim} tau={args.tau} best-of-{args.repeat}")
@@ -46,6 +55,22 @@ def main():
             elapsed, n_links, n_comps = run_once(m, args.tau)
             times.append(elapsed)
         print(f"{n:>6} | {min(times) * 1e3:8.1f}ms | {n_links:>10} | {n_comps}")
+
+    print(f"\nmerge planning, cluster cutoff {FULL_MERGE}, best-of-{args.repeat}")
+    header = f"{'tables':>6} | {'time':>10} | {'merges':>10} | roots"
+    print(header)
+    print("-" * len(header))
+    rng = np.random.default_rng(0)
+    for n in args.tables:
+        m = rng.standard_normal((n, args.dim))
+        m /= np.linalg.norm(m, axis=1, keepdims=True)
+        dist = 1.0 - m @ m.T
+        times = []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            merges, survivors = plan_merges(dist, FULL_MERGE)
+            times.append(time.perf_counter() - t0)
+        print(f"{n:>6} | {min(times) * 1e3:8.1f}ms | {len(merges):>10} | {len(survivors)}")
 
 
 if __name__ == "__main__":

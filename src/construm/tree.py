@@ -198,16 +198,15 @@ def window_partition(n: int, window: int, min_group: int) -> list[tuple[int, int
 def stage1_window_summaries(catalog: SchemaCatalog, table: TableMeta,
                             window: int, gateway: ModelGateway,
                             min_group: int = 1) -> list[tuple[tuple[int, int], str]]:
-    """One short LLM summary per scan window.
+    """One short LLM summary per scan window, the windows' calls together.
 
     Windows are contiguous ordinal ranges for ordered tables and
     fixed-size batches over the stable listing otherwise; either way they
     partition the table's columns.
     """
     refs = table.columns
-    out = []
-    for wi, (start, stop) in enumerate(window_partition(len(refs), window, min_group)):
-        chunk = refs[start:stop]
+
+    def summarize(wi: int, chunk: Sequence[ColumnRef]) -> tuple[tuple[int, int], str]:
         lo, hi = _span_of(chunk)
         prompt = (
             f"TASK: window-summary\n"
@@ -221,8 +220,12 @@ def stage1_window_summaries(catalog: SchemaCatalog, table: TableMeta,
             reply = gateway.complete(ChatCall("tree_summary", prompt))
         except GatewayError as exc:
             raise TreeError(f"window {wi} ({lo}..{hi}) summary failed: {exc}") from exc
-        out.append(((lo, hi), reply.text.strip()))
-    return out
+        return (lo, hi), reply.text.strip()
+
+    return concurrently([
+        partial(summarize, wi, refs[start:stop])
+        for wi, (start, stop) in enumerate(window_partition(len(refs), window, min_group))
+    ])
 
 
 # -- stage 2: global theme ----------------------------------------------------
@@ -494,9 +497,9 @@ def stage4_refine_boundaries(catalog: SchemaCatalog, table: TableMeta,
         local = [b for b in boundaries if w_lo <= b <= w_hi]
         if not local:
             continue
+        edges = [lo] + boundaries + [hi + 1]
         group_lines = "\n".join(
-            f"[{g.columns[0].ordinal}..{g.columns[-1].ordinal}]={g.label}"
-            for g in plan.groups
+            f"[{edges[i]}..{edges[i + 1] - 1}]={label}" for i, label in enumerate(labels)
         )
         prompt = (
             f"TASK: boundary-check\n"
@@ -570,63 +573,146 @@ def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParam
     leaf (so "leaf" uniformly means a span of columns and lineage depths
     stay comparable); wider tables go through the staged plan-and-recurse
     path. Every internal node carries an LLM summary.
+
+    Within a block, the window summaries go out beside the theme; the plan
+    and the boundary re-scan follow one call at a time; then the child
+    blocks build together, and the block's own summary comes last. Nodes
+    are listed in post-order, as a serial depth-first build lists them.
     """
-    nodes: dict[str, TreeNode] = {}
     root_id = f"tbl:{table.table_id}"
 
     def make_leaf(node_id: str, refs: Sequence[ColumnRef]) -> TreeNode:
-        node = TreeNode(
+        return TreeNode(
             node_id=node_id, kind=NodeKind.GROUP_LEAF,
             summary=_summarize_leaf(catalog, table, refs, gateway),
             span=(table.table_id, refs[0].ordinal, refs[-1].ordinal) if table.ordered else None,
             members=tuple(refs),
         )
-        nodes[node_id] = node
-        return node
 
-    def build_block(node_id: str, refs: Sequence[ColumnRef], kind: NodeKind) -> TreeNode:
+    def build_block(node_id: str, refs: Sequence[ColumnRef], kind: NodeKind) -> list[TreeNode]:
+        # the block's subtree in post-order: each child's subtree, then the block
         if len(refs) <= params.leaf_budget:
-            return make_leaf(node_id, refs)
+            return [make_leaf(node_id, refs)]
         view = replace(table, columns=tuple(refs))
-        windows = stage1_window_summaries(catalog, view, params.window, gateway,
-                                          params.min_group)
-        theme = stage2_global_theme(catalog, view, min(len(refs), params.sample_count),
-                                    gateway)
+        windows, theme = concurrently([
+            partial(stage1_window_summaries, catalog, view, params.window, gateway,
+                    params.min_group),
+            partial(stage2_global_theme, catalog, view,
+                    min(len(refs), params.sample_count), gateway),
+        ])
         plan = stage3_conceptual_map(catalog, view, windows, theme, params, gateway)
         if table.ordered:
             plan = stage4_refine_boundaries(catalog, view, plan, params, gateway)
-        children = []
-        for gi, group in enumerate(plan.groups):
-            child = build_block(f"{node_id}.{gi}", group.columns,
-                                NodeKind.WITHIN_TABLE)
-            children.append(child)
+        subtrees = concurrently([
+            partial(build_block, f"{node_id}.{gi}", group.columns, NodeKind.WITHIN_TABLE)
+            for gi, group in enumerate(plan.groups)
+        ])
         context = f"TABLE: {table.name} ({table.table_id})\nTHEME: {theme}\n"
         node = TreeNode(
             node_id=node_id, kind=kind,
             summary=_summarize_node("node-summary", context,
-                                    [c.summary for c in children], gateway),
-            children=tuple(c.node_id for c in children),
+                                    [sub[-1].summary for sub in subtrees], gateway),
+            children=tuple(sub[-1].node_id for sub in subtrees),
             span=(table.table_id, refs[0].ordinal, refs[-1].ordinal) if table.ordered else None,
         )
-        nodes[node_id] = node
-        return node
+        return [n for sub in subtrees for n in sub] + [node]
 
     n = len(table.columns)
-    if n <= params.leaf_budget:
-        leaf = make_leaf(f"{root_id}.0", table.columns)
-        nodes[root_id] = TreeNode(
-            node_id=root_id, kind=NodeKind.TABLE_ROOT,
-            summary=table.description.strip() or leaf.summary,
-            children=(leaf.node_id,),
-            span=(table.table_id, 0, n - 1) if table.ordered else None,
-        )
-    else:
-        top = build_block(root_id, table.columns, NodeKind.TABLE_ROOT)
-        nodes[root_id] = top
-    return nodes
+    if n > params.leaf_budget:
+        return {node.node_id: node for node in build_block(root_id, table.columns,
+                                                           NodeKind.TABLE_ROOT)}
+    leaf = make_leaf(f"{root_id}.0", table.columns)
+    root = TreeNode(
+        node_id=root_id, kind=NodeKind.TABLE_ROOT,
+        summary=table.description.strip() or leaf.summary,
+        children=(leaf.node_id,),
+        span=(table.table_id, 0, n - 1) if table.ordered else None,
+    )
+    return {leaf.node_id: leaf, root_id: root}
 
 
 # -- database-level clustering ------------------------------------------------
+
+
+def plan_merges(dist: np.ndarray, threshold: float) -> tuple[list[tuple[int, int]], list[int]]:
+    """Average-linkage merge plan over a cosine-distance matrix.
+
+    Clusters are numbered as they appear: ``0..n-1`` are the inputs and
+    ``n + k`` is the cluster made by merge ``k``. The nearest pair merges
+    first while its distance stays at or under ``threshold``; exact ties
+    go to the pair whose smallest members come first. Each merge is
+    ``(earlier-listed cluster, later cluster)`` in a listing that starts
+    in input order and appends each merged cluster at its end. A pair's
+    distance is the mean of its block of ``dist`` with the earlier-listed
+    cluster's items as rows, in listing order, so every distance is
+    bit-for-bit that one ``mean`` call. Returns the merges and the
+    surviving clusters, ordered by their smallest member.
+    """
+    # Per slot (row and column of ``live``): live[s, t] is the distance
+    # between the clusters in slots s and t, inf on dead slots and the
+    # diagonal; nearest[s] is the minimum of row s; rank[s] the smallest
+    # member; listed[s] the position in the listing; cluster[s] the number.
+    n = len(dist)
+    live = np.full((n, n), np.inf)
+    upper = np.triu_indices(n, 1)
+    live[upper] = live[upper[::-1]] = dist[upper]
+    nearest = live.min(axis=1)
+    rank = np.arange(n)
+    listed = np.arange(n)
+    cluster = np.arange(n)
+    items = {s: np.array([s]) for s in range(n)}  # live slot -> members, in summation order
+    # the live clusters of each size: their slots, and their members as rows
+    by_size = {1: (np.arange(n), np.arange(n)[:, None])}
+    merges: list[tuple[int, int]] = []
+
+    def unlist(slot: int):
+        slots, members = by_size.pop(len(items[slot]))
+        keep = slots != slot
+        if keep.any():
+            by_size[len(items[slot])] = (slots[keep], members[keep])
+
+    while len(items) > 1:
+        d = nearest.min()
+        if d > threshold:
+            break
+        rows = np.flatnonzero(nearest == d)
+        s, t = np.nonzero(live[rows] == d)
+        s = rows[s]
+        lo, hi = np.minimum(rank[s], rank[t]), np.maximum(rank[s], rank[t])
+        first = np.lexsort((hi, lo))[0]
+        a, b = sorted((int(s[first]), int(t[first])), key=lambda slot: listed[slot])
+        merges.append((int(cluster[a]), int(cluster[b])))
+        cluster[a] = n + len(merges) - 1
+        listed[a] = n + len(merges)
+        rank[a] = min(rank[a], rank[b])
+        unlist(a)
+        unlist(b)
+        merged = np.concatenate((items[a], items.pop(b)))
+        items[a] = merged
+        if not by_size:
+            break
+        # every other live cluster is listed before the merged one, so its
+        # items are the rows; clusters of one size share one ``mean`` call
+        others = np.concatenate([slots for slots, _ in by_size.values()])
+        fresh = np.concatenate([
+            dist[members[:, :, None], merged].reshape(len(slots), -1).mean(axis=1)
+            for slots, members in by_size.values()
+        ])
+        # a row whose minimum sat in a or b is rescanned
+        stale = others[(live[others, a] == nearest[others]) |
+                       (live[others, b] == nearest[others])]
+        live[b, :] = live[:, b] = nearest[b] = np.inf
+        live[others, a] = live[a, others] = fresh
+        nearest[others] = np.minimum(nearest[others], fresh)
+        nearest[stale] = live[stale].min(axis=1)
+        nearest[a] = fresh.min()
+        if len(merged) in by_size:
+            slots, members = by_size[len(merged)]
+            by_size[len(merged)] = (np.append(slots, a), np.vstack((members, merged)))
+        else:
+            by_size[len(merged)] = (np.array([a]), merged[None, :])
+    survivors = sorted(items, key=lambda slot: rank[slot])
+    return merges, [int(cluster[slot]) for slot in survivors]
 
 
 def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParams,
@@ -634,10 +720,13 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
     """Merge per-table subtrees into one connected tree.
 
     Average-linkage agglomerative merging on cosine distance between
-    root-summary embeddings: the nearest pair merges first (ties broken by
-    the lexicographically smallest table-id pair) while the distance stays
-    at or under the cutoff; whatever remains is joined under a final
-    database root. A single table's root doubles as the database root.
+    root-summary embeddings (:func:`plan_merges`): the nearest pair merges
+    first (ties broken by the lexicographically smallest table-id pair)
+    while the distance stays at or under the cutoff; whatever remains is
+    joined under a final database root. A single table's root doubles as
+    the database root. The merge plan needs no summary, so the cluster
+    summaries go out one dendrogram level at a time, each level's calls
+    together; a merge's level is one above its higher child's.
     """
     if not table_trees:
         raise TreeError("no table trees to cluster")
@@ -661,69 +750,37 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
     vectors = np.stack([
         v.values for v in gateway.embed_batch([nodes[r].summary for r in roots])
     ])
-    dist = 1.0 - vectors @ vectors.T
-
-    @dataclass
-    class _Cluster:
-        root_id: str
-        items: list[int]        # indices into the original root list
-        slot: int               # row and column in ``live``
-
-    # live[s, t] is the average distance between the clusters in slots s
-    # and t, summed with the earlier-listed cluster's items first; dead
-    # slots and the diagonal hold inf. rank[s] indexes the slot's smallest
-    # member table root id, so rank order is root-id order.
-    n = len(roots)
-    live = np.full((n, n), np.inf)
-    upper = np.triu_indices(n, 1)
-    live[upper] = live[upper[::-1]] = dist[upper]
-    rank = np.arange(n)
-    clusters = [_Cluster(r, [i], i) for i, r in enumerate(roots)]
-    counter = 0
-
-    while len(clusters) > 1:
-        d = live.min()
-        if d > params.cluster_threshold:
-            break
-        # exact ties go to the lexicographically smallest table-id pair
-        s, t = np.nonzero(live == d)
-        lo, hi = np.minimum(rank[s], rank[t]), np.maximum(rank[s], rank[t])
-        first = np.lexsort((hi, lo))[0]
-        pair = (s[first], t[first])
-        i, j = [pos for pos, c in enumerate(clusters) if c.slot in pair]
-        a, b = clusters[i], clusters[j]
-        counter += 1
-        node_id = f"grp:{counter}"
-        summary = _summarize_node(
-            "cluster-summary", "",
-            [nodes[a.root_id].summary, nodes[b.root_id].summary], gateway,
+    merges, survivors = plan_merges(1.0 - vectors @ vectors.T, params.cluster_threshold)
+    ids = roots + [f"grp:{k}" for k in range(1, len(merges) + 1)]
+    summaries = [nodes[r].summary for r in roots] + [""] * len(merges)
+    levels = [0] * len(roots)
+    for a, b in merges:
+        levels.append(1 + max(levels[a], levels[b]))
+    for level in range(1, max(levels) + 1):
+        batch = [c for c in range(len(roots), len(ids)) if levels[c] == level]
+        texts = concurrently([
+            partial(_summarize_node, "cluster-summary", "",
+                    [summaries[a], summaries[b]], gateway)
+            for a, b in (merges[c - len(roots)] for c in batch)
+        ])
+        for c, text in zip(batch, texts):
+            summaries[c] = text
+    for k, (a, b) in enumerate(merges):
+        c = len(roots) + k
+        nodes[ids[c]] = TreeNode(
+            node_id=ids[c], kind=NodeKind.CLUSTER, summary=summaries[c],
+            children=tuple(sorted((ids[a], ids[b]))),
         )
-        nodes[node_id] = TreeNode(
-            node_id=node_id, kind=NodeKind.CLUSTER, summary=summary,
-            children=tuple(sorted((a.root_id, b.root_id))),
-        )
-        merged = _Cluster(node_id, a.items + b.items, a.slot)
-        rank[a.slot] = min(rank[a.slot], rank[b.slot])
-        live[b.slot, :] = live[:, b.slot] = np.inf
-        clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
-        to_merged = dist[:, merged.items]
-        for c in clusters:
-            # c is listed before merged, so its items are the rows summed first
-            live[c.slot, merged.slot] = live[merged.slot, c.slot] = float(
-                to_merged[c.items].mean())
-        clusters.append(merged)
 
-    if len(clusters) == 1:
-        return ContextTree(side, clusters[0].root_id, nodes, params)
-    clusters.sort(key=lambda c: rank[c.slot])
+    if len(survivors) == 1:
+        return ContextTree(side, ids[survivors[0]], nodes, params)
     summary = _summarize_node(
-        "node-summary", "",
-        [nodes[c.root_id].summary for c in clusters], gateway,
+        "node-summary", "", [summaries[c] for c in survivors], gateway,
     )
     root_id = "db:root"
     nodes[root_id] = TreeNode(
         node_id=root_id, kind=NodeKind.DB_ROOT, summary=summary,
-        children=tuple(c.root_id for c in clusters),
+        children=tuple(ids[c] for c in survivors),
     )
     return ContextTree(side, root_id, nodes, params)
 

@@ -23,6 +23,7 @@ from construm.tree import (
     cluster_tables,
     even_sample_indices,
     lineage,
+    plan_merges,
     load_tree,
     repair_plan,
     save_tree,
@@ -687,3 +688,298 @@ def test_rebuild_resumes_from_reply_cache(tmp_path):
     rerun = second.accounting.snapshot()
     assert rerun.cache_hits == aborted.llm_calls
     assert rerun.llm_calls + rerun.cache_hits == clean_gw.accounting.snapshot().llm_calls
+
+
+# -- merge planning ----------------------------------------------------------------
+
+
+def reference_loop_plan(dist, threshold):
+    """One merge per step over a live matrix, one ``mean`` per live cluster.
+
+    Clusters are kept as a listing: the merged cluster replaces its two
+    parts at the end, and a pair's distance is the mean of the ``dist``
+    block with the earlier-listed cluster's items as rows. Returns
+    ``plan_merges``' format.
+    """
+    n = len(dist)
+    live = np.full((n, n), np.inf)
+    upper = np.triu_indices(n, 1)
+    live[upper] = live[upper[::-1]] = dist[upper]
+    rank = np.arange(n)
+    listing = [(i, [i], i) for i in range(n)]  # (cluster number, items, slot)
+    merges = []
+    while len(listing) > 1:
+        d = live.min()
+        if d > threshold:
+            break
+        s, t = np.nonzero(live == d)
+        lo, hi = np.minimum(rank[s], rank[t]), np.maximum(rank[s], rank[t])
+        first = np.lexsort((hi, lo))[0]
+        i, j = [pos for pos, c in enumerate(listing) if c[2] in (s[first], t[first])]
+        a, b = listing[i], listing[j]
+        merges.append((a[0], b[0]))
+        merged = (n + len(merges) - 1, a[1] + b[1], a[2])
+        rank[a[2]] = min(rank[a[2]], rank[b[2]])
+        live[b[2], :] = live[:, b[2]] = np.inf
+        listing = [c for k, c in enumerate(listing) if k not in (i, j)]
+        to_merged = dist[:, merged[1]]
+        for c in listing:
+            live[c[2], a[2]] = live[a[2], c[2]] = float(to_merged[c[1]].mean())
+        listing.append(merged)
+    listing.sort(key=lambda c: rank[c[2]])
+    return merges, [c[0] for c in listing]
+
+
+def random_distances(rng, n):
+    dim = int(rng.integers(2, 24))
+    kind = rng.integers(3)
+    if kind == 0:  # a few distinct directions: many exact distance ties
+        base = rng.standard_normal((int(rng.integers(1, 5)), dim))
+        v = base[rng.integers(len(base), size=n)]
+    elif kind == 1:  # small integer coordinates: ties between distinct pairs
+        v = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        v[np.all(v == 0, axis=1), 0] = 1.0
+    else:
+        v = rng.standard_normal((n, dim))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return 1.0 - v @ v.T
+
+
+def test_plan_merges_matches_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(10)
+    tied = 0
+    for _ in range(300):
+        n = int(np.exp(rng.uniform(np.log(2), np.log(161))))  # log-uniform in 2..160
+        dist = random_distances(rng, n)
+        threshold = float(rng.choice([0.3, 0.5, 1.0, 1.999]))
+        plan = plan_merges(dist, threshold)
+        assert plan == reference_loop_plan(dist, threshold)
+        merges, survivors = plan
+        assert sorted(survivors + [c for m in merges for c in m]) == list(range(n + len(merges)))
+        upper = dist[np.triu_indices(n, 1)]
+        tied += len(np.unique(upper)) < len(upper)
+    assert tied >= 100
+
+
+# -- fan-out within a build --------------------------------------------------------
+
+
+def span_plan_bot(spans_by_block):
+    """Plans that split the block spanning (lo, hi) into the given spans."""
+    def bot(prompt):
+        if "TASK: group-plan" not in prompt:
+            return None
+        span = tuple(map(int, re.search(r"^SPAN: (\d+)\.\.(\d+)$", prompt, re.M).groups()))
+        return "\n".join(f"[{a}..{b}]=part{i}" for i, (a, b) in
+                         enumerate(spans_by_block[span]))
+    return bot
+
+
+def prompt_span(prompt):
+    return re.search(r"^SPAN: (\d+\.\.\d+)$", prompt, re.M).group(1)
+
+
+def test_block_windows_and_theme_are_in_flight_together():
+    cat = ordered_catalog(150)
+    params = TreeParams(window=50, leaf_budget=50)
+    plan = span_plan_bot({(0, 149): [(0, 49), (50, 99), (100, 149)]})
+    together = threading.Barrier(4, timeout=10)  # three windows and the theme
+
+    def waits(prompt):
+        if "TASK: window-summary" in prompt or "TASK: table-theme" in prompt:
+            together.wait()
+        return None
+
+    gw = tree_gateway(chain_bots(waits, plan))
+    nodes = build_table_tree(cat, cat.tables[0], params, gw)
+    assert nodes == build_table_tree(cat, cat.tables[0], params, tree_gateway(plan))
+    assert not together.broken
+
+
+def test_sibling_blocks_are_in_flight_together():
+    cat = ordered_catalog(300)
+    plan = span_plan_bot({
+        (0, 299): [(0, 149), (150, 299)],
+        (0, 149): [(0, 49), (50, 99), (100, 149)],
+        (150, 299): [(150, 199), (200, 249), (250, 299)],
+    })
+    # the two sub-blocks' windows, then one sub-block's three leaves
+    blocks = threading.Barrier(2, timeout=10)
+    leaves = {"0..49": threading.Barrier(3, timeout=10)}
+    leaves.update({"50..99": leaves["0..49"], "100..149": leaves["0..49"]})
+
+    def waits(prompt):
+        if "TASK: window-summary" in prompt and prompt_span(prompt) in ("0..149", "150..299"):
+            blocks.wait()
+        if "TASK: leaf-summary" in prompt and prompt_span(prompt) in leaves:
+            leaves[prompt_span(prompt)].wait()
+        return None
+
+    nodes = build_table_tree(cat, cat.tables[0], PARAMS, tree_gateway(chain_bots(waits, plan)))
+    assert nodes["tbl:t0"].children == ("tbl:t0.0", "tbl:t0.1")
+    assert nodes["tbl:t0.0"].children == ("tbl:t0.0.0", "tbl:t0.0.1", "tbl:t0.0.2")
+    # listed in post-order, as a serial depth-first build lists them
+    assert list(nodes) == ["tbl:t0.0.0", "tbl:t0.0.1", "tbl:t0.0.2", "tbl:t0.0",
+                           "tbl:t0.1.0", "tbl:t0.1.1", "tbl:t0.1.2", "tbl:t0.1", "tbl:t0"]
+
+
+def described_tables(sizes):
+    return build_catalog("source", [
+        table_doc(f"t{i}", [(f"t{i}_c{j}", f"col {j} of table {i}") for j in range(n)],
+                  description=f"table {i} about topic {i}")
+        for i, n in enumerate(sizes)
+    ])
+
+
+def merge_levels(tree):
+    """Each cluster node's dendrogram level, in merge order."""
+    level = {}
+    for k in range(1, sum(n.startswith("grp:") for n in tree.nodes) + 1):
+        level[f"grp:{k}"] = 1 + max(level.get(c, 0) for c in tree.node(f"grp:{k}").children)
+    return level
+
+
+def child_summaries(prompt):
+    return frozenset(re.findall(r"^- (.*)$", prompt.split("CHILD SUMMARIES:\n", 1)[1], re.M))
+
+
+def child_summaries_of(tree, node_id):
+    return frozenset(tree.node(c).summary for c in tree.node(node_id).children)
+
+
+def test_each_dendrogram_level_is_in_flight_together():
+    k = 8
+    cat = described_tables([2] * k)
+    subtrees = [build_table_tree(cat, t, PARAMS, tree_gateway()) for t in cat.tables]
+    params = TreeParams(cluster_threshold=1.999)
+
+    def cluster(bot=None):
+        gw = tree_gateway(bot, embed_backend=PositionalEmbeddingBackend(
+            [planted_hierarchy_vectors(k)]))
+        return cluster_tables(subtrees, params, gw, Side.SOURCE)
+
+    reference = cluster()
+    level = merge_levels(reference)
+    sizes = [list(level.values()).count(lv) for lv in (1, 2, 3)]
+    assert sizes == [4, 2, 1]
+    level_of = {child_summaries_of(reference, n): lv for n, lv in level.items()}
+    barriers = {lv: threading.Barrier(size, timeout=10) for lv, size in zip((1, 2, 3), sizes)}
+
+    def waits(prompt):
+        if "TASK: cluster-summary" in prompt:
+            barriers[level_of[child_summaries(prompt)]].wait()
+        return None
+
+    assert tree_to_dict(cluster(waits)) == tree_to_dict(reference)
+
+
+def in_reverse(order, key_of):
+    """A bot that makes the calls keyed by ``order`` complete last-first.
+
+    Each call waits until the call after it in ``order`` has replied; the
+    keys of the calls that replied are appended to the returned list.
+    """
+    done = {key: threading.Event() for key in order}
+    completed = []
+
+    def bot(prompt):
+        key = key_of(prompt)
+        if key in done:
+            later = order[order.index(key) + 1:]
+            assert not later or done[later[0]].wait(timeout=10)
+            completed.append(key)
+            done[key].set()
+        return None
+    return bot, completed
+
+
+def test_replies_completing_in_reverse_order_give_the_same_build():
+    k = 8
+    cat = described_tables([150] + [2] * (k - 1))
+    plan = span_plan_bot({(0, 149): [(0, 49), (50, 99), (100, 149)]})
+    params = TreeParams(cluster_threshold=1.999)
+
+    def build(bot=None):
+        gw = tree_gateway(chain_bots(*filter(None, (bot, plan))),
+                          embed_backend=PositionalEmbeddingBackend(
+                              [planted_hierarchy_vectors(k)]))
+        return build_context_tree(cat, params, gw)
+
+    reference = build()
+    level = merge_levels(reference)
+    merge_of = {child_summaries_of(reference, n): n for n in level}
+
+    def key_of(prompt):
+        if "TASK: cluster-summary" in prompt:
+            return merge_of[child_summaries(prompt)]
+        if "TASK: leaf-summary" in prompt and "(t0)" in prompt:
+            return prompt_span(prompt)
+        return None
+
+    # a level's merges go out together, in merge order
+    leaf_order = ["0..49", "50..99", "100..149"]
+    by_level = [[n for n in level if level[n] == lv] for lv in (1, 2, 3)]
+    assert [len(merges) for merges in by_level] == [4, 2, 1]
+    leaf_bot, leaves_done = in_reverse(leaf_order, key_of)
+    cluster_bots = [in_reverse(merges, key_of) for merges in by_level]
+    tree = build(chain_bots(leaf_bot, *(bot for bot, _ in cluster_bots)))
+
+    assert leaves_done == leaf_order[::-1]
+    assert [done for _, done in cluster_bots] == [merges[::-1] for merges in by_level]
+    assert json.dumps(tree_to_dict(tree), sort_keys=True) == \
+        json.dumps(tree_to_dict(reference), sort_keys=True)
+    assert list(tree.nodes) == list(reference.nodes)
+    assert [n.node_id for n in tree.leaves()] == [n.node_id for n in reference.leaves()]
+
+
+def test_first_failure_in_submission_order_is_raised_and_threads_end():
+    cat = ordered_catalog(600)
+    threads = threading.active_count()
+    window2_failed = threading.Event()
+
+    def windows(prompt):
+        if "TASK: window-summary" in prompt:
+            if prompt_span(prompt) == "500..599":
+                window2_failed.set()
+                raise TransportError("window 2 down")
+            if prompt_span(prompt) == "250..499":
+                assert window2_failed.wait(timeout=10)
+                raise TransportError("window 1 down")
+        return None
+
+    with pytest.raises(TreeError, match=r"window 1 \(250\.\.499\) summary failed: "
+                                        r"window 1 down"):
+        build_table_tree(cat, cat.tables[0], PARAMS, tree_gateway(windows))
+    assert threading.active_count() == threads
+
+    cat = ordered_catalog(150)
+    plan = span_plan_bot({(0, 149): [(0, 49), (50, 99), (100, 149)]})
+    leaf2_failed = threading.Event()
+
+    def leaves(prompt):
+        if "TASK: leaf-summary" in prompt:
+            if prompt_span(prompt) == "100..149":
+                leaf2_failed.set()
+                raise TransportError("leaf 2 down")
+            if prompt_span(prompt) == "50..99":
+                assert leaf2_failed.wait(timeout=10)
+                raise TransportError("leaf 1 down")
+        return None
+
+    with pytest.raises(TransportError, match="leaf 1 down"):
+        build_table_tree(cat, cat.tables[0], PARAMS, tree_gateway(chain_bots(leaves, plan)))
+    assert threading.active_count() == threads
+
+
+def test_stage4_prompt_shows_moves_applied_earlier_in_the_scan():
+    cat = ordered_catalog(600, seed=1)
+    plan = plan_for(cat, [(0, 149), (150, 299), (300, 449), (450, 599)])
+    gw = make_gateway(responder=chain_bots(move_bot(["MOVE 150 -> 140", "KEEP"]), tree_bot))
+    gw.enable_prompt_log()
+    out = stage4_refine_boundaries(cat, cat.tables[0], plan, PARAMS, gw)
+    assert spans_of(out) == [(0, 139), (140, 299), (300, 449), (450, 599)]
+    checks = [p for _, p in gw.prompt_log if "TASK: boundary-check" in p]
+    assert "GROUPS:\n[0..149]=g0\n[150..299]=g1\n" in checks[0]
+    assert "WINDOW: 250..499" in checks[1]
+    assert "BOUNDARIES: 300, 450" in checks[1]
+    assert "GROUPS:\n[0..139]=g0\n[140..299]=g1\n[300..449]=g2\n[450..599]=g3\n" in checks[1]
