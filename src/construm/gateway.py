@@ -51,6 +51,7 @@ MAX_RETRY_AFTER = 30.0  # longest Retry-After wait, in seconds, honoured before 
 T = TypeVar("T")
 
 _sleep = time.sleep  # the pause before a retry; tests replace it to record waits
+_now = time.time  # the clock an HTTP-date Retry-After is read against; tests fix it
 
 
 class GatewayError(Exception):
@@ -342,7 +343,7 @@ def _retry_after(headers) -> float | None:
     if value.isdigit():
         return float(value)
     try:
-        return max(0.0, email.utils.parsedate_to_datetime(value).timestamp() - time.time())
+        return max(0.0, email.utils.parsedate_to_datetime(value).timestamp() - _now())
     except (TypeError, ValueError):
         return None
 

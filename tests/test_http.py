@@ -194,16 +194,20 @@ def test_client_error_fails_at_once_without_retry(loopback):
     assert gw.accounting.snapshot().llm_calls == 0
 
 
+NOW = 1792335351.0  # Sun, 18 Oct 2026 14:55:51 GMT: a fixed clock keeps the case ids stable
+
+
 @pytest.mark.parametrize("status,retry_after,expected", [
     (429, "7", [7.0]),
     (503, "3600", [MAX_RETRY_AFTER]),
-    (429, formatdate(time.time() + 3600, usegmt=True), [MAX_RETRY_AFTER]),
-    (429, formatdate(time.time() - 3600, usegmt=True), []),
+    (429, formatdate(NOW + 3600, usegmt=True), [MAX_RETRY_AFTER]),
+    (429, formatdate(NOW - 3600, usegmt=True), []),
     (429, "soon", []),
     (500, "7", []),  # only 429 and 503 carry a wait
 ])
-def test_retry_after_wait_precedes_the_one_retry(loopback, waits, status, retry_after,
-                                                 expected):
+def test_retry_after_wait_precedes_the_one_retry(loopback, waits, monkeypatch, status,
+                                                 retry_after, expected):
+    monkeypatch.setattr(gateway, "_now", lambda: NOW)
     gw = ModelGateway(chat_backend=HttpChatBackend(loopback.url, "m-1"))
     loopback.reply({"error": "slow down"}, status=status, headers={"Retry-After": retry_after})
     loopback.reply(chat_doc("after the wait"))
