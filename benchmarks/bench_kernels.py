@@ -9,7 +9,6 @@ embeddings with a cutoff every pair is within, so each run makes n - 1
 merges. Neither part makes an LLM call.
 
 Usage: python benchmarks/bench_kernels.py [--dim 64] [--tau 0.5] [--repeat 3]
-                                          [--sizes ...] [--tables 200 1000 2000]
 """
 
 import argparse
@@ -22,6 +21,7 @@ from construm.tree import plan_merges
 
 
 FULL_MERGE = 1.999  # a cosine-distance cutoff every pair of tables is within
+TABLES = (200, 1000, 2000)  # table counts the merge planning is timed at
 
 
 def run_once(matrix, tau):
@@ -39,7 +39,6 @@ def main():
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--sizes", type=int, nargs="+",
                         default=[200, 400, 800, 1600, 5000, 10000])
-    parser.add_argument("--tables", type=int, nargs="+", default=[200, 1000, 2000])
     args = parser.parse_args()
 
     print(f"dim={args.dim} tau={args.tau} best-of-{args.repeat}")
@@ -61,7 +60,7 @@ def main():
     print(header)
     print("-" * len(header))
     rng = np.random.default_rng(0)
-    for n in args.tables:
+    for n in TABLES:
         m = rng.standard_normal((n, args.dim))
         m /= np.linalg.norm(m, axis=1, keepdims=True)
         dist = 1.0 - m @ m.T

@@ -11,6 +11,8 @@ texts, token/call accounting, an append-only disk cache of chat replies
 every prompt sent (used by the masking scanner).
 ``concurrently`` is the one place that starts threads: independent calls go
 out together through it, and their results come back in submission order.
+Nested fan-outs share one cap: a gateway lets at most ``MAX_IN_FLIGHT`` chat
+calls reach its backend at once.
 
 Both live backends POST JSON through ``_post_json``, built on the standard
 library's ``urllib``. A timeout, HTTP 408, 429 or 5xx, a failed connection
@@ -44,6 +46,7 @@ logger = logging.getLogger(__name__)
 
 ROLE_TAGS = ("tree_summary", "relation", "differentiation", "decision")
 MAX_CONCURRENT = 8  # default cap on the items one ``concurrently`` call runs at once
+MAX_IN_FLIGHT = 16  # most chat calls one gateway has at its backend at once, however nested
 MAX_ATTEMPTS = 2  # one try and one retry, for chat and embedding calls alike
 MAX_EMBED_INPUTS = 2048  # most texts one embeddings request carries (OpenAI's cap)
 MAX_RETRY_AFTER = 30.0  # longest Retry-After wait, in seconds, honoured before the retry
@@ -497,6 +500,9 @@ class ModelGateway:
     and scripted backends are pure functions of the prompt. With a cache,
     concurrent calls that share a cache key make one backend call, and the
     others get its reply as a cache hit, as they would in a serial run.
+    At most ``MAX_IN_FLIGHT`` chat calls are at the backend at once; each
+    attempt takes a slot only while the backend has it, so a retry's wait
+    and a caller blocked on its own fan-out hold none.
     """
 
     def __init__(self, chat_backend=None, embed_backend=None, cache: DiskCache | None = None):
@@ -507,6 +513,7 @@ class ModelGateway:
         self.prompt_log: list[tuple[str, str]] | None = None
         self._flights: dict[str, list] = {}  # cache key -> [lock, holders and waiters]
         self._flights_lock = threading.Lock()
+        self._in_flight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
 
     def enable_prompt_log(self):
         self.prompt_log = []
@@ -587,9 +594,10 @@ class ModelGateway:
         return attempt()
 
     def _chat_once(self, call: ChatCall) -> ChatReply:
-        t0 = time.monotonic()
-        raw = self.chat_backend.chat(call)
-        latency = raw.latency if raw.latency is not None else time.monotonic() - t0
+        with self._in_flight:
+            t0 = time.monotonic()
+            raw = self.chat_backend.chat(call)
+            latency = raw.latency if raw.latency is not None else time.monotonic() - t0
         if latency > call.timeout:
             raise GatewayTimeout(f"chat call exceeded timeout ({latency:.3f}s > {call.timeout}s)")
         if not raw.text.strip():

@@ -11,6 +11,8 @@ import pytest
 from construm.gateway import (
     MAX_ATTEMPTS,
     MAX_CONCURRENT,
+    MAX_IN_FLIGHT,
+    BackendReply,
     ChatCall,
     DiskCache,
     GatewayError,
@@ -141,6 +143,42 @@ def test_fan_out_caps_items_in_flight_and_keeps_order():
 
     assert concurrently([lambda i=i: item(i) for i in range(20)]) == list(range(20))
     assert most[0] == MAX_CONCURRENT
+    assert threading.active_count() == threads_before
+
+
+def test_nested_fan_outs_share_the_gateways_backend_cap():
+    threads_before = threading.active_count()
+    total = 5 * MAX_CONCURRENT  # five fan-outs of MAX_CONCURRENT calls, started at once
+    state = threading.Condition()
+    started, in_flight, most = [0], [0], [0]
+
+    class Backend:
+        backend_id = "counting"
+
+        def chat(self, call):
+            with state:
+                in_flight[0] += 1
+                most[0] = max(most[0], in_flight[0])
+                # hold every call until all of them have been sent
+                assert state.wait_for(lambda: started[0] == total, timeout=5)
+                in_flight[0] -= 1
+            return BackendReply(text=call.prompt, prompt_tokens=1, completion_tokens=1)
+
+    gw = ModelGateway(chat_backend=Backend())
+
+    def ask(i):
+        with state:
+            started[0] += 1
+            state.notify_all()
+        return gw.complete(ChatCall("tree_summary", str(i))).text
+
+    replies = concurrently([
+        partial(concurrently, [partial(ask, o * MAX_CONCURRENT + i)
+                               for i in range(MAX_CONCURRENT)])
+        for o in range(total // MAX_CONCURRENT)
+    ], limit=total // MAX_CONCURRENT)
+    assert [r for rs in replies for r in rs] == [str(i) for i in range(total)]
+    assert most[0] == MAX_IN_FLIGHT
     assert threading.active_count() == threads_before
 
 
