@@ -26,6 +26,7 @@ from construm import graph as graph_mod
 from construm import tree as tree_mod
 from construm.catalog import CatalogError, MatchQuery, SchemaCatalog, load_catalog, mask_catalog
 from construm.gateway import (
+    MAX_IN_FLIGHT,
     DiskCache,
     HashEmbeddingBackend,
     HttpChatBackend,
@@ -65,7 +66,7 @@ DEFAULTS = {
     **asdict(PipelineConfig()),
     "mask_source": False,
     "mask_target": False,
-    "workers": 1,
+    "max_in_flight": MAX_IN_FLIGHT,
 }
 
 _SECRET_KEYS = ("api_key",)
@@ -125,7 +126,11 @@ def make_gateway(cfg: dict, cache_dir=None) -> ModelGateway:
             f"or 'scripted:<script path>')"
         )
     cache = DiskCache(cache_dir) if cache_dir else None
-    return ModelGateway(chat_backend=chat, embed_backend=embed, cache=cache)
+    try:
+        return ModelGateway(chat_backend=chat, embed_backend=embed, cache=cache,
+                            max_in_flight=cfg["max_in_flight"])
+    except ValueError as exc:
+        raise UsageError(f"invalid max_in_flight {cfg['max_in_flight']}: {exc}") from exc
 
 
 def _load_catalog(path, side, mask: bool) -> SchemaCatalog:
@@ -166,11 +171,8 @@ def cmd_build_tree(args) -> int:
     params = tree_params(cfg)
     gateway = make_gateway(cfg, cache_dir=args.cache or out.parent / "cache")
     catalog = _load_catalog(args.catalog, args.side, _side_mask(args, cfg))
-    tree = tree_mod.build_context_tree(
-        catalog, params, gateway,
-        annotate_relations=cfg["relations"],
-        workers=cfg["workers"],
-    )
+    tree = tree_mod.build_context_tree(catalog, params, gateway,
+                                       annotate_relations=cfg["relations"])
     out.parent.mkdir(parents=True, exist_ok=True)
     tree_mod.save_tree(tree, out)
     write_run_config(cfg, out.parent)
@@ -223,13 +225,11 @@ def _build_artifacts(cfg: dict, source_catalog: SchemaCatalog,
         source_tree = load_or(
             "source_tree", tree_mod.load_tree,
             lambda: tree_mod.build_context_tree(source_catalog, tree_params(cfg), gateway,
-                                                annotate_relations=cfg["relations"],
-                                                workers=cfg["workers"]))
+                                                annotate_relations=cfg["relations"]))
         target_tree = load_or(
             "target_tree", tree_mod.load_tree,
             lambda: tree_mod.build_context_tree(target_catalog, tree_params(cfg), gateway,
-                                                annotate_relations=cfg["relations"],
-                                                workers=cfg["workers"]))
+                                                annotate_relations=cfg["relations"]))
     return Artifacts(source_catalog, target_catalog, source_tree, target_tree,
                      source_graph, target_graph)
 
@@ -298,7 +298,7 @@ def cmd_match(args) -> int:
     else:
         raise UsageError("match needs --queries or --source")
 
-    outcomes = ev.run_queries(queries, pcfg, artifacts, gateway, cfg["workers"])
+    outcomes = ev.run_queries(queries, pcfg, artifacts, gateway)
     rows = _write_traces(out_dir / "traces", queries, outcomes, artifacts)
     for i, row in enumerate(rows):
         if "error" in row:
@@ -370,7 +370,7 @@ def cmd_bench_run(args) -> int:
                                  need_tree=need_tree, need_diff=need_diff)
     base = pipeline_config({**cfg, "mode": modes[0]})
     suite = ev.run_ablation_suite(queries, modes, artifacts, gateway, base_config=base,
-                                  slice_name=args.slice, workers=cfg["workers"])
+                                  slice_name=args.slice)
     reports = {args.slice: {m: suite[m][0] for m in modes}}
     (out_dir / "report.md").write_text(ev.render_report(reports, "markdown"),
                                        encoding="utf-8")
@@ -416,7 +416,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--backend", help="'live', 'hash-only' or 'scripted:<script path>'")
     p.add_argument("--config", help="JSON config file (defaults < file < env < flags)")
     p.add_argument("--cache", help="disk cache directory for chat replies")
-    p.add_argument("--workers", type=int, help="worker pool size for parallel phases")
+    p.add_argument("--max-in-flight", dest="max_in_flight", type=int,
+                   help="most chat calls and fan-out threads at once (the endpoint's rate limit)")
 
 
 def _add_tree_flags(p: argparse.ArgumentParser):

@@ -22,7 +22,7 @@ import numpy as np
 
 from construm import kernels
 from construm.catalog import ColumnRef, MatchQuery, SchemaCatalog
-from construm.gateway import AccountingSnapshot, GatewayError, ModelGateway, concurrently
+from construm.gateway import AccountingSnapshot, GatewayError, ModelGateway
 from construm.graph import embedding_text
 from construm.pipeline import (
     Artifacts,
@@ -244,15 +244,14 @@ def weighted_total(reports: Sequence[EvalReport], slice_name: str = "Total") -> 
 # -- ablation suite -------------------------------------------------------------
 
 
-def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig,
-                artifacts: Artifacts, gateway: ModelGateway, workers: int = 1,
-                ) -> list[tuple[MatchResult | None, QueryFailure | None]]:
+def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig, artifacts: Artifacts,
+                gateway: ModelGateway) -> list[tuple[MatchResult | None, QueryFailure | None]]:
     """Run every query; one (result, failure) pair per query, in query order.
 
     Queries without a shortlist get one from embedding retrieval (size
     ``config.k``). A query that raises gets ``(None, QueryFailure)``, which
-    keeps the calls it made, and the run continues. Up to ``workers``
-    queries run at once; each trace still counts only its own query's calls.
+    keeps the calls it made, and the run continues. Queries run
+    concurrently on the gateway; each trace counts only its own query's calls.
     """
     def run_one(i: int) -> tuple[MatchResult | None, QueryFailure | None]:
         q = queries[i]
@@ -266,13 +265,12 @@ def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig,
                            exc_info=not isinstance(exc, (PipelineError, GatewayError)))
             return None, QueryFailure(str(exc), getattr(exc, "spent", AccountingSnapshot()))
 
-    return concurrently([partial(run_one, i) for i in range(len(queries))], limit=workers)
+    return gateway.concurrently([partial(run_one, i) for i in range(len(queries))])
 
 
 def run_ablation_suite(queries: Sequence[MatchQuery], modes: Sequence[str],
                        artifacts: Artifacts, gateway: ModelGateway,
-                       base_config: PipelineConfig | None = None,
-                       slice_name: str = "all", workers: int = 1,
+                       base_config: PipelineConfig | None = None, slice_name: str = "all",
                        ) -> dict[str, tuple[EvalReport, list[MatchResult | None]]]:
     """Run every mode over the identical query list and score each.
 
@@ -283,7 +281,7 @@ def run_ablation_suite(queries: Sequence[MatchQuery], modes: Sequence[str],
     out: dict[str, tuple[EvalReport, list[MatchResult | None]]] = {}
     for mode in modes:
         cfg = replace(base_config or PipelineConfig(), mode=mode)
-        outcomes = run_queries(queries, cfg, artifacts, gateway, workers)
+        outcomes = run_queries(queries, cfg, artifacts, gateway)
         results = [result for result, _ in outcomes]
         errors = {i: error for i, (_, error) in enumerate(outcomes) if error is not None}
         report = evaluate(queries, results, artifacts.source_catalog,

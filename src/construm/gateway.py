@@ -6,13 +6,10 @@ backend that maps prompts to canned replies for deterministic tests and
 offline demos. The gateway owns the cross-cutting concerns so callers never
 do: per-call timeouts, one retry loop shared by chat and embeddings,
 embedding batches split into calls of at most ``MAX_EMBED_INPUTS``
-texts, token/call accounting, an append-only disk cache of chat replies
-(content-addressed by backend, role and prompt), and an optional log of
-every prompt sent (used by the masking scanner).
-``concurrently`` is the one place that starts threads: independent calls go
-out together through it, and their results come back in submission order.
-Nested fan-outs share one cap: a gateway lets at most ``MAX_IN_FLIGHT`` chat
-calls reach its backend at once.
+texts, token/call accounting, and an append-only disk cache of chat replies
+(content-addressed by backend, role and prompt). ``ModelGateway.concurrently``
+is the one place that starts threads; one value, ``max_in_flight``, bounds
+both its threads and the chat calls at the backend, however fan-outs nest.
 
 Both live backends POST JSON through ``_post_json``, built on the standard
 library's ``urllib``. A timeout, HTTP 408, 429 or 5xx, a failed connection
@@ -45,8 +42,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 ROLE_TAGS = ("tree_summary", "relation", "differentiation", "decision")
-MAX_CONCURRENT = 8  # default cap on the items one ``concurrently`` call runs at once
-MAX_IN_FLIGHT = 16  # most chat calls one gateway has at its backend at once, however nested
+MAX_IN_FLIGHT = 16  # default max_in_flight: a gateway's fan-out threads and backend calls
 MAX_ATTEMPTS = 2  # one try and one retry, for chat and embedding calls alike
 MAX_EMBED_INPUTS = 2048  # most texts one embeddings request carries (OpenAI's cap)
 MAX_RETRY_AFTER = 30.0  # longest Retry-After wait, in seconds, honoured before the retry
@@ -454,37 +450,6 @@ class HttpEmbeddingBackend:
         return vectors
 
 
-# -- fan-out -----------------------------------------------------------------
-
-
-def concurrently(thunks: Sequence[Callable[[], T]], limit: int = MAX_CONCURRENT) -> list[T]:
-    """Run independent thunks concurrently; results come in submission order.
-
-    Each thunk runs in a copy of the caller's context, so the gateway calls
-    it makes book into the caller's meter. At most ``limit`` run at once;
-    zero or one thunk, or a limit of 1, runs inline. Thunks start in
-    submission order and, once one raises, no further thunk starts. The
-    first exception in submission order is re-raised after every started
-    thunk has finished, so no thread outlives the call.
-    """
-    if len(thunks) <= 1 or limit <= 1:
-        return [thunk() for thunk in thunks]
-    failed = threading.Event()
-
-    def run(ctx, thunk):
-        if failed.is_set():
-            return None  # an earlier thunk raised, and its error is re-raised
-        try:
-            return ctx.run(thunk)
-        except BaseException:
-            failed.set()
-            raise
-
-    with ThreadPoolExecutor(max_workers=min(limit, len(thunks))) as pool:
-        futures = [pool.submit(run, copy_context(), thunk) for thunk in thunks]
-    return [f.result() for f in futures]
-
-
 # -- gateway -----------------------------------------------------------------
 
 
@@ -500,23 +465,62 @@ class ModelGateway:
     and scripted backends are pure functions of the prompt. With a cache,
     concurrent calls that share a cache key make one backend call, and the
     others get its reply as a cache hit, as they would in a serial run.
-    At most ``MAX_IN_FLIGHT`` chat calls are at the backend at once; each
-    attempt takes a slot only while the backend has it, so a retry's wait
-    and a caller blocked on its own fan-out hold none.
+    ``max_in_flight`` sizes both the ``concurrently`` pool and the chat
+    slots at the backend. An attempt holds a slot only while the backend
+    has it, so a retry's wait and a caller blocked on a fan-out hold none.
     """
 
-    def __init__(self, chat_backend=None, embed_backend=None, cache: DiskCache | None = None):
+    def __init__(self, chat_backend=None, embed_backend=None, cache: DiskCache | None = None,
+                 max_in_flight: int = MAX_IN_FLIGHT):
         self.chat_backend = chat_backend
         self.embed_backend = embed_backend
         self.cache = cache
         self.accounting = TokenAccounting()
-        self.prompt_log: list[tuple[str, str]] | None = None
         self._flights: dict[str, list] = {}  # cache key -> [lock, holders and waiters]
         self._flights_lock = threading.Lock()
-        self._in_flight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
+        # threads start on demand and end with the gateway; ValueError below 1
+        self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="construm-fan-out")
+        self._in_flight = threading.BoundedSemaphore(max_in_flight)
 
-    def enable_prompt_log(self):
-        self.prompt_log = []
+    def concurrently(self, thunks: Sequence[Callable[[], T]]) -> list[T]:
+        """Run independent thunks concurrently; results come in submission order.
+
+        Thunks start in submission order on the pool and on the caller, which
+        runs each one no pool thread has claimed and then waits only for
+        running ones, so nested fan-outs cannot deadlock. Each runs in a copy
+        of the caller's context, so its calls book into the caller's meter.
+        Once one raises, no further thunk starts; the first error in
+        submission order is re-raised after every started thunk has finished.
+        """
+        jobs = iter([(i, copy_context(), thunk) for i, thunk in enumerate(thunks)])
+        results: list = [None] * len(thunks)
+        errors: list[BaseException | None] = [None] * len(thunks)
+        claim = threading.Lock()
+
+        def drain():
+            nonlocal jobs
+            while True:
+                with claim:
+                    job = next(jobs, None)
+                if job is None:
+                    return
+                i, ctx, thunk = job
+                try:
+                    results[i] = ctx.run(thunk)
+                except BaseException as exc:  # re-raised below, in the caller's thread
+                    errors[i] = exc
+                    with claim:
+                        jobs = iter(())  # no further thunk starts
+
+        helpers = [self._pool.submit(drain) for _ in range(len(thunks) - 1)]
+        drain()
+        for helper in helpers:
+            if not helper.cancel():  # a queued helper is dropped, a started one awaited
+                helper.result()
+        for exc in errors:
+            if exc is not None:
+                raise exc
+        return results
 
     @contextmanager
     def metered(self) -> Iterator[TokenAccounting]:
@@ -544,8 +548,6 @@ class ModelGateway:
     def complete(self, call: ChatCall) -> ChatReply:
         if self.chat_backend is None:
             raise GatewayError("no chat backend configured")
-        if self.prompt_log is not None:
-            self.prompt_log.append((call.role_tag, call.prompt))
         if self.cache is None:
             return self._call_backend(call, None)
         key = cache_key(self.chat_backend.backend_id, call.role_tag, call.prompt)

@@ -36,7 +36,7 @@ from construm.diff import (
     render_source_diff,
     select_groups,
 )
-from construm.gateway import ChatCall, GatewayError, ModelGateway, concurrently
+from construm.gateway import ChatCall, GatewayError, ModelGateway
 from construm.graph import (
     Hypergraph,
     SimilarityGroup,
@@ -310,7 +310,7 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     def candidate_lane() -> list[DifferentiationBlock | None]:
         return [job() for job in candidate_jobs]
 
-    *source_blocks, candidate_blocks = concurrently(source_jobs + [candidate_lane])
+    *source_blocks, candidate_blocks = gateway.concurrently(source_jobs + [candidate_lane])
     source_diff = render_source_diff([b for b in source_blocks if b is not None], scat)
     candidate_diff = render_candidate_diff(
         [b for b in candidate_blocks if b is not None], tcat)

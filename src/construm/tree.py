@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from construm.catalog import ColumnRef, SchemaCatalog, Side, TableMeta, as_side
-from construm.gateway import ChatCall, GatewayError, ModelGateway, concurrently
+from construm.gateway import ChatCall, GatewayError, ModelGateway
 
 logger = logging.getLogger(__name__)
 
@@ -222,7 +222,7 @@ def stage1_window_summaries(catalog: SchemaCatalog, table: TableMeta,
             raise TreeError(f"window {wi} ({lo}..{hi}) summary failed: {exc}") from exc
         return (lo, hi), reply.text.strip()
 
-    return concurrently([
+    return gateway.concurrently([
         partial(summarize, wi, refs[start:stop])
         for wi, (start, stop) in enumerate(window_partition(len(refs), window, min_group))
     ])
@@ -594,7 +594,7 @@ def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParam
         if len(refs) <= params.leaf_budget:
             return [make_leaf(node_id, refs)]
         view = replace(table, columns=tuple(refs))
-        windows, theme = concurrently([
+        windows, theme = gateway.concurrently([
             partial(stage1_window_summaries, catalog, view, params.window, gateway,
                     params.min_group),
             partial(stage2_global_theme, catalog, view,
@@ -603,7 +603,7 @@ def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParam
         plan = stage3_conceptual_map(catalog, view, windows, theme, params, gateway)
         if table.ordered:
             plan = stage4_refine_boundaries(catalog, view, plan, params, gateway)
-        subtrees = concurrently([
+        subtrees = gateway.concurrently([
             partial(build_block, f"{node_id}.{gi}", group.columns, NodeKind.WITHIN_TABLE)
             for gi, group in enumerate(plan.groups)
         ])
@@ -758,7 +758,7 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
         levels.append(1 + max(levels[a], levels[b]))
     for level in range(1, max(levels) + 1):
         batch = [c for c in range(len(roots), len(ids)) if levels[c] == level]
-        texts = concurrently([
+        texts = gateway.concurrently([
             partial(_summarize_node, "cluster-summary", "",
                     [summaries[a], summaries[b]], gateway)
             for a, b in (merges[c - len(roots)] for c in batch)
@@ -848,25 +848,24 @@ def annotate_sibling_relations(tree: ContextTree, parent_id: str, gateway: Model
 
 
 def build_context_tree(catalog: SchemaCatalog, params: TreeParams, gateway: ModelGateway,
-                       annotate_relations: bool = False,
-                       workers: int = 1) -> ContextTree:
+                       annotate_relations: bool = False) -> ContextTree:
     """Build the whole per-side tree: per-table subtrees, then clustering.
 
-    Table subtrees are independent and build concurrently on ``workers``
-    threads. The relation calls, one per parent with two or more children,
-    are independent too and go out together; their snippets are kept in
-    parent-id order. A build keeps no state of its own between attempts:
-    to resume an aborted build, rerun it through a gateway with a
-    ``DiskCache``. It sends the same prompts, so every call that finished
-    before the abort is a cache hit.
+    Table subtrees are independent and build concurrently. The relation
+    calls, one per parent with two or more children, are independent too
+    and go out together; their snippets are kept in parent-id order. A
+    build keeps no state of its own between attempts: to resume an aborted
+    build, rerun it through a gateway with a ``DiskCache``. It sends the
+    same prompts, so every call that finished before the abort is a cache
+    hit.
     """
-    subtrees = concurrently([partial(build_table_tree, catalog, t, params, gateway)
-                             for t in catalog.tables], limit=workers)
+    subtrees = gateway.concurrently([partial(build_table_tree, catalog, t, params, gateway)
+                                     for t in catalog.tables])
     tree = cluster_tables(subtrees, params, gateway, catalog.side)
     if annotate_relations:
         parents = [n for n in sorted(tree.nodes) if len(tree.node(n).children) >= 2]
-        per_parent = concurrently([partial(annotate_sibling_relations, tree, n, gateway)
-                                   for n in parents])
+        per_parent = gateway.concurrently([
+            partial(annotate_sibling_relations, tree, n, gateway) for n in parents])
         tree = tree.with_relations([r for snippets in per_parent for r in snippets])
     return tree
 

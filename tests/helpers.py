@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import random
 import re
+import threading
 import zlib
 
 import numpy as np
 
 from construm.catalog import SchemaCatalog, catalog_from_dict
-from construm.gateway import HashEmbeddingBackend, ModelGateway, ScriptedChatBackend
+from construm.gateway import (
+    MAX_IN_FLIGHT,
+    HashEmbeddingBackend,
+    ModelGateway,
+    ScriptedChatBackend,
+)
 
 
 def table_doc(table_id, columns, ordered=True, name=None, description=""):
@@ -178,19 +184,38 @@ def chain_bots(*bots):
 
 
 def make_gateway(responder=None, rules=(), default=None, cache=None, delay=0.0,
-                 embed_backend=None, backend_id="scripted") -> ModelGateway:
+                 embed_backend=None, backend_id="scripted",
+                 max_in_flight=MAX_IN_FLIGHT) -> ModelGateway:
     chat = ScriptedChatBackend(rules=rules, default=default, responder=responder,
                                delay=delay, backend_id=backend_id)
     return ModelGateway(
         chat_backend=chat,
         embed_backend=embed_backend or HashEmbeddingBackend(),
         cache=cache,
+        max_in_flight=max_in_flight,
     )
 
 
 def tree_gateway(extra_bot=None, **kwargs) -> ModelGateway:
     bots = (extra_bot, tree_bot) if extra_bot else (tree_bot,)
     return make_gateway(responder=chain_bots(*bots), **kwargs)
+
+
+class RunningCount:
+    """Counts the threads inside it: ``now`` at present, ``most`` at once."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.now = self.most = 0
+
+    def __enter__(self):
+        with self._lock:
+            self.now += 1
+            self.most = max(self.most, self.now)
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self.now -= 1
 
 
 # -- oracles -------------------------------------------------------------------

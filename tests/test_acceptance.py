@@ -358,11 +358,10 @@ def test_masking_soundness_full_mode_run():
     )
     gw = make_gateway(responder=chain_bots(diff_echo_bot,
                                            first_candidate_decision_bot, tree_bot))
-    gw.enable_prompt_log()
     for s in list(scat.refs())[:5]:
         q = MatchQuery(source=s, shortlist=tuple(shortlist(s, artifacts, 6, gw)))
         run_match(q, PipelineConfig.from_mode("full"), artifacts, gw)
-    prompts = [p for _, p in gw.prompt_log]
+    prompts = [p for _, p in gw.chat_backend.call_log]
     assert len(prompts) >= 5
     assert scan_for_raw_identifiers(raw_source, prompts) == []
     assert scan_for_raw_identifiers(raw_target, prompts) == []

@@ -202,7 +202,7 @@ def test_match_writes_every_trace_and_exits_2_on_failed_queries(tmp_path, capsys
     assert (out_dir / "run_config.json").exists()
 
 
-def test_traces_do_not_depend_on_workers(tmp_path):
+def test_traces_do_not_depend_on_max_in_flight(tmp_path):
     source, target, script, benchspec = bench_setup(tmp_path)
     doc = json.loads(script.read_text())
     doc["delay"] = 0.005  # keeps several queries in flight at once
@@ -212,21 +212,32 @@ def test_traces_do_not_depend_on_workers(tmp_path):
                  "--out", str(bench), "--backend", backend]) == 0
     queries = write_json(tmp_path / "queries.json", [
         {"source": c} for c in ("C1", "C2", "C3", "C4")])
-    for workers in ("1", "4"):
+    for cap in ("1", "16"):
         assert main(["match",
                      "--source-catalog", str(source), "--target-catalog", str(target),
                      "--queries", str(queries), "--mode", "full", "--k", "3",
-                     "--tau", "0.8", "--workers", workers,
-                     "--out", str(tmp_path / f"match{workers}"), "--backend", backend]) == 0
+                     "--tau", "0.8", "--max-in-flight", cap,
+                     "--out", str(tmp_path / f"match{cap}"), "--backend", backend]) == 0
         assert main(["bench", "run", "--benchspec", str(benchspec), "--bench", str(bench),
-                     "--modes", "full,no_tree", "--k", "2", "--workers", workers,
-                     "--out", str(tmp_path / f"bench{workers}"), "--backend", backend]) == 0
+                     "--modes", "full,no_tree", "--k", "2", "--max-in-flight", cap,
+                     "--out", str(tmp_path / f"bench{cap}"), "--backend", backend]) == 0
     for name in ("match", "bench"):
-        serial, pooled = tmp_path / f"{name}1", tmp_path / f"{name}4"
+        serial, pooled = tmp_path / f"{name}1", tmp_path / f"{name}16"
         files = sorted(p.relative_to(serial) for p in (serial / "traces").rglob("q*.json"))
         assert len(files) == 4
+        if name == "bench":
+            files += [Path("report.md"), Path("report.csv")]
         for rel in files:
             assert (serial / rel).read_bytes() == (pooled / rel).read_bytes(), rel
+
+
+def test_nonpositive_max_in_flight_is_user_error(tmp_path, capsys):
+    source, target, script, _ = bench_setup(tmp_path)
+    rc = main(["build-graph", "--catalog", str(target), "--out", str(tmp_path / "g.json"),
+               "--backend", f"scripted:{script}", "--max-in-flight", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "max_in_flight" in err and "Traceback" not in err
 
 
 def test_nonpositive_k_is_user_error(tmp_path, capsys):
@@ -319,12 +330,14 @@ def test_config_file_layering_and_flag_override(tmp_path, capsys):
 
 def test_bad_config_key_rejected(tmp_path, capsys):
     source, target, script, benchspec = bench_setup(tmp_path)
-    config = write_json(tmp_path / "config.json", {"no_such_option": 1})
-    rc = main(["build-graph", "--catalog", str(target), "--out",
-               str(tmp_path / "g.json"), "--backend", f"scripted:{script}",
-               "--config", str(config)])
-    assert rc == 1
-    assert "no_such_option" in capsys.readouterr().err
+    # "workers" was a key until max_in_flight replaced it
+    for key in ("no_such_option", "workers"):
+        config = write_json(tmp_path / "config.json", {key: 1})
+        rc = main(["build-graph", "--catalog", str(target), "--out",
+                   str(tmp_path / "g.json"), "--backend", f"scripted:{script}",
+                   "--config", str(config)])
+        assert rc == 1
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
 
 def test_missing_catalog_file_is_user_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""The package imports no third-party module that pyproject.toml does not declare."""
+"""The package imports no third-party module that pyproject.toml does not declare,
+and only the gateway reaches the standard library's thread-starting APIs."""
 
 import ast
 import re
@@ -30,3 +31,26 @@ def test_third_party_imports_are_exactly_the_declared_dependencies():
     imported = imported_top_level_names(ROOT / "src" / "construm")
     third_party = imported - set(sys.stdlib_module_names) - {"construm"}
     assert third_party == declared == {"numpy"}
+
+
+def thread_starters(path: Path) -> set[str]:
+    """The dotted names in ``path`` that reach an API which starts threads."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    return {n for n in names if n.startswith("concurrent.futures") or n == "threading.Thread"
+            or n.rsplit(".", 1)[-1] == "ThreadPoolExecutor"}
+
+
+def test_only_the_gateway_starts_threads():
+    package = ROOT / "src" / "construm"
+    starters = {p.relative_to(package).as_posix(): thread_starters(p)
+                for p in sorted(package.rglob("*.py"))}
+    assert {name for name, found in starters.items() if found} == {"gateway.py"}

@@ -277,19 +277,20 @@ def test_concurrent_query_traces_equal_serial_and_sum_to_totals():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for workers in (1, 8):
+        for cap in (1, 16):
             # the per-call delay keeps several queries in flight at once
             gw = make_gateway(responder=chain_bots(diff_echo_bot,
-                                                   first_candidate_decision_bot), delay=0.002)
-            outcomes = run_queries(queries, config, artifacts, gw, workers=workers)
+                                                   first_candidate_decision_bot), delay=0.002,
+                              max_in_flight=cap)
+            outcomes = run_queries(queries, config, artifacts, gw)
             assert [error for _, error in outcomes] == [None] * 16
-            traces[workers] = [result.trace for result, _ in outcomes]
+            traces[cap] = [result.trace for result, _ in outcomes]
             total = gw.accounting.snapshot()
-            assert sum(t.llm_calls for t in traces[workers]) == total.llm_calls == 48
-            assert sum(t.total_tokens for t in traces[workers]) == total.total_tokens
+            assert sum(t.llm_calls for t in traces[cap]) == total.llm_calls == 48
+            assert sum(t.total_tokens for t in traces[cap]) == total.total_tokens
     finally:
         sys.setswitchinterval(interval)
-    assert traces[8] == traces[1]
+    assert traces[16] == traces[1]
 
 
 def test_failed_queries_count_their_calls_in_the_report():

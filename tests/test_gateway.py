@@ -2,6 +2,7 @@ import contextvars
 import json
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -10,7 +11,6 @@ import pytest
 
 from construm.gateway import (
     MAX_ATTEMPTS,
-    MAX_CONCURRENT,
     MAX_IN_FLIGHT,
     BackendReply,
     ChatCall,
@@ -25,8 +25,9 @@ from construm.gateway import (
     ScriptedChatBackend,
     TransportError,
     cache_key,
-    concurrently,
 )
+
+from helpers import RunningCount
 
 
 def scripted(rules=(), default=None, delay=0.0, cache=None):
@@ -82,7 +83,7 @@ def test_concurrent_same_prompt_makes_one_backend_call(tmp_path):
         start.wait()
         return gw.complete(ChatCall("decision", "ping"))
 
-    replies = concurrently([ask] * 4)
+    replies = gw.concurrently([ask] * 4)
     assert len(backend.call_log) == 1
     snap = gw.accounting.snapshot()
     assert snap.llm_calls == 1 and snap.cache_hits == 3
@@ -97,7 +98,7 @@ def test_single_flight_holds_under_many_threads(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        concurrently(calls, limit=16)
+        gw.concurrently(calls)
     finally:
         sys.setswitchinterval(interval)
     snap = gw.accounting.snapshot()
@@ -118,37 +119,35 @@ def test_waiters_retry_on_their_own_when_the_leader_fails(tmp_path):
         except ScriptError:
             return "failed"
 
-    assert concurrently([ask] * 4) == ["failed"] * 4
+    assert gw.concurrently([ask] * 4) == ["failed"] * 4
     assert len(backend.call_log) == 4  # each waiter made its own attempt
     assert gw.accounting.snapshot().cache_hits == 0
     assert list(tmp_path.glob("*.json")) == []
 
 
 def test_fan_out_caps_items_in_flight_and_keeps_order():
+    cap = 4
+    gw = ModelGateway(max_in_flight=cap)
     threads_before = threading.active_count()
-    lock = threading.Lock()
-    in_flight, most = [0], [0]
-    # the first two rounds of MAX_CONCURRENT items can only pass the barrier together
-    rounds = threading.Barrier(MAX_CONCURRENT, timeout=5)
+    running = RunningCount()
+    # the pool's threads and the caller: the first two rounds pass the barrier together
+    rounds = threading.Barrier(cap + 1, timeout=5)
 
     def item(i):
-        with lock:
-            in_flight[0] += 1
-            most[0] = max(most[0], in_flight[0])
-        if i < 2 * MAX_CONCURRENT:
-            rounds.wait()
-        with lock:
-            in_flight[0] -= 1
+        with running:
+            if i < 2 * (cap + 1):
+                rounds.wait()
         return i
 
-    assert concurrently([lambda i=i: item(i) for i in range(20)]) == list(range(20))
-    assert most[0] == MAX_CONCURRENT
-    assert threading.active_count() == threads_before
+    assert gw.concurrently([partial(item, i) for i in range(20)]) == list(range(20))
+    assert running.most == cap + 1 and running.now == 0
+    assert threading.active_count() <= threads_before + cap
 
 
 def test_nested_fan_outs_share_the_gateways_backend_cap():
     threads_before = threading.active_count()
-    total = 5 * MAX_CONCURRENT  # five fan-outs of MAX_CONCURRENT calls, started at once
+    total, width = 40, 8  # five fan-outs of eight calls, nested in a sixth
+    threads = MAX_IN_FLIGHT + 1  # the pool's and the caller's
     state = threading.Condition()
     started, in_flight, most = [0], [0], [0]
 
@@ -159,8 +158,8 @@ def test_nested_fan_outs_share_the_gateways_backend_cap():
             with state:
                 in_flight[0] += 1
                 most[0] = max(most[0], in_flight[0])
-                # hold every call until all of them have been sent
-                assert state.wait_for(lambda: started[0] == total, timeout=5)
+                # hold the first calls until every thread has sent one
+                assert state.wait_for(lambda: started[0] >= threads, timeout=5)
                 in_flight[0] -= 1
             return BackendReply(text=call.prompt, prompt_tokens=1, completion_tokens=1)
 
@@ -172,17 +171,34 @@ def test_nested_fan_outs_share_the_gateways_backend_cap():
             state.notify_all()
         return gw.complete(ChatCall("tree_summary", str(i))).text
 
-    replies = concurrently([
-        partial(concurrently, [partial(ask, o * MAX_CONCURRENT + i)
-                               for i in range(MAX_CONCURRENT)])
-        for o in range(total // MAX_CONCURRENT)
-    ], limit=total // MAX_CONCURRENT)
+    replies = gw.concurrently([
+        partial(gw.concurrently, [partial(ask, o * width + i) for i in range(width)])
+        for o in range(total // width)
+    ])
     assert [r for rs in replies for r in rs] == [str(i) for i in range(total)]
-    assert most[0] == MAX_IN_FLIGHT
-    assert threading.active_count() == threads_before
+    assert most[0] == MAX_IN_FLIGHT and in_flight[0] == 0
+    assert threading.active_count() <= threads_before + MAX_IN_FLIGHT
+
+
+def test_nested_fan_outs_finish_on_a_pool_of_one():
+    gw = ModelGateway(max_in_flight=1)
+
+    def level(path):
+        if len(path) == 3:
+            time.sleep(0.001)  # lets the pool thread claim a share
+            return path
+        return gw.concurrently([partial(level, path + (i,)) for i in range(3)])
+
+    out = []
+    runner = threading.Thread(target=lambda: out.append(level(())), daemon=True)
+    runner.start()
+    runner.join(timeout=10)
+    assert not runner.is_alive()  # a waiting caller ran its own unstarted thunks
+    assert out == [[[[(a, b, c) for c in range(3)] for b in range(3)] for a in range(3)]]
 
 
 def test_fan_out_raises_after_started_items_finish():
+    gw = ModelGateway()
     raised = threading.Event()
     finished = []
 
@@ -195,11 +211,34 @@ def test_fan_out_raises_after_started_items_finish():
         raise ValueError("boom")
 
     with pytest.raises(ValueError, match="boom"):
-        concurrently([slow, failing])
+        gw.concurrently([slow, failing])
     assert finished == ["slow"]
 
 
+def test_no_thunk_starts_after_one_raises():
+    # a pool of one: the first two thunks run on the pool thread and the
+    # caller, so the others could only start after the failure
+    gw = ModelGateway(max_in_flight=1)
+    raised = threading.Event()
+    started = []
+
+    def waits():
+        started.append("waits")
+        assert raised.wait(timeout=5)
+
+    def failing():
+        started.append("failing")
+        raised.set()
+        raise ValueError("boom")
+
+    with pytest.raises(ValueError, match="boom"):
+        gw.concurrently([waits, failing] + [partial(started.append, i) for i in range(5)])
+    assert sorted(started) == ["failing", "waits"]
+
+
 def test_fan_out_raises_the_first_error_in_submission_order():
+    gw = ModelGateway()
+
     def fail(name):
         def thunk():
             raise ValueError(name)
@@ -207,13 +246,13 @@ def test_fan_out_raises_the_first_error_in_submission_order():
 
     for _ in range(20):
         with pytest.raises(ValueError, match="first"):
-            concurrently([fail("first"), fail("second"), fail("third")])
+            gw.concurrently([fail("first"), fail("second"), fail("third")])
 
 
 def test_fan_out_items_book_into_the_callers_meter():
     _, gw = scripted(rules=[ScriptRule("ping", "pong")])
     with gw.metered() as meter:
-        concurrently([lambda: gw.complete(ChatCall("decision", "ping"))] * 3)
+        gw.concurrently([lambda: gw.complete(ChatCall("decision", "ping"))] * 3)
     assert meter.snapshot().llm_calls == 3
     assert gw.accounting.snapshot().llm_calls == 3
 
@@ -343,11 +382,3 @@ def test_hash_embedder_overlap_monotone():
     cos_near = float(np.dot(full.values, near.values))
     cos_far = float(np.dot(full.values, far.values))
     assert cos_near > 0.85 > cos_far
-
-
-def test_prompt_log_records_all_prompts(tmp_path):
-    _, gw = scripted(rules=[ScriptRule("", "ok")], cache=DiskCache(tmp_path))
-    gw.enable_prompt_log()
-    gw.complete(ChatCall("decision", "first"))
-    gw.complete(ChatCall("decision", "first"))  # cached, still logged
-    assert gw.prompt_log == [("decision", "first"), ("decision", "first")]

@@ -466,11 +466,10 @@ def test_masked_full_run_produces_no_raw_identifiers():
         target_graph=build_hypergraph(tcat, gw_build, tau=0.8),
     )
     gw = hash_gw(responder=chain_bots(diff_echo_bot, first_candidate_decision_bot, tree_bot))
-    gw.enable_prompt_log()
     s = next(scat.refs())
     q = MatchQuery(source=s, shortlist=tuple(shortlist(s, artifacts, 5, gw)))
     run_match(q, PipelineConfig.from_mode("full"), artifacts, gw)
-    prompts = [p for _, p in gw.prompt_log]
+    prompts = [p for _, p in gw.chat_backend.call_log]
     assert prompts
     assert scan_for_raw_identifiers(raw_s, prompts) == []
     assert scan_for_raw_identifiers(raw_t, prompts) == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from construm.catalog import Side
-from construm.gateway import MAX_CONCURRENT, DiskCache, TransportError
+from construm.gateway import MAX_IN_FLIGHT, DiskCache, TransportError
 from construm.tree import (
     ContextTree,
     GroupingPlan,
@@ -36,6 +36,7 @@ from construm.tree import (
 )
 from helpers import (
     PositionalEmbeddingBackend,
+    RunningCount,
     build_catalog,
     chain_bots,
     greedy_merge_oracle,
@@ -624,9 +625,37 @@ def test_table_ids_with_separator_characters():
 
 def test_concurrent_build_matches_serial():
     cat = multi_table_catalog([60, 60, 60, 60], seed=3)
-    serial = build_context_tree(cat, PARAMS, tree_gateway(), workers=1)
-    parallel = build_context_tree(cat, PARAMS, tree_gateway(), workers=4)
+    serial = build_context_tree(cat, PARAMS, tree_gateway(max_in_flight=1))
+    parallel = build_context_tree(cat, PARAMS, tree_gateway(max_in_flight=MAX_IN_FLIGHT))
     assert tree_to_dict(serial) == tree_to_dict(parallel)
+
+
+def test_build_never_runs_more_pool_threads_than_max_in_flight():
+    cat = multi_table_catalog([60, 60, 60, 60], seed=3)
+    cap = 3
+    before = threading.active_count()
+    seen, most, built = set(), [0], threading.Event()
+
+    def sample():
+        while not built.wait(0.0005):
+            most[0] = max(most[0], threading.active_count())
+
+    def who(prompt):
+        seen.add(threading.get_ident())
+        return "A -> B: A feeds B" if "TASK: sibling-relations" in prompt else None
+
+    sampler = threading.Thread(target=sample)
+    sampler.start()
+    try:
+        tree = build_context_tree(cat, PARAMS, tree_gateway(who, delay=0.001, max_in_flight=cap),
+                                  annotate_relations=True)
+    finally:
+        built.set()
+        sampler.join(timeout=10)
+    assert not sampler.is_alive()
+    assert tree.relations
+    assert 1 < len(seen) <= cap + 1  # the pool's threads and the caller sent the calls
+    assert most[0] <= before + 1 + cap  # the sampler itself is one thread
 
 
 def test_relations_completing_in_reverse_order_give_the_same_tree():
@@ -641,7 +670,7 @@ def test_relations_completing_in_reverse_order_give_the_same_tree():
     reference = build_context_tree(cat, PARAMS, tree_gateway(relations),
                                    annotate_relations=True)
     parents = sorted(n.node_id for n in reference.nodes.values() if len(n.children) >= 2)
-    assert 2 <= len(parents) <= MAX_CONCURRENT
+    assert 2 <= len(parents) <= MAX_IN_FLIGHT  # every relation call in flight at once
     assert [r.relation_text.rsplit(" ", 1)[1] for r in reference.relations] == parents
     done = {p: threading.Event() for p in parents}
     completed = []
@@ -936,49 +965,60 @@ def test_first_failure_in_submission_order_is_raised_and_threads_end():
     cat = ordered_catalog(600)
     threads = threading.active_count()
     window2_failed = threading.Event()
+    running, started, late = RunningCount(), set(), []
 
     def windows(prompt):
         if "TASK: window-summary" in prompt:
-            if prompt_span(prompt) == "500..599":
-                window2_failed.set()
-                raise TransportError("window 2 down")
-            if prompt_span(prompt) == "250..499":
-                assert window2_failed.wait(timeout=10)
-                raise TransportError("window 1 down")
+            if window2_failed.is_set() and prompt_span(prompt) not in started:
+                late.append(prompt_span(prompt))  # a retry is not a start
+            started.add(prompt_span(prompt))
+            with running:
+                if prompt_span(prompt) == "500..599":
+                    window2_failed.set()
+                    raise TransportError("window 2 down")
+                if prompt_span(prompt) == "250..499":
+                    assert window2_failed.wait(timeout=10)
+                    raise TransportError("window 1 down")
         return None
 
     with pytest.raises(TreeError, match=r"window 1 \(250\.\.499\) summary failed: "
                                         r"window 1 down"):
         build_table_tree(cat, cat.tables[0], PARAMS, tree_gateway(windows))
-    assert threading.active_count() == threads
+    assert running.now == 0 and late == []
+    assert threading.active_count() <= threads + MAX_IN_FLIGHT
 
     cat = ordered_catalog(150)
     plan = span_plan_bot({(0, 149): [(0, 49), (50, 99), (100, 149)]})
     leaf2_failed = threading.Event()
+    running, started, late = RunningCount(), set(), []
 
     def leaves(prompt):
         if "TASK: leaf-summary" in prompt:
-            if prompt_span(prompt) == "100..149":
-                leaf2_failed.set()
-                raise TransportError("leaf 2 down")
-            if prompt_span(prompt) == "50..99":
-                assert leaf2_failed.wait(timeout=10)
-                raise TransportError("leaf 1 down")
+            if leaf2_failed.is_set() and prompt_span(prompt) not in started:
+                late.append(prompt_span(prompt))
+            started.add(prompt_span(prompt))
+            with running:
+                if prompt_span(prompt) == "100..149":
+                    leaf2_failed.set()
+                    raise TransportError("leaf 2 down")
+                if prompt_span(prompt) == "50..99":
+                    assert leaf2_failed.wait(timeout=10)
+                    raise TransportError("leaf 1 down")
         return None
 
     with pytest.raises(TransportError, match="leaf 1 down"):
         build_table_tree(cat, cat.tables[0], PARAMS, tree_gateway(chain_bots(leaves, plan)))
-    assert threading.active_count() == threads
+    assert running.now == 0 and late == []
+    assert threading.active_count() <= threads + MAX_IN_FLIGHT
 
 
 def test_stage4_prompt_shows_moves_applied_earlier_in_the_scan():
     cat = ordered_catalog(600, seed=1)
     plan = plan_for(cat, [(0, 149), (150, 299), (300, 449), (450, 599)])
     gw = make_gateway(responder=chain_bots(move_bot(["MOVE 150 -> 140", "KEEP"]), tree_bot))
-    gw.enable_prompt_log()
     out = stage4_refine_boundaries(cat, cat.tables[0], plan, PARAMS, gw)
     assert spans_of(out) == [(0, 139), (140, 299), (300, 449), (450, 599)]
-    checks = [p for _, p in gw.prompt_log if "TASK: boundary-check" in p]
+    checks = [p for _, p in gw.chat_backend.call_log if "TASK: boundary-check" in p]
     assert "GROUPS:\n[0..149]=g0\n[150..299]=g1\n" in checks[0]
     assert "WINDOW: 250..499" in checks[1]
     assert "BOUNDARIES: 300, 450" in checks[1]
