@@ -232,7 +232,7 @@ def catalog_from_dict(doc, side, origin: str = "<dict>") -> SchemaCatalog:
                 cid=f"C{cid_counter}",
             ))
         tables.append(TableMeta(table_id, name, description, ordered, tuple(refs)))
-    return SchemaCatalog(side, tables, metas, masked=bool(doc.get("masked", False)))
+    return SchemaCatalog(side, tables, metas)
 
 
 # -- masking ---------------------------------------------------------------

@@ -34,12 +34,7 @@ from construm.gateway import (
     ModelGateway,
     ScriptedChatBackend,
 )
-from construm.pipeline import (
-    MODES,
-    Artifacts,
-    MatchResult,
-    PipelineConfig,
-)
+from construm.pipeline import MODES, Artifacts, PipelineConfig
 
 
 class UsageError(Exception):
@@ -54,15 +49,9 @@ DEFAULTS = {
     "decoding": {},
     "embed_dim": 64,
     "embed_seed": 0,
-    "window": 250,
-    "leaf_budget": 50,
-    "min_group": 10,
-    "fan_out": 5,
-    "switch_budget": 2,
-    "delta": 0.5,
-    "sample_count": 20,
+    **asdict(tree_mod.TreeParams()),
     "relations": False,
-    "tau": 0.90,
+    "tau": graph_mod.DEFAULT_TAU,
     **asdict(PipelineConfig()),
     "mask_source": False,
     "mask_target": False,
@@ -140,11 +129,7 @@ def _load_catalog(path, side, mask: bool) -> SchemaCatalog:
 
 def tree_params(cfg: dict) -> tree_mod.TreeParams:
     try:
-        return tree_mod.TreeParams(
-            window=cfg["window"], leaf_budget=cfg["leaf_budget"], min_group=cfg["min_group"],
-            fan_out=cfg["fan_out"], switch_budget=cfg["switch_budget"],
-            cluster_threshold=cfg["delta"], sample_count=cfg["sample_count"],
-        )
+        return tree_mod.TreeParams(**{f.name: cfg[f.name] for f in fields(tree_mod.TreeParams)})
     except tree_mod.TreeError as exc:
         raise UsageError(f"invalid tree settings: {exc}") from exc
 
@@ -234,40 +219,32 @@ def _build_artifacts(cfg: dict, source_catalog: SchemaCatalog,
                      source_graph, target_graph)
 
 
-def _trace_row(result: MatchResult, artifacts: Artifacts) -> dict:
-    scat, tcat = artifacts.source_catalog, artifacts.target_catalog
-    query = result.query
-    truth_cid = tcat.meta(query.ground_truth).cid if query.ground_truth else None
-    return {
-        "source": scat.meta(query.source).cid,
-        "truth": truth_cid,
-        "chosen": tcat.meta(result.chosen).cid,
-        "ranked": [tcat.meta(r).cid for r in result.ranked],
-        "correct": (result.chosen == query.ground_truth) if query.ground_truth else None,
-        "mode": result.trace.mode,
-        "llm_calls": result.trace.llm_calls,
-        "total_tokens": result.trace.total_tokens,
-        "latency": result.trace.latency,
-        "cache_hits": result.trace.cache_hits,
-        "prompt_snapshot": result.trace.prompt_snapshot,
-    }
-
-
-def _failure_row(q: MatchQuery, failure: ev.QueryFailure, artifacts: Artifacts) -> dict:
-    spent = failure.spent
-    return {"source": artifacts.source_catalog.meta(q.source).cid, "error": failure.message,
-            "llm_calls": spent.llm_calls, "total_tokens": spent.total_tokens,
-            "latency": spent.latency, "cache_hits": spent.cache_hits}
+TRACE_COUNTERS = ("llm_calls", "total_tokens", "latency", "cache_hits")
 
 
 def _write_traces(traces_dir: Path, queries, outcomes, artifacts: Artifacts) -> list[dict]:
-    """One ``q<NNNN>.json`` per query; a failed query's row is its error
-    and the calls it made before failing."""
+    """One ``q<NNNN>.json`` per query: its choice, or the error that stopped
+    it, and the calls it spent either way."""
+    scat, tcat = artifacts.source_catalog, artifacts.target_catalog
     traces_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for i, (q, (result, error)) in enumerate(zip(queries, outcomes)):
-        row = (_trace_row(result, artifacts) if result is not None else
-               _failure_row(q, error, artifacts))
+    for i, (q, (result, failure)) in enumerate(zip(queries, outcomes)):
+        row = {"source": scat.meta(q.source).cid}
+        if result is None:
+            row["error"] = failure.message
+            spent = failure.spent
+        else:
+            truth = q.ground_truth
+            row.update({
+                "truth": tcat.meta(truth).cid if truth else None,
+                "chosen": tcat.meta(result.chosen).cid,
+                "ranked": [tcat.meta(r).cid for r in result.ranked],
+                "correct": result.chosen == truth if truth else None,
+                "mode": result.trace.mode,
+                "prompt_snapshot": result.trace.prompt_snapshot,
+            })
+            spent = result.trace.spent
+        row.update({name: getattr(spent, name) for name in TRACE_COUNTERS})
         (traces_dir / f"q{i:04d}.json").write_text(json.dumps(row, sort_keys=True),
                                                    encoding="utf-8")
         rows.append(row)
@@ -371,35 +348,29 @@ def cmd_bench_run(args) -> int:
     base = pipeline_config({**cfg, "mode": modes[0]})
     suite = ev.run_ablation_suite(queries, modes, artifacts, gateway, base_config=base,
                                   slice_name=args.slice)
-    reports = {args.slice: {m: suite[m][0] for m in modes}}
+    reports = {args.slice: {mode: report for mode, (report, _) in suite.items()}}
     (out_dir / "report.md").write_text(ev.render_report(reports, "markdown"),
                                        encoding="utf-8")
     (out_dir / "report.csv").write_text(ev.render_report(reports, "csv"),
                                         encoding="utf-8")
-    for mode in modes:
-        report, results = suite[mode]
-        _write_traces(out_dir / "traces" / mode, queries,
-                      zip(results, (row.error for row in report.rows)), artifacts)
+    for mode, (_, outcomes) in suite.items():
+        _write_traces(out_dir / "traces" / mode, queries, outcomes, artifacts)
     write_run_config(cfg, out_dir)
     print(ev.render_report(reports, "markdown"))
     return 0
 
 
 def cmd_report(args) -> int:
+    # one run keeps its own slices; several runs are one slice each, by directory
     reports: dict[str, dict[str, ev.EvalReport]] = {}
     for run_dir in args.runs:
         csv_path = Path(run_dir) / "report.csv"
         if not csv_path.exists():
             raise UsageError(f"no report.csv under {run_dir}")
-        for row in ev.parse_report_csv(csv_path.read_text(encoding="utf-8")):
-            slice_name = row["slice"] if len(args.runs) == 1 else Path(run_dir).name
-            reports.setdefault(slice_name, {})[row["mode"]] = ev.EvalReport(
-                slice_name=slice_name, n=row["n"], acc1=row["acc1"],
-                acc3=row["acc3"], acc5=row["acc5"],
-                mean_llm_calls=row["llm_calls_per_query"],
-                mean_tokens=row["tokens_per_query"],
-                mean_latency=row["latency_s"],
-            )
+        grid = ev.parse_report_csv(csv_path.read_text(encoding="utf-8"))
+        for slice_name, by_mode in grid.items():
+            name = slice_name if len(args.runs) == 1 else Path(run_dir).name
+            reports.setdefault(name, {}).update(by_mode)
     print(ev.render_report(reports, args.format))
     return 0
 
@@ -429,7 +400,8 @@ def _add_tree_flags(p: argparse.ArgumentParser):
                    help="minimum split-group size (m)")
     p.add_argument("--switch-budget", dest="switch_budget", type=int,
                    help="boundary moves per refinement pass (s)")
-    p.add_argument("--delta", type=float, help="table-cluster merge cutoff (cosine distance)")
+    p.add_argument("--delta", dest="cluster_threshold", type=float,
+                   help="table-cluster merge cutoff (cosine distance)")
     p.add_argument("--relations", action="store_const", const=True, default=None,
                    help="annotate sibling relation snippets")
 

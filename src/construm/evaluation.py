@@ -5,7 +5,8 @@ semantically similar source columns that sit far apart in the ordered
 sequence (so neighborhood cues, not adjacency, must disambiguate them),
 keeps only pair members with a verified target match, and emits queries
 sorted by position. Evaluation scores Top-k accuracy over each result's
-ranked candidate list and averages the efficiency counters from traces.
+ranked candidate list and averages the calls, tokens and latency each
+query spent, failed queries included.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -138,14 +139,7 @@ class QueryFailure:
     spent: AccountingSnapshot
 
 
-@dataclass
-class QueryRow:
-    source_cid: str
-    truth_cid: str
-    chosen_cid: str | None
-    truth_rank: int | None  # 1-based rank of the truth in the ranked list
-    correct: bool
-    error: QueryFailure | str | None = None
+Outcome = tuple[MatchResult | None, QueryFailure | None]
 
 
 @dataclass
@@ -158,64 +152,41 @@ class EvalReport:
     mean_llm_calls: float
     mean_tokens: float
     mean_latency: float
-    rows: list[QueryRow] = field(default_factory=list)
 
 
-def evaluate(queries: Sequence[MatchQuery], results: Sequence[MatchResult | None],
-             source_catalog: SchemaCatalog, target_catalog: SchemaCatalog,
-             slice_name: str = "all",
-             errors: Mapping[int, QueryFailure | str] | None = None) -> EvalReport:
+def evaluate(queries: Sequence[MatchQuery], outcomes: Sequence[Outcome],
+             slice_name: str = "all") -> EvalReport:
     """Score one slice: accuracy@{1,3,5} plus mean efficiency counters.
 
-    ``results[i]`` answers ``queries[i]``; a None result must come with an
-    entry in ``errors`` and scores as incorrect. The efficiency means count
-    the calls a ``QueryFailure`` made before it failed.
+    ``outcomes[i]`` is ``run_queries``' pair for ``queries[i]``. A failed
+    query scores as incorrect, and the efficiency means count the calls it
+    made before it failed.
     """
-    if len(queries) != len(results):
+    if len(queries) != len(outcomes):
         raise BenchmarkError(
-            f"need one result per query: {len(queries)} queries, {len(results)} results"
+            f"need one outcome per query: {len(queries)} queries, {len(outcomes)} outcomes"
         )
-    errors = errors or {}
-    rows: list[QueryRow] = []
     hits = {1: 0, 3: 0, 5: 0}
-    calls = tokens = 0.0
-    latency = 0.0
-    for i, (q, r) in enumerate(zip(queries, results)):
+    spent: list[AccountingSnapshot] = []
+    for i, (q, (result, failure)) in enumerate(zip(queries, outcomes)):
         if q.ground_truth is None:
             raise BenchmarkError(f"query {i} has no ground truth")
-        truth_cid = target_catalog.meta(q.ground_truth).cid
-        source_cid = source_catalog.meta(q.source).cid
-        if r is None:
-            failure = errors.get(i, "missing result")
-            rows.append(QueryRow(source_cid, truth_cid, None, None, False, error=failure))
-            if isinstance(failure, QueryFailure):
-                calls += failure.spent.llm_calls
-                tokens += failure.spent.total_tokens
-                latency += failure.spent.latency
-            continue
-        rank = None
-        if q.ground_truth in r.ranked:
-            rank = r.ranked.index(q.ground_truth) + 1
-        for k in hits:
-            if rank is not None and rank <= k:
-                hits[k] += 1
-        rows.append(QueryRow(
-            source_cid, truth_cid, target_catalog.meta(r.chosen).cid,
-            rank, r.chosen == q.ground_truth,
-        ))
-        calls += r.trace.llm_calls
-        tokens += r.trace.total_tokens
-        latency += r.trace.latency
+        spent.append(failure.spent if result is None else result.trace.spent)
+        if result is not None and q.ground_truth in result.ranked:
+            rank = result.ranked.index(q.ground_truth) + 1
+            for k in hits:
+                hits[k] += rank <= k
     n = len(queries)
+
+    def mean(total) -> float:
+        return total / n if n else 0.0
+
     return EvalReport(
         slice_name=slice_name, n=n,
-        acc1=hits[1] / n if n else 0.0,
-        acc3=hits[3] / n if n else 0.0,
-        acc5=hits[5] / n if n else 0.0,
-        mean_llm_calls=calls / n if n else 0.0,
-        mean_tokens=tokens / n if n else 0.0,
-        mean_latency=latency / n if n else 0.0,
-        rows=rows,
+        acc1=mean(hits[1]), acc3=mean(hits[3]), acc5=mean(hits[5]),
+        mean_llm_calls=mean(sum(s.llm_calls for s in spent)),
+        mean_tokens=mean(sum(s.total_tokens for s in spent)),
+        mean_latency=mean(sum(s.latency for s in spent)),
     )
 
 
@@ -245,7 +216,7 @@ def weighted_total(reports: Sequence[EvalReport], slice_name: str = "Total") -> 
 
 
 def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig, artifacts: Artifacts,
-                gateway: ModelGateway) -> list[tuple[MatchResult | None, QueryFailure | None]]:
+                gateway: ModelGateway) -> list[Outcome]:
     """Run every query; one (result, failure) pair per query, in query order.
 
     Queries without a shortlist get one from embedding retrieval (size
@@ -253,7 +224,7 @@ def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig, artifacts
     keeps the calls it made, and the run continues. Queries run
     concurrently on the gateway; each trace counts only its own query's calls.
     """
-    def run_one(i: int) -> tuple[MatchResult | None, QueryFailure | None]:
+    def run_one(i: int) -> Outcome:
         q = queries[i]
         try:
             if not q.shortlist:
@@ -271,22 +242,18 @@ def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig, artifacts
 def run_ablation_suite(queries: Sequence[MatchQuery], modes: Sequence[str],
                        artifacts: Artifacts, gateway: ModelGateway,
                        base_config: PipelineConfig | None = None, slice_name: str = "all",
-                       ) -> dict[str, tuple[EvalReport, list[MatchResult | None]]]:
+                       ) -> dict[str, tuple[EvalReport, list[Outcome]]]:
     """Run every mode over the identical query list and score each.
 
     Every mode runs with ``base_config``'s other fields, through
-    ``run_queries``. A failed query is recorded on its row (scored
-    incorrect) and the run continues.
+    ``run_queries``, and keeps its outcomes beside its report. A failed
+    query scores as incorrect and the run continues.
     """
-    out: dict[str, tuple[EvalReport, list[MatchResult | None]]] = {}
+    out: dict[str, tuple[EvalReport, list[Outcome]]] = {}
     for mode in modes:
         cfg = replace(base_config or PipelineConfig(), mode=mode)
         outcomes = run_queries(queries, cfg, artifacts, gateway)
-        results = [result for result, _ in outcomes]
-        errors = {i: error for i, (_, error) in enumerate(outcomes) if error is not None}
-        report = evaluate(queries, results, artifacts.source_catalog,
-                          artifacts.target_catalog, slice_name, errors)
-        out[mode] = (report, results)
+        out[mode] = (evaluate(queries, outcomes, slice_name), outcomes)
     return out
 
 
@@ -364,22 +331,10 @@ def render_report(reports: Mapping[str, Mapping[str, EvalReport]],
     return "\n".join(lines) + "\n"
 
 
-def parse_report_csv(text: str) -> list[dict]:
-    """Inverse of the CSV rendering (used for round-trip checks and the
-
-    report command)."""
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for row in reader:
-        rows.append({
-            "slice": row["slice"],
-            "mode": row["mode"],
-            "n": int(row["n"]),
-            "acc1": float(row["acc1"]),
-            "acc3": float(row["acc3"]),
-            "acc5": float(row["acc5"]),
-            "llm_calls_per_query": float(row["llm_calls_per_query"]),
-            "tokens_per_query": float(row["tokens_per_query"]),
-            "latency_s": float(row["latency_s"]),
-        })
-    return rows
+def parse_report_csv(text: str) -> dict[str, dict[str, EvalReport]]:
+    """Inverse of the CSV rendering: the {slice: {mode: report}} grid."""
+    grid: dict[str, dict[str, EvalReport]] = {}
+    for row in csv.DictReader(io.StringIO(text)):
+        grid.setdefault(row["slice"], {})[row["mode"]] = EvalReport(
+            row["slice"], int(row["n"]), *(float(row[f]) for f in CSV_FIELDS[3:]))
+    return grid

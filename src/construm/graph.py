@@ -145,18 +145,16 @@ def extract_groups(links: Iterable[SimilarityLink],
 
 
 def expand_candidates(c0: Sequence[ColumnRef], hypergraph: Hypergraph,
-                      tau: float | None = None, cap_total: int = 5,
-                      cap_strong: int = 3) -> list[ColumnRef]:
+                      cap_total: int = 5, cap_strong: int = 3) -> list[ColumnRef]:
     """Grow a shortlist with near-duplicate neighbors of its strong head.
 
     The first ``cap_strong`` shortlist members are the strong candidates;
-    columns with cosine >= tau to any of them join the candidate set,
-    highest cosine first, up to ``cap_total`` additions. Shortlist order
-    is preserved and additions are appended.
+    columns with cosine >= the graph's tau to any of them join the
+    candidate set, highest cosine first, up to ``cap_total`` additions.
+    Shortlist order is preserved and additions are appended.
     """
     if not c0:
         raise ValueError("empty shortlist")
-    tau = hypergraph.tau if tau is None else tau
     strong = list(c0)[:cap_strong]
     in_c0 = set(c0)
     best: dict[ColumnRef, float] = {}
@@ -167,7 +165,7 @@ def expand_candidates(c0: Sequence[ColumnRef], hypergraph: Hypergraph,
             if ref in in_c0:
                 continue
             cos = float(cos)
-            if cos >= tau and cos > best.get(ref, -2.0):
+            if cos >= hypergraph.tau and cos > best.get(ref, -2.0):
                 best[ref] = cos
     ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0].sort_key))
     return list(c0) + [ref for ref, _ in ranked[:cap_total]]
@@ -188,18 +186,15 @@ def groups_within(candidates: Sequence[ColumnRef], hypergraph: Hypergraph) -> li
     return extract_groups(links, order)
 
 
-def source_confusable_set(s: ColumnRef, hypergraph: Hypergraph,
-                          restrict_to_table: bool = True) -> SimilarityGroup:
+def source_confusable_set(s: ColumnRef, hypergraph: Hypergraph) -> SimilarityGroup:
     """The confusable set around a query column on its own side.
 
-    The stored component containing ``s``, optionally intersected with
-    ``s``'s table to avoid cross-table noise; always contains ``s``.
+    The stored component containing ``s``, intersected with ``s``'s table
+    to avoid cross-table noise; always contains ``s``.
     """
     group = hypergraph.group_of(s)
-    if restrict_to_table:
-        members = frozenset(r for r in group.members if r.table_id == s.table_id) | {s}
-        group = SimilarityGroup(members, group.side)
-    return group
+    members = frozenset(r for r in group.members if r.table_id == s.table_id) | {s}
+    return SimilarityGroup(members, group.side)
 
 
 # -- persistence -------------------------------------------------------------

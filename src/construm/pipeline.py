@@ -36,7 +36,7 @@ from construm.diff import (
     render_source_diff,
     select_groups,
 )
-from construm.gateway import ChatCall, GatewayError, ModelGateway
+from construm.gateway import AccountingSnapshot, ChatCall, GatewayError, ModelGateway
 from construm.graph import (
     Hypergraph,
     SimilarityGroup,
@@ -110,10 +110,7 @@ class PipelineConfig:
 
 @dataclass
 class MatchTrace:
-    llm_calls: int = 0
-    total_tokens: int = 0
-    latency: float = 0.0
-    cache_hits: int = 0
+    spent: AccountingSnapshot = AccountingSnapshot()  # the query's own calls
     prompt_snapshot: str = ""
     mode: str = "full"
 
@@ -247,9 +244,9 @@ def run_match(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     beside the candidate-side blocks, which go one after another, then a
     single decision call (none in ``embed_top1``).
     Returns the chosen candidate, the ranked candidate list (chosen first),
-    and a trace that counts the gateway calls this query made, and only
-    those, even while other queries share the gateway. An exception raised
-    on the way carries those counts as its ``spent`` snapshot.
+    and a trace whose ``spent`` snapshot counts the gateway calls this
+    query made, and only those, even while other queries share the gateway.
+    An exception raised on the way carries that snapshot as its ``spent``.
     """
     if not query.shortlist:
         raise PipelineError("query has an empty shortlist")
@@ -264,11 +261,8 @@ def run_match(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
         except Exception as exc:
             exc.spent = meter.snapshot()  # so the failed query's calls stay counted
             raise
-    spent = meter.snapshot()
-    trace = MatchTrace(llm_calls=spent.llm_calls, total_tokens=spent.total_tokens,
-                       latency=spent.latency, cache_hits=spent.cache_hits,
-                       prompt_snapshot=prompt, mode=config.mode)
-    return MatchResult(query, chosen, tuple(ranked), trace)
+    return MatchResult(query, chosen, tuple(ranked),
+                       MatchTrace(meter.snapshot(), prompt, config.mode))
 
 
 def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,

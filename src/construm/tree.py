@@ -82,11 +82,11 @@ class TreeParams:
             raise TreeError("switch_budget must be >= 0 and sample_count >= 2")
 
 
-@dataclass(frozen=True)
-class RelationCaps:
-    per_column: int = 2     # snippets incident to any one sibling node
-    per_leaf_min: int = 6   # requested lower bound (prompt hint, not enforced)
-    per_leaf_max: int = 18  # hard cap on snippets kept per parent
+RELATIONS_PER_NODE = 2     # snippets incident to any one sibling node
+RELATIONS_ASKED_MIN = 6    # requested lower bound (prompt hint, not enforced)
+RELATIONS_PER_PARENT = 18  # hard cap on snippets kept per parent
+RELATION_TIMEOUT = 75.0
+PACK_RELATIONS = 3         # relation snippets one context pack holds at most
 
 
 @dataclass
@@ -104,7 +104,6 @@ class RelationSnippet:
     from_node: str
     to_node: str
     relation_text: str
-    directed: bool = True
 
 
 class ContextTree:
@@ -800,15 +799,14 @@ def _alias(i: int) -> str:
 _RELATION_RE = re.compile(r"^\s*([A-Z]+)\s*->\s*([A-Z]+)\s*:\s*(.+?)\s*$", re.MULTILINE)
 
 
-def annotate_sibling_relations(tree: ContextTree, parent_id: str, gateway: ModelGateway,
-                               caps: RelationCaps = RelationCaps(),
-                               timeout: float = 75.0) -> list[RelationSnippet]:
+def annotate_sibling_relations(tree: ContextTree, parent_id: str,
+                               gateway: ModelGateway) -> list[RelationSnippet]:
     """Ask for directed 1-2 sentence relations between a node's children.
 
     Replies use alias arrows (``A -> B: text``). Proposals naming unknown
     aliases are dropped and logged; survivors are capped in reply order at
-    ``per_column`` incident snippets per sibling and ``per_leaf_max``
-    total.
+    ``RELATIONS_PER_NODE`` incident snippets per sibling and
+    ``RELATIONS_PER_PARENT`` total.
     """
     parent = tree.node(parent_id)
     if len(parent.children) < 2:
@@ -821,11 +819,11 @@ def annotate_sibling_relations(tree: ContextTree, parent_id: str, gateway: Model
         f"TASK: sibling-relations\n"
         f"PARENT: {parent_id}\n"
         f"SIBLINGS:\n{sibling_lines}\n"
-        f"Propose between {caps.per_leaf_min} and {caps.per_leaf_max} directed "
+        f"Propose between {RELATIONS_ASKED_MIN} and {RELATIONS_PER_PARENT} directed "
         f"relations between these parts (fewer if none exist), one per line as "
         f"'A -> B: one or two sentences'."
     )
-    reply = gateway.complete(ChatCall("relation", prompt, timeout=timeout))
+    reply = gateway.complete(ChatCall("relation", prompt, timeout=RELATION_TIMEOUT))
     incident: dict[str, int] = {}
     kept: list[RelationSnippet] = []
     for m in _RELATION_RE.finditer(reply.text):
@@ -833,10 +831,10 @@ def annotate_sibling_relations(tree: ContextTree, parent_id: str, gateway: Model
         if src not in aliases or dst not in aliases or src == dst:
             logger.info("dropping relation with unknown sibling %s -> %s", src, dst)
             continue
-        if len(kept) >= caps.per_leaf_max:
+        if len(kept) >= RELATIONS_PER_PARENT:
             break
         from_id, to_id = aliases[src], aliases[dst]
-        if incident.get(from_id, 0) >= caps.per_column or incident.get(to_id, 0) >= caps.per_column:
+        if max(incident.get(from_id, 0), incident.get(to_id, 0)) >= RELATIONS_PER_NODE:
             continue
         kept.append(RelationSnippet(from_id, to_id, text))
         incident[from_id] = incident.get(from_id, 0) + 1
@@ -894,8 +892,7 @@ def _render_pack(header: list[str], levels: list[tuple[int, str]],
     return "\n".join(lines)
 
 
-def select_relation_lines(tree: ContextTree, path: Sequence[TreeNode],
-                          max_relations: int) -> list[str]:
+def select_relation_lines(tree: ContextTree, path: Sequence[TreeNode]) -> list[str]:
     """Relation snippets touching the lineage, nearest the leaf first."""
     on_path = {node.node_id: i for i, node in enumerate(path)}  # 0 = leaf
     scored = []
@@ -904,7 +901,7 @@ def select_relation_lines(tree: ContextTree, path: Sequence[TreeNode],
         if touches:
             scored.append((min(touches), order, snippet.relation_text))
     scored.sort()
-    return [text for _, _, text in scored[:max_relations]]
+    return [text for _, _, text in scored[:PACK_RELATIONS]]
 
 
 def middle_out_drop_order(n_levels: int) -> list[int]:
@@ -916,11 +913,11 @@ def middle_out_drop_order(n_levels: int) -> list[int]:
 
 
 def build_context_pack(tree: ContextTree, catalog: SchemaCatalog, column: ColumnRef,
-                       budget: int, max_relations: int = 3) -> ContextPack:
+                       budget: int) -> ContextPack:
     """Budgeted evidence block for one column.
 
     Renders the column header, the leaf-to-root lineage summaries, and up
-    to ``max_relations`` relation snippets. Over budget, relation snippets
+    to ``PACK_RELATIONS`` relation snippets. Over budget, relation snippets
     drop first (least relevant first), then interior lineage levels drop
     middle-out; the leaf and root summaries always survive. The rendered
     text never exceeds ``budget``; a budget below the minimal pack raises
@@ -933,7 +930,7 @@ def build_context_pack(tree: ContextTree, catalog: SchemaCatalog, column: Column
         header.append(f"Description: {meta.description}")
     depth_max = len(path) - 1
     levels = [(depth_max - i, node.summary) for i, node in enumerate(path)]
-    relations = select_relation_lines(tree, path, max_relations)
+    relations = select_relation_lines(tree, path)
 
     minimal_levels = [levels[0]] if len(levels) == 1 else [levels[0], levels[-1]]
     minimal = len(_render_pack(header, minimal_levels, []))

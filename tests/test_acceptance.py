@@ -258,22 +258,22 @@ def test_efficiency_accounting_exact_sums():
     )
     gw = make_gateway(responder=chain_bots(diff_echo_bot,
                                            first_candidate_decision_bot, tree_bot))
-    traces = []
+    spent = []
     for s in list(scat.refs())[:20]:
         q = MatchQuery(source=s, shortlist=tuple(shortlist(s, artifacts, 5, gw)))
         result = run_match(q, PipelineConfig.from_mode("no_tree"), artifacts, gw)
-        traces.append(result.trace)
-    assert len(traces) == 20
+        spent.append(result.trace.spent)
+    assert len(spent) == 20
     total = gw.accounting.snapshot()
-    assert sum(t.total_tokens for t in traces) == total.total_tokens
-    assert sum(t.llm_calls for t in traces) == total.llm_calls
+    assert sum(t.total_tokens for t in spent) == total.total_tokens
+    assert sum(t.llm_calls for t in spent) == total.llm_calls
 
     gw2 = make_gateway(responder=first_candidate_decision_bot)
     for s in list(scat.refs())[:20]:
         q = MatchQuery(source=s, shortlist=tuple(shortlist(s, artifacts, 5, gw2)))
         result = run_match(q, PipelineConfig.from_mode("embed_top1"), artifacts, gw2)
-        assert result.trace.llm_calls == 0
-        assert result.trace.total_tokens == 0
+        assert result.trace.spent.llm_calls == 0
+        assert result.trace.spent.total_tokens == 0
     assert gw2.accounting.snapshot().total_tokens == 0
 
 

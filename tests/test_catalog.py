@@ -143,6 +143,24 @@ def test_mask_scan_finds_nothing_after_masking():
     assert scan_for_raw_identifiers(cat, texts) == []
 
 
+def test_masked_key_in_a_catalog_file_does_not_mask(tmp_path):
+    # only mask_catalog masks: a file's own "masked" flag would show CIDs
+    # as names while the descriptions still held raw identifiers
+    doc = {"masked": True, "tables": [table_doc("J", [
+        ("income_main", "wage income; compare income_side"),
+        ("income_side", "side job pay, unlike income_main")])]}
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps(doc))
+    cat = load_catalog(path, "source")
+    assert not cat.masked
+    assert [cat.display_name(r) for r in cat.refs()] == ["income_main", "income_side"]
+    masked = mask_catalog(cat)
+    assert [masked.display_name(r) for r in masked.refs()] == ["C1", "C2"]
+    texts = [masked.display_name(r) for r in masked.refs()]
+    texts += [masked.meta(r).description for r in masked.refs()]
+    assert scan_for_raw_identifiers(cat, texts) == []
+
+
 def test_mask_is_idempotent():
     cat = build_catalog("source", [table_doc("J", [("J1", "see J2"), ("J2", "see J1")])])
     once = mask_catalog(cat)

@@ -1,7 +1,10 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 from construm.cli import main
+from construm.evaluation import parse_report_csv
 from helpers import table_doc
 
 
@@ -129,6 +132,32 @@ def test_bench_generate_run_report_cycle(tmp_path):
     assert main(["report", "--runs", str(out_dir), "--format", "csv"]) == 0
 
 
+def test_bench_run_failure_traces_sum_to_the_report(tmp_path):
+    source, target, script, benchspec = bench_setup(tmp_path)
+    doc = json.loads(script.read_text())
+    doc["rules"] = doc["rules"][1:]  # no decision rule: every decision fails
+    backend = f"scripted:{write_json(tmp_path / 'silent.json', doc)}"
+    bench = tmp_path / "bench.json"
+    assert main(["bench", "generate", "--benchspec", str(benchspec),
+                 "--out", str(bench), "--backend", backend]) == 0
+    out_dir = tmp_path / "run"
+    modes = ("embed_top1", "llm_local", "full", "no_tree", "no_diff")
+    assert main(["bench", "run", "--benchspec", str(benchspec), "--bench", str(bench),
+                 "--modes", ",".join(modes), "--k", "2", "--tau", "0.8",
+                 "--out", str(out_dir), "--backend", backend]) == 0
+    report = parse_report_csv((out_dir / "report.csv").read_text())["all"]
+    for mode in modes:
+        rows = [json.loads(p.read_text())
+                for p in sorted((out_dir / "traces" / mode).glob("q*.json"))]
+        assert len(rows) == report[mode].n == 2
+        assert all(("error" in row) == (mode != "embed_top1") for row in rows)
+        for counter, mean in (("llm_calls", report[mode].mean_llm_calls),
+                              ("total_tokens", report[mode].mean_tokens),
+                              ("latency", report[mode].mean_latency)):
+            assert sum(row[counter] for row in rows) / len(rows) == mean, (mode, counter)
+    assert report["llm_local"].mean_llm_calls == 2.0  # the decision and its retry
+
+
 def test_bench_run_reproduces_byte_identical_traces(tmp_path):
     source, target, script, benchspec = bench_setup(tmp_path)
     backend = f"scripted:{script}"
@@ -192,8 +221,10 @@ def test_match_writes_every_trace_and_exits_2_on_failed_queries(tmp_path, capsys
     assert rc == 2
     rows = [json.loads(p.read_text()) for p in sorted((out_dir / "traces").glob("q*.json"))]
     assert [row.get("chosen") for row in rows] == ["C1", None, "C1"]
-    assert set(rows[1]) == {"source", "error", "llm_calls", "total_tokens", "latency",
-                            "cache_hits"} and rows[1]["source"] == "C2"
+    counters = {"llm_calls", "total_tokens", "latency", "cache_hits"}
+    assert set(rows[0]) == {"source", "truth", "chosen", "ranked", "correct", "mode",
+                            "prompt_snapshot"} | counters
+    assert set(rows[1]) == {"source", "error"} | counters and rows[1]["source"] == "C2"
     assert rows[1]["llm_calls"] == 2 and rows[1]["total_tokens"] > 0  # decision and retry
     assert "unusable after retry" in rows[1]["error"]
     captured = capsys.readouterr()
@@ -328,10 +359,36 @@ def test_config_file_layering_and_flag_override(tmp_path, capsys):
     assert resolved["tau"] == 0.95  # explicit flag beats the config file
 
 
+def test_delta_flag_sets_the_cluster_threshold(tmp_path):
+    source, target, script = fixture_files(tmp_path)
+    out = tmp_path / "t.json"
+    assert main(["build-tree", "--catalog", str(source), "--out", str(out),
+                 "--delta", "0.25", "--backend", f"scripted:{script}"]) == 0
+    resolved = json.loads((tmp_path / "run_config.json").read_text())
+    assert resolved["cluster_threshold"] == 0.25 and "delta" not in resolved
+    assert json.loads(out.read_text())["params"]["cluster_threshold"] == 0.25
+
+
+def test_cli_session_outputs_do_not_depend_on_max_in_flight(tmp_path):
+    session = Path(__file__).resolve().parents[1] / "benchmarks" / "cli_session.py"
+    outs = {}
+    for cap in ("1", "16"):
+        outs[cap] = tmp_path / f"session{cap}"
+        subprocess.run([sys.executable, str(session), str(outs[cap]), "--max-in-flight", cap],
+                       check=True, capture_output=True)
+    files = {cap: sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+             for cap, out in outs.items()}
+    assert files["1"] == files["16"] and len(files["1"]) > 300
+    differ = [rel for rel in files["1"]
+              if (outs["1"] / rel).read_bytes() != (outs["16"] / rel).read_bytes()]
+    assert differ and all(rel.name == "run_config.json" for rel in differ)
+
+
 def test_bad_config_key_rejected(tmp_path, capsys):
     source, target, script, benchspec = bench_setup(tmp_path)
-    # "workers" was a key until max_in_flight replaced it
-    for key in ("no_such_option", "workers"):
+    # "workers" was a key until max_in_flight replaced it, and "delta" until
+    # the tree settings took TreeParams' own names
+    for key in ("no_such_option", "workers", "delta"):
         config = write_json(tmp_path / "config.json", {key: 1})
         rc = main(["build-graph", "--catalog", str(target), "--out",
                    str(tmp_path / "g.json"), "--backend", f"scripted:{script}",

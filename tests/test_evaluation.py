@@ -11,6 +11,7 @@ from construm.evaluation import (
     BenchmarkError,
     BenchmarkSpec,
     EvalReport,
+    QueryFailure,
     evaluate,
     generate_benchmark,
     load_benchmark,
@@ -22,7 +23,7 @@ from construm.evaluation import (
     weighted_average,
     weighted_total,
 )
-from construm.gateway import HashEmbeddingBackend, ModelGateway
+from construm.gateway import AccountingSnapshot, HashEmbeddingBackend, ModelGateway
 from construm.graph import build_hypergraph, embedding_text
 from construm.pipeline import Artifacts, MatchResult, MatchTrace, PipelineConfig
 from helpers import (
@@ -125,37 +126,38 @@ def test_generation_is_deterministic_bytes():
 # -- evaluate -------------------------------------------------------------------
 
 
-def fake_result(query, target_catalog, rank, n_candidates=8, tokens=100, calls=1):
-    """A MatchResult whose ranked list places the truth at `rank` (or
-    nowhere when rank is None)."""
+def fake_outcome(query, target_catalog, rank, n_candidates=8, tokens=100, calls=1):
+    """A successful outcome whose ranked list places the truth at `rank`
+    (or nowhere when rank is None)."""
     others = [r for r in target_catalog.refs() if r != query.ground_truth]
     ranked = others[: n_candidates - 1]
     if rank is not None:
         ranked = ranked[: rank - 1] + [query.ground_truth] + ranked[rank - 1:]
-    return MatchResult(query, ranked[0], tuple(ranked),
-                       MatchTrace(llm_calls=calls, total_tokens=tokens, latency=0.5))
+    spent = AccountingSnapshot(llm_calls=calls, prompt_tokens=tokens, latency=0.5)
+    return MatchResult(query, ranked[0], tuple(ranked), MatchTrace(spent)), None
 
 
 def ranked_fixture(ranks):
     source, target, verified = benchmark_catalogs([], n=20)
     queries = [MatchQuery(source=r, ground_truth=verified[r])
                for r in list(source.refs())[: len(ranks)]]
-    results = [fake_result(q, target, rank) for q, rank in zip(queries, ranks)]
-    return source, target, queries, results
+    outcomes = [fake_outcome(q, target, rank) for q, rank in zip(queries, ranks)]
+    return queries, outcomes
 
 
 def test_accuracy_at_k_hand_count():
-    source, target, queries, results = ranked_fixture([1, 1, 2, 7])
-    report = evaluate(queries, results, source, target)
+    queries, outcomes = ranked_fixture([1, 1, 2, 7])
+    report = evaluate(queries, outcomes)
     assert report.acc1 == 0.50
     assert report.acc3 == 0.75
     assert report.acc5 == 0.75
     assert report.mean_llm_calls == 1.0 and report.mean_tokens == 100.0
+    assert report.mean_latency == 0.5
 
 
 def test_all_rank_one_is_perfect():
-    source, target, queries, results = ranked_fixture([1, 1, 1])
-    report = evaluate(queries, results, source, target)
+    queries, outcomes = ranked_fixture([1, 1, 1])
+    report = evaluate(queries, outcomes)
     assert report.acc1 == report.acc3 == report.acc5 == 1.0
 
 
@@ -164,20 +166,22 @@ def test_accuracy_is_monotone_in_k():
     for _ in range(10):
         ranks = [int(r) if r <= 8 else None
                  for r in rng.integers(1, 12, size=int(rng.integers(1, 12)))]
-        source, target, queries, results = ranked_fixture(ranks)
-        report = evaluate(queries, results, source, target)
+        queries, outcomes = ranked_fixture(ranks)
+        report = evaluate(queries, outcomes)
         assert report.acc1 <= report.acc3 <= report.acc5
 
 
-def test_missing_result_needs_error_row():
-    source, target, queries, results = ranked_fixture([1, 2])
+def test_failed_outcome_scores_incorrect_and_counts_its_spend():
+    queries, outcomes = ranked_fixture([1, 2])
     with pytest.raises(BenchmarkError):
-        evaluate(queries[:1], results, source, target)
-    report = evaluate(queries, [results[0], None], source, target,
-                      errors={1: "boom"})
-    assert report.rows[1].error == "boom"
-    assert not report.rows[1].correct
-    assert report.acc1 == 0.5
+        evaluate(queries[:1], outcomes)
+    failure = QueryFailure("boom", AccountingSnapshot(llm_calls=3, completion_tokens=40,
+                                                      latency=1.5))
+    report = evaluate(queries, [outcomes[0], (None, failure)])
+    assert report.acc1 == report.acc3 == report.acc5 == 0.5
+    assert report.mean_llm_calls == (1 + 3) / 2
+    assert report.mean_tokens == (100 + 40) / 2
+    assert report.mean_latency == (0.5 + 1.5) / 2
 
 
 def test_weighted_total_formula():
@@ -221,10 +225,10 @@ def suite_fixture():
 def test_embed_top1_suite_row_has_zero_cost():
     queries, artifacts, gw = suite_fixture()
     suite = run_ablation_suite(queries, ["embed_top1"], artifacts, gw)
-    report, results = suite["embed_top1"]
+    report, outcomes = suite["embed_top1"]
     assert report.mean_llm_calls == 0.0
     assert report.mean_tokens == 0.0
-    assert all(r is not None for r in results)
+    assert all(r is not None and f is None for r, f in outcomes)
 
 
 def test_suite_records_errors_and_continues():
@@ -237,9 +241,9 @@ def test_suite_records_errors_and_continues():
 
     gw_bad = make_gateway(responder=chain_bots(broken_decider, diff_echo_bot, tree_bot))
     suite = run_ablation_suite(queries, ["llm_local"], artifacts, gw_bad)
-    report, results = suite["llm_local"]
-    assert all(r is None for r in results)
-    assert all(row.error for row in report.rows)
+    report, outcomes = suite["llm_local"]
+    assert all(r is None for r, _ in outcomes)
+    assert all("injected" in f.message for _, f in outcomes)
     assert report.acc1 == 0.0
 
 
@@ -261,8 +265,8 @@ def test_suite_carries_every_non_mode_field_into_every_mode(monkeypatch):
     assert [cfg.mode for cfg in seen] == [m for m in modes for _ in queries]
     assert all(cfg == replace(base, mode=cfg.mode) for cfg in seen)
     for mode in modes:
-        _, results = suite[mode]
-        assert all(len(r.query.shortlist) == 2 for r in results)
+        _, outcomes = suite[mode]
+        assert all(len(r.query.shortlist) == 2 for r, _ in outcomes)
 
 
 def test_concurrent_query_traces_equal_serial_and_sum_to_totals():
@@ -286,8 +290,8 @@ def test_concurrent_query_traces_equal_serial_and_sum_to_totals():
             assert [error for _, error in outcomes] == [None] * 16
             traces[cap] = [result.trace for result, _ in outcomes]
             total = gw.accounting.snapshot()
-            assert sum(t.llm_calls for t in traces[cap]) == total.llm_calls == 48
-            assert sum(t.total_tokens for t in traces[cap]) == total.total_tokens
+            assert sum(t.spent.llm_calls for t in traces[cap]) == total.llm_calls == 48
+            assert sum(t.spent.total_tokens for t in traces[cap]) == total.total_tokens
     finally:
         sys.setswitchinterval(interval)
     assert traces[16] == traces[1]
@@ -310,14 +314,12 @@ def test_failed_queries_count_their_calls_in_the_report():
         return None
 
     gw = make_gateway(responder=never_decides)
-    report, results = run_ablation_suite(queries, ["llm_local"], artifacts, gw)["llm_local"]
+    report, outcomes = run_ablation_suite(queries, ["llm_local"], artifacts, gw)["llm_local"]
     total = gw.accounting.snapshot()
-    assert all(r is None for r in results) and total.llm_calls == 12
+    assert all(r is None for r, _ in outcomes) and total.llm_calls == 12
     assert report.mean_llm_calls == total.llm_calls / 6 == 2.0
     assert report.mean_tokens == total.total_tokens / 6
     assert "| llm_local | 6 | 2.00 |" in render_report({"all": {"llm_local": report}})
-    assert [row.error.spent.llm_calls for row in report.rows] == [2] * 6
-    outcomes = run_queries(queries, PipelineConfig.from_mode("llm_local"), artifacts, gw)
     assert [failure.spent.llm_calls for _, failure in outcomes] == [2] * 6
 
 
@@ -332,8 +334,10 @@ def test_empty_mode_list_gives_empty_table():
 def demo_reports():
     r1 = EvalReport("2016_2018", 28, 0.964, 0.99, 1.0, 1.5, 5000.0, 12.0)
     r2 = EvalReport("2018_2020", 32, 0.906, 0.95, 0.97, 1.8, 6000.5, 14.25)
+    r3 = EvalReport("waveé → next, with comma", 5, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
     return {"2016_2018": {"full": r1, "embed_top1": r1},
-            "2018_2020": {"full": r2}}
+            "2018_2020": {"full": r2},
+            r3.slice_name: {"full": r3}}
 
 
 def test_markdown_shape_and_total_row():
@@ -351,26 +355,13 @@ def test_single_slice_markdown_has_no_total():
 
 
 def test_csv_round_trip_exact():
-    text = render_report(demo_reports(), "csv")
-    rows = parse_report_csv(text)
-    assert rows[0]["slice"] == "2016_2018"
-    by_key = {(r["slice"], r["mode"]): r for r in rows}
-    assert by_key[("2018_2020", "full")]["acc1"] == 0.906
-    assert by_key[("2018_2020", "full")]["tokens_per_query"] == 6000.5
-    assert by_key[("2018_2020", "full")]["latency_s"] == 14.25
-    # render -> parse -> render is a fixed point
-    rerendered = render_report({
-        s: {m: EvalReport(s, r["n"], r["acc1"], r["acc3"], r["acc5"],
-                          r["llm_calls_per_query"], r["tokens_per_query"],
-                          r["latency_s"])
-            for m, r in ((row["mode"], row) for row in rows if row["slice"] == s)}
-        for s in {row["slice"] for row in rows}
-    }, "csv")
-    assert sorted(rerendered.splitlines()) == sorted(text.splitlines())
+    grid = demo_reports()
+    assert parse_report_csv(render_report(grid, "csv")) == grid
 
 
 def test_csv_handles_unicode_slice_names():
     r = EvalReport("waveé → next, with comma", 5, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
     text = render_report({r.slice_name: {"full": r}}, "csv")
-    rows = parse_report_csv(text)
-    assert rows[0]["slice"] == "waveé → next, with comma"
+    grid = parse_report_csv(text)
+    assert list(grid) == ["waveé → next, with comma"]
+    assert grid[r.slice_name]["full"] == r

@@ -190,7 +190,7 @@ def test_source_confusable_set_charttime_storetime_pair():
     ])])
     hg = build_hypergraph(cat, hash_gateway(), tau=0.65)
     charttime, storetime, value = cat.refs()
-    group = source_confusable_set(charttime, hg, restrict_to_table=True)
+    group = source_confusable_set(charttime, hg)
     assert group.members == frozenset({charttime, storetime})
 
 
@@ -202,12 +202,10 @@ def test_source_confusable_set_table_restriction_oracle():
     hg = build_hypergraph(cat, hash_gateway(), tau=0.8)
     a0, a1, b0 = cat.refs()
     assert hg.group_of(a0).members == frozenset({a0, a1, b0})
-    restricted = source_confusable_set(a0, hg, restrict_to_table=True)
+    restricted = source_confusable_set(a0, hg)
     # oracle: plain set intersection with the table, query always kept
     expected = (frozenset({a0, a1, b0}) & {a0, a1}) | {a0}
     assert restricted.members == expected
-    unrestricted = source_confusable_set(a0, hg, restrict_to_table=False)
-    assert unrestricted.members == frozenset({a0, a1, b0})
 
 
 def test_tau_monotonicity_on_small_grid():

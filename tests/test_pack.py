@@ -122,8 +122,9 @@ def test_relations_prefer_lineage_proximity_to_leaf():
         RelationSnippet("n2", "n3", "mid lineage"),
     )
     tree, cat, ref = deep_tree(relations=relations)
-    pack = build_context_pack(tree, cat, ref, budget=10**5, max_relations=2)
-    assert list(pack.relation_lines) == ["touches leaf", "mid lineage"]
+    pack = build_context_pack(tree, cat, ref, budget=10**5)
+    # three at most, leaf-nearest first; the unrelated snippet stays out
+    assert list(pack.relation_lines) == ["touches leaf", "mid lineage", "near root"]
 
 
 def test_two_level_tree_min_pack():

@@ -185,7 +185,7 @@ def test_embed_top1_answers_shortlist_head_with_zero_llm():
     result = run_match(q, PipelineConfig.from_mode("embed_top1"), artifacts, gw)
     assert result.chosen == c0[0]
     assert result.ranked == tuple(c0)
-    assert result.trace.llm_calls == 0 and result.trace.total_tokens == 0
+    assert result.trace.spent.llm_calls == 0 and result.trace.spent.total_tokens == 0
 
 
 def time_fixture():
@@ -286,7 +286,7 @@ def test_all_singleton_groups_mean_no_diff_sections_and_one_call():
     assert "Differentiation among candidates" not in result.trace.prompt_snapshot
     decision_calls = [p for tag, p in gw.chat_backend.call_log if tag == "decision"]
     assert len(decision_calls) == 1
-    assert result.trace.llm_calls == 1
+    assert result.trace.spent.llm_calls == 1
 
 
 def test_blank_differentiation_replies_skip_blocks_not_the_query(caplog):
@@ -307,7 +307,7 @@ def test_blank_differentiation_replies_skip_blocks_not_the_query(caplog):
     assert roles.count("differentiation") == 4  # two blocks, each retried once
     assert "Source diff" not in result.trace.prompt_snapshot
     assert "Differentiation among candidates" not in result.trace.prompt_snapshot
-    assert result.trace.llm_calls == 1
+    assert result.trace.spent.llm_calls == 1
     assert "source differentiation skipped" in caplog.text
     assert "differentiation block skipped" in caplog.text
 
@@ -366,7 +366,7 @@ def test_source_block_goes_out_beside_the_candidate_blocks():
     # the candidate blocks went out one at a time, in the prompt's order
     assert most[0] == 1
     assert arrived == [members for _, members in groups]
-    assert result.trace.llm_calls == 6
+    assert result.trace.spent.llm_calls == 6
 
 
 def test_block_completion_order_does_not_change_prompt_or_trace():
@@ -431,7 +431,7 @@ def test_unparseable_decision_retries_once_then_errors():
     result = run_match(q, PipelineConfig.from_mode("llm_local"), artifacts, gw)
     assert artifacts.target_catalog.meta(result.chosen).cid == "C2"
     assert len(attempts) == 2
-    assert result.trace.llm_calls == 2  # the retry is counted
+    assert result.trace.spent.llm_calls == 2  # the retry is counted
 
     def never_decides(prompt):
         if "Select the single best matching" in prompt:
@@ -488,8 +488,8 @@ def test_trace_tokens_equal_backend_log_estimate():
     for tag, prompt in backend.call_log:
         reply_text = responder(prompt)
         expected += estimate_tokens(prompt) + estimate_tokens(reply_text)
-    assert result.trace.total_tokens == expected
-    assert result.trace.llm_calls == len(backend.call_log)
+    assert result.trace.spent.total_tokens == expected
+    assert result.trace.spent.llm_calls == len(backend.call_log)
 
 
 def test_expansion_appends_near_duplicates():

@@ -13,7 +13,6 @@ from construm.tree import (
     GroupingPlan,
     NodeKind,
     PlanGroup,
-    RelationCaps,
     TreeError,
     TreeNode,
     TreeParams,
@@ -506,7 +505,6 @@ def test_relation_snippet_parsed_to_sibling_ids():
     assert len(snippets) == 1
     assert (snippets[0].from_node, snippets[0].to_node) == ("a", "b")
     assert snippets[0].relation_text == "A defines terms used by B"
-    assert snippets[0].directed
 
 
 def test_single_child_yields_no_relations():
@@ -530,7 +528,7 @@ def test_relation_cap_keeps_first_in_reply_order():
         f"{_alias(i)} -> {_alias(i + 1)}: rel {i}" for i in range(25)
     )
     gw = make_gateway(responder=relation_bot(reply))
-    snippets = annotate_sibling_relations(tree, "root", gw, RelationCaps(per_leaf_max=18))
+    snippets = annotate_sibling_relations(tree, "root", gw)  # at most 18 per parent
     assert len(snippets) == 18
     assert [s.relation_text for s in snippets] == [f"rel {i}" for i in range(18)]
 
@@ -550,7 +548,7 @@ def test_relation_per_column_cap():
     tree = ContextTree(Side.SOURCE, "root", nodes, PARAMS)
     reply = "A -> B: r1\nB -> A: r2\nA -> C: r3\nC -> A: r4"
     gw = make_gateway(responder=relation_bot(reply))
-    snippets = annotate_sibling_relations(tree, "root", gw, RelationCaps(per_column=2))
+    snippets = annotate_sibling_relations(tree, "root", gw)  # at most 2 per sibling
     # x is saturated after two incident snippets; later ones touching it drop
     assert [(s.from_node, s.to_node) for s in snippets] == [("x", "y"), ("y", "x")]
 
