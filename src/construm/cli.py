@@ -341,6 +341,10 @@ def cmd_bench_run(args) -> int:
     spec, source, target = _load_benchspec(args.benchspec, cfg)
     queries = ev.load_benchmark(Path(args.bench).read_text(encoding="utf-8"),
                                 source, target)
+    for i, q in enumerate(queries):
+        if q.ground_truth is None:
+            raise UsageError(f"--bench query {i} (source {source.meta(q.source).cid}) has no "
+                             f"\"truth\"; bench run scores every query against its truth")
     need_tree = any(PipelineConfig.from_mode(m).use_tree for m in modes)
     need_diff = any(PipelineConfig.from_mode(m).use_diff for m in modes)
     artifacts = _build_artifacts(cfg, source, target, gateway,

@@ -48,17 +48,16 @@ def select_groups(groups: Sequence[SimilarityGroup], query_vec: np.ndarray | Non
     Returns (group, ordered members) pairs; empty when no group has two or
     more members.
     """
+    sims = None if query_vec is None else hypergraph.matrix @ query_vec
     scored = []
     for g in groups:
         if len(g) < 2:
             continue
-        members = g.sorted_members()
-        if query_vec is not None:
-            cos = {m: float(np.dot(hypergraph.vector(m), query_vec)) for m in members}
-            members.sort(key=lambda m: (-cos[m], m.sort_key))
-            priority = max(cos.values())
+        if sims is None:
+            members, priority = g.sorted_members(), 0.0
         else:
-            priority = 0.0
+            members = hypergraph.ranked(sims, among=g.members)
+            priority = float(sims[hypergraph.index_of(members[0])])
         smallest = min(g.members, key=lambda r: r.sort_key)
         scored.append(((-priority, -len(g), smallest.sort_key), g, tuple(members[:max_members])))
     scored.sort(key=lambda item: item[0])
@@ -70,14 +69,15 @@ _CUE_RE = re.compile(r"^-\s*(C[1-9][0-9]*)\s*:\s*(.+?)\s*$", re.MULTILINE)
 
 
 def _block_prompt(catalog: SchemaCatalog, members: Sequence[ColumnRef],
-                  packs: Mapping[ColumnRef, ContextPack] | None,
+                  packs: Mapping[ColumnRef, ContextPack | None] | None,
                   query_meta: str, side: Side) -> str:
     lines = []
     for ref in members:
         meta = catalog.meta(ref)
         lines.append(f"- {meta.cid} ({catalog.display_name(ref)}): {meta.description}")
-        if packs and ref in packs:
-            ctx = packs[ref].rendered.replace("\n", "\n    ")
+        pack = packs.get(ref) if packs else None
+        if pack is not None:
+            ctx = pack.rendered.replace("\n", "\n    ")
             lines.append(f"    context: {ctx}")
     return (
         f"TASK: differentiate\n"
@@ -92,7 +92,7 @@ def _block_prompt(catalog: SchemaCatalog, members: Sequence[ColumnRef],
 
 def generate_block(group: SimilarityGroup, members: Sequence[ColumnRef],
                    catalog: SchemaCatalog,
-                   packs: Mapping[ColumnRef, ContextPack] | None,
+                   packs: Mapping[ColumnRef, ContextPack | None] | None,
                    query_meta: str, gateway: ModelGateway,
                    timeout: float = 45.0) -> DifferentiationBlock:
     """One LLM call turning a confusable group into summary + per-member cues.

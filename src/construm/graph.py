@@ -7,7 +7,8 @@ jointly rather than scored one by one. Link construction is exact
 all-pairs (quadratic), delegated to the blocked numpy kernel. The built graph
 is immutable and the per-query helpers (`expand_candidates`,
 `groups_within`, `source_confusable_set`) only read it, so any number of
-queries can share one instance.
+queries can share one instance. `Hypergraph.ranked` is the one cosine
+ranking of the query path, so a near-tie breaks the same way everywhere.
 """
 
 from __future__ import annotations
@@ -84,6 +85,9 @@ class Hypergraph:
         self.links = tuple(links)
         self.groups = tuple(groups)
         self._index = {ref: i for i, ref in enumerate(self.columns)}
+        # each column's place in sort_key order, which catalog order need not follow
+        by_key = sorted(range(len(self.columns)), key=lambda i: self.columns[i].sort_key)
+        self._tie_rank = np.argsort(by_key)
         self._group_of: dict[ColumnRef, SimilarityGroup] = {}
         for g in self.groups:
             for ref in g.members:
@@ -100,6 +104,19 @@ class Hypergraph:
 
     def vector(self, ref: ColumnRef) -> np.ndarray:
         return self.matrix[self._index[ref]]
+
+    def ranked(self, scores: np.ndarray,
+               among: Iterable[ColumnRef] | None = None) -> list[ColumnRef]:
+        """Columns by score, highest first; ties go to the smaller ``sort_key``.
+
+        ``scores`` holds one value per column in ``columns`` order, such as
+        ``matrix @ vec``. With ``among``, only those columns are ranked
+        (a column listed twice comes back twice).
+        """
+        idx = (np.arange(len(self.columns)) if among is None
+               else np.array([self._index[r] for r in among], dtype=np.intp))
+        order = idx[np.lexsort((self._tie_rank[idx], -scores[idx]))]
+        return [self.columns[i] for i in order]
 
 
 def build_hypergraph(catalog: SchemaCatalog, gateway: ModelGateway,
@@ -156,19 +173,13 @@ def expand_candidates(c0: Sequence[ColumnRef], hypergraph: Hypergraph,
     if not c0:
         raise ValueError("empty shortlist")
     strong = list(c0)[:cap_strong]
-    in_c0 = set(c0)
-    best: dict[ColumnRef, float] = {}
-    for s in strong:
-        sv = hypergraph.vector(s)
-        sims = hypergraph.matrix @ sv
-        for ref, cos in zip(hypergraph.columns, sims):
-            if ref in in_c0:
-                continue
-            cos = float(cos)
-            if cos >= hypergraph.tau and cos > best.get(ref, -2.0):
-                best[ref] = cos
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1], kv[0].sort_key))
-    return list(c0) + [ref for ref, _ in ranked[:cap_total]]
+    if not strong:
+        return list(c0)
+    best = np.max([hypergraph.matrix @ hypergraph.vector(s) for s in strong], axis=0)
+    keep = best >= hypergraph.tau
+    keep[[hypergraph.index_of(r) for r in c0 if r in hypergraph]] = False
+    added = hypergraph.ranked(best, among=[hypergraph.columns[i] for i in np.flatnonzero(keep)])
+    return list(c0) + added[:cap_total]
 
 
 def groups_within(candidates: Sequence[ColumnRef], hypergraph: Hypergraph) -> list[SimilarityGroup]:

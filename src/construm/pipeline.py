@@ -7,9 +7,10 @@ neighbors, attaches budgeted context packs from the context trees, adds
 source-side and candidate-side differentiation blocks (the source block
 is sent beside the candidate blocks), and makes exactly one forced-choice
 LLM call whose reply must end with ``ANSWER: <cid>``.
-Auxiliary failures (expansion, packs, differentiation) degrade gracefully
-to a smaller prompt; only an unparseable decision reply aborts, after one
-stricter retry.
+Auxiliary failures (expansion, the query embedding, packs,
+differentiation) degrade the prompt with a logged warning; only an
+unparseable decision reply aborts, after one stricter retry. Every cosine
+order is ``Hypergraph.ranked`` over a full ``matrix @ vec`` product.
 
 The mode is the only switch for the evidence: ``full`` uses everything,
 ``no_tree`` drops context packs, ``no_diff`` drops differentiation,
@@ -22,7 +23,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -149,13 +150,7 @@ def shortlist(s: ColumnRef, artifacts: Artifacts, k: int,
     if artifacts.target_graph is None:
         raise PipelineError("shortlist requires a target hypergraph")
     hg = artifacts.target_graph
-    s_vec = _source_vector(s, artifacts, gateway)
-    sims = hg.matrix @ s_vec
-    order = sorted(
-        range(len(hg.columns)),
-        key=lambda i: (-float(sims[i]), hg.columns[i].sort_key),
-    )
-    return [hg.columns[i] for i in order[: min(k, len(hg.columns))]]
+    return hg.ranked(hg.matrix @ _source_vector(s, artifacts, gateway))[:k]
 
 
 def _source_vector(s: ColumnRef, artifacts: Artifacts, gateway: ModelGateway) -> np.ndarray:
@@ -268,54 +263,87 @@ def run_match(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
 def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
             gateway: ModelGateway) -> tuple[ColumnRef, list[ColumnRef], str]:
     scat, tcat = artifacts.source_catalog, artifacts.target_catalog
+    sg, tg = artifacts.source_graph, artifacts.target_graph
     s = query.source
-    c0 = list(query.shortlist)
-    candidates = c0
-    if config.use_expansion and artifacts.target_graph is not None:
+    candidates = list(query.shortlist)
+    if config.use_expansion and tg is not None:
         try:
             candidates = expand_candidates(
-                c0, artifacts.target_graph,
-                cap_total=config.cap_total, cap_strong=config.cap_strong,
+                candidates, tg, cap_total=config.cap_total, cap_strong=config.cap_strong,
             )
         except Exception as exc:
             logger.warning("candidate expansion failed, keeping shortlist: %s", exc)
-            candidates = c0
 
-    s_pack = None
-    cand_packs: dict[ColumnRef, ContextPack] = {}
+    s_vec = None
+    if tg is not None:
+        try:
+            s_vec = _source_vector(s, artifacts, gateway)
+        except GatewayError as exc:
+            logger.warning("query embedding failed for %s; candidate groups and "
+                           "ranking fall back to prompt order: %s", s, exc)
+
+    source_group, source_members = None, []
+    if config.use_diff and sg is not None:
+        group = source_confusable_set(s, sg)
+        if len(group) >= 2:
+            source_group, source_members = group, group.sorted_members()[: config.max_group_members]
+
+    # one pack per column, read by the prompt and both sides' blocks; a
+    # ColumnRef carries its side, so source and target keys never collide
+    packs: dict[ColumnRef, ContextPack | None] = {}
     if config.use_tree:
-        if artifacts.source_tree is not None:
-            s_pack = _safe_pack(artifacts.source_tree, scat, s, config)
-        if artifacts.target_tree is not None:
-            for t in candidates:
-                pack = _safe_pack(artifacts.target_tree, tcat, t, config)
-                if pack is not None:
-                    cand_packs[t] = pack
+        for tree, catalog, refs in ((artifacts.source_tree, scat, [s] + source_members),
+                                    (artifacts.target_tree, tcat, candidates)):
+            for ref in refs:
+                if tree is None or ref in packs:
+                    continue
+                try:
+                    packs[ref] = build_context_pack(tree, catalog, ref, config.pack_budget)
+                except (TreeError, KeyError) as exc:
+                    logger.warning("context pack unavailable for %s: %s", ref, exc)
+                    packs[ref] = None
+
+    chosen_groups: list[tuple[SimilarityGroup, tuple[ColumnRef, ...]]] = []
+    if config.use_diff and tg is not None:
+        try:
+            chosen_groups = select_groups(groups_within(candidates, tg), s_vec, tg,
+                                          config.max_groups, config.max_group_members)
+        except Exception as exc:
+            logger.warning("candidate grouping skipped: %s", exc)
+
+    query_meta = f"{scat.display_name(s)}: {scat.meta(s).description}"
+
+    def block(group: SimilarityGroup, members: Sequence[ColumnRef], catalog: SchemaCatalog,
+              skipped: str) -> DifferentiationBlock | None:
+        try:
+            return generate_block(group, members, catalog, packs, query_meta, gateway,
+                                  config.diff_timeout)
+        except GatewayError as exc:
+            logger.warning("%s: %s", skipped, exc)
+            return None
 
     # the source block goes out beside the candidate blocks, which go out
     # one after another; a skipped block comes back as None
-    source_jobs: list[BlockJob] = []
-    candidate_jobs: list[BlockJob] = []
-    if config.use_diff and artifacts.source_graph is not None:
-        source_jobs = _source_jobs(s, s_pack, config, artifacts, gateway)
-    if config.use_diff and artifacts.target_graph is not None:
-        candidate_jobs = _candidate_jobs(s, candidates, cand_packs, config, artifacts, gateway)
+    def source_lane() -> DifferentiationBlock | None:
+        return block(source_group, source_members, scat, "source differentiation skipped")
 
     def candidate_lane() -> list[DifferentiationBlock | None]:
-        return [job() for job in candidate_jobs]
+        return [block(group, members, tcat,
+                      f"differentiation block skipped for group of {len(members)}")
+                for group, members in chosen_groups]
 
-    *source_blocks, candidate_blocks = gateway.concurrently(source_jobs + [candidate_lane])
+    lanes = [source_lane] if source_group is not None else []
+    *source_blocks, candidate_blocks = gateway.concurrently(lanes + [candidate_lane])
     source_diff = render_source_diff([b for b in source_blocks if b is not None], scat)
     candidate_diff = render_candidate_diff(
         [b for b in candidate_blocks if b is not None], tcat)
 
     candidate_rows = [
-        (tcat.meta(t).cid, tcat.display_name(t), tcat.meta(t).description,
-         cand_packs.get(t))
+        (tcat.meta(t).cid, tcat.display_name(t), tcat.meta(t).description, packs.get(t))
         for t in candidates
     ]
     prompt = assemble_final_prompt(
-        scat.display_name(s), scat.meta(s).description, s_pack, source_diff,
+        scat.display_name(s), scat.meta(s).description, packs.get(s), source_diff,
         candidate_diff, candidate_rows,
     )
     by_cid = {tcat.meta(t).cid: t for t in candidates}
@@ -339,90 +367,9 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
                 prompt_snapshot=prompt,
             ) from exc
 
-    return chosen, _rank_candidates(chosen, candidates, s, artifacts, gateway), prompt
-
-
-def _rank_candidates(chosen: ColumnRef, candidates: Sequence[ColumnRef], s: ColumnRef,
-                     artifacts: Artifacts, gateway: ModelGateway) -> list[ColumnRef]:
-    # chosen first; the remainder by embedding cosine when embeddings exist,
-    # else prompt order (external shortlists without a graph)
+    # chosen first; the rest by cosine when every one has an embedding, else
+    # in prompt order (external shortlists without a graph)
     rest = [c for c in candidates if c != chosen]
-    hg = artifacts.target_graph
-    if hg is not None and all(c in hg for c in rest):
-        try:
-            s_vec = _source_vector(s, artifacts, gateway)
-            rest.sort(key=lambda c: (-float(np.dot(hg.vector(c), s_vec)), c.sort_key))
-        except GatewayError:
-            pass
-    return [chosen] + rest
-
-
-def _safe_pack(tree: ContextTree, catalog: SchemaCatalog, ref: ColumnRef,
-               config: PipelineConfig) -> ContextPack | None:
-    try:
-        return build_context_pack(tree, catalog, ref, config.pack_budget)
-    except (TreeError, KeyError) as exc:
-        logger.warning("context pack unavailable for %s: %s", ref, exc)
-        return None
-
-
-BlockJob = Callable[[], DifferentiationBlock | None]
-
-
-def _block_job(group: SimilarityGroup, members: Sequence[ColumnRef], catalog: SchemaCatalog,
-               packs: dict[ColumnRef, ContextPack] | None, query_meta: str,
-               gateway: ModelGateway, timeout: float, skipped: str) -> BlockJob:
-    def job() -> DifferentiationBlock | None:
-        try:
-            return generate_block(group, members, catalog, packs, query_meta, gateway, timeout)
-        except GatewayError as exc:
-            logger.warning("%s: %s", skipped, exc)
-            return None
-    return job
-
-
-def _source_jobs(s: ColumnRef, s_pack: ContextPack | None,
-                 config: PipelineConfig, artifacts: Artifacts,
-                 gateway: ModelGateway) -> list[BlockJob]:
-    scat = artifacts.source_catalog
-    group = source_confusable_set(s, artifacts.source_graph)
-    if len(group) < 2:
-        return []
-    members = group.sorted_members()[: config.max_group_members]
-    packs: dict[ColumnRef, ContextPack] = {}
-    if config.use_tree and artifacts.source_tree is not None:
-        for m in members:
-            pack = _safe_pack(artifacts.source_tree, scat, m, config)
-            if pack is not None:
-                packs[m] = pack
-    if s_pack is not None:
-        packs[s] = s_pack
-    query_meta = f"{scat.display_name(s)}: {scat.meta(s).description}"
-    return [_block_job(group, members, scat, packs if config.use_tree else None, query_meta,
-                       gateway, config.diff_timeout, "source differentiation skipped")]
-
-
-def _candidate_jobs(s: ColumnRef, candidates: Sequence[ColumnRef],
-                    cand_packs: dict[ColumnRef, ContextPack],
-                    config: PipelineConfig, artifacts: Artifacts,
-                    gateway: ModelGateway) -> list[BlockJob]:
-    tcat = artifacts.target_catalog
-    scat = artifacts.source_catalog
-    try:
-        groups = groups_within(candidates, artifacts.target_graph)
-        try:
-            s_vec = _source_vector(s, artifacts, gateway)
-        except GatewayError:
-            s_vec = None
-        chosen = select_groups(groups, s_vec, artifacts.target_graph,
-                               config.max_groups, config.max_group_members)
-    except Exception as exc:
-        logger.warning("candidate grouping skipped: %s", exc)
-        return []
-    query_meta = f"{scat.display_name(s)}: {scat.meta(s).description}"
-    return [
-        _block_job(group, members, tcat, cand_packs if config.use_tree else None, query_meta,
-                   gateway, config.diff_timeout,
-                   f"differentiation block skipped for group of {len(members)}")
-        for group, members in chosen
-    ]
+    if s_vec is not None and all(c in tg for c in rest):
+        rest = tg.ranked(tg.matrix @ s_vec, among=rest)
+    return chosen, [chosen] + rest, prompt

@@ -132,6 +132,20 @@ def test_bench_generate_run_report_cycle(tmp_path):
     assert main(["report", "--runs", str(out_dir), "--format", "csv"]) == 0
 
 
+def test_bench_run_without_truth_is_user_error_before_any_query(tmp_path, capsys):
+    source, target, script, benchspec = bench_setup(tmp_path)
+    bench = write_json(tmp_path / "bench.json", [
+        {"source": "C1", "truth": "C1"}, {"source": "C4"}])
+    out_dir = tmp_path / "run"
+    rc = main(["bench", "run", "--benchspec", str(benchspec), "--bench", str(bench),
+               "--modes", "llm_local,full", "--out", str(out_dir),
+               "--backend", f"scripted:{script}"])
+    assert rc == 1
+    assert 'query 1 (source C4) has no "truth"' in capsys.readouterr().err
+    assert not (out_dir / "traces").exists()
+    assert not any((out_dir / "cache").glob("*.json"))
+
+
 def test_bench_run_failure_traces_sum_to_the_report(tmp_path):
     source, target, script, benchspec = bench_setup(tmp_path)
     doc = json.loads(script.read_text())

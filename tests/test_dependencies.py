@@ -1,5 +1,6 @@
 """The package imports no third-party module that pyproject.toml does not declare,
-and only the gateway reaches the standard library's thread-starting APIs."""
+only the gateway reaches the standard library's thread-starting APIs, and the
+per-query modules take every cosine from one full matrix-vector product."""
 
 import ast
 import re
@@ -54,3 +55,19 @@ def test_only_the_gateway_starts_threads():
     starters = {p.relative_to(package).as_posix(): thread_starters(p)
                 for p in sorted(package.rglob("*.py"))}
     assert {name for name, found in starters.items() if found} == {"gateway.py"}
+
+
+def test_per_query_cosines_use_no_row_by_row_products():
+    # a per-row dot differs from the row of ``matrix @ vec`` in the last bit,
+    # which can flip a near-tie or a ``>= tau`` test
+    banned = {f"{mod}.{fn}" for mod in ("np", "numpy") for fn in ("dot", "inner", "vdot")}
+    package = ROOT / "src" / "construm"
+    found = {}
+    for name in ("graph.py", "diff.py", "pipeline.py"):
+        path = package / name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and f"{func.value.id}.{func.attr}" in banned):
+                found.setdefault(name, []).append(node.lineno)
+    assert found == {}

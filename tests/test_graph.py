@@ -136,10 +136,37 @@ def test_expand_candidates_caps_and_idempotence():
     refs = list(cat.refs())
     hg = build_hypergraph(cat, hash_gateway(), tau=0.9)
     assert expand_candidates(refs[:3], hg, cap_total=0) == refs[:3]
+    assert expand_candidates(refs[:3], hg, cap_strong=0) == refs[:3]  # no strong head
     assert expand_candidates(refs, hg, cap_total=5) == refs  # nothing left to add
     expanded = expand_candidates(refs[:2], hg, cap_total=5)
     assert expanded[:2] == refs[:2]
     assert len(expanded) <= 2 + 5
+
+
+def test_ranked_matches_sort_oracle_with_ties_and_unsorted_tables():
+    # tables listed out of table_id order, so catalog order is not sort_key
+    # order; the repeated (name, description, table name) texts embed to
+    # identical rows, so their cosines tie exactly
+    cat = build_catalog("target", [
+        table_doc("t2", [("amount", "total paid"), ("code", "status code"),
+                         ("note", "free text")], name="tab"),
+        table_doc("t0", [("amount", "total paid"), ("code", "status code"),
+                         ("rate", "daily rate")], name="tab"),
+        table_doc("t1", [("amount", "total paid"), ("level", "grade level")], name="tab"),
+    ])
+    hg = build_hypergraph(cat, hash_gateway(), tau=0.9)
+    assert [r.sort_key for r in hg.columns] != sorted(r.sort_key for r in hg.columns)
+    rng = np.random.default_rng(5)
+    queries = [hg.matrix[0], hg.matrix[1], unit(rng.standard_normal(hg.matrix.shape[1]))]
+    for q in queries:
+        scores = hg.matrix @ q
+        assert len(set(scores.tolist())) < len(scores)  # exact ties present
+        cos = dict(zip(hg.columns, scores.tolist()))
+        oracle = sorted(hg.columns, key=lambda r: (-cos[r], r.sort_key))
+        assert hg.ranked(scores) == oracle
+        among = hg.columns[1::2] + hg.columns[:1]
+        assert hg.ranked(scores, among=among) == [r for r in oracle if r in among]
+        assert hg.ranked(scores, among=[]) == []
 
 
 def test_groups_within_induced_subgraph():

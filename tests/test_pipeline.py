@@ -1,13 +1,17 @@
+import dataclasses
+import logging
 import re
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from construm import pipeline
 from construm.catalog import MatchQuery, mask_catalog, scan_for_raw_identifiers
-from construm.gateway import TransportError, estimate_tokens
-from construm.graph import build_hypergraph
+from construm.gateway import GatewayError, HashEmbeddingBackend, TransportError, estimate_tokens
+from construm.graph import build_hypergraph, embedding_text
 from construm.pipeline import (
     Artifacts,
     ChoiceParseError,
@@ -510,3 +514,63 @@ def test_expansion_appends_near_duplicates():
     result = run_match(q, PipelineConfig.from_mode("no_tree"), artifacts, gw_run)
     assert tcat.resolve("pair_b") in result.ranked
     assert result.ranked[0] == result.chosen
+
+
+def test_full_query_builds_each_context_pack_once(monkeypatch):
+    # CHARTTIME sits in its own source confusable set, so the source block
+    # and the query section both need its pack
+    artifacts, responder = time_fixture()
+    scat, tcat = artifacts.source_catalog, artifacts.target_catalog
+    artifacts = dataclasses.replace(
+        artifacts, source_tree=build_context_tree(scat, PARAMS, tree_gateway()),
+        target_tree=build_context_tree(tcat, PARAMS, tree_gateway()))
+    built = Counter()
+    original = pipeline.build_context_pack
+
+    def counting(tree, catalog, ref, budget):
+        built[ref] += 1
+        return original(tree, catalog, ref, budget)
+
+    monkeypatch.setattr(pipeline, "build_context_pack", counting)
+    charttime = scat.resolve("CHARTTIME")
+    q = MatchQuery(source=charttime, shortlist=(tcat.resolve("observation_time"),
+                                                tcat.resolve("recorded_time")))
+    result = run_match(q, PipelineConfig.from_mode("full"), artifacts,
+                       hash_gw(responder=responder))
+    assert "Source diff (confusable source group):" in result.trace.prompt_snapshot
+    assert {charttime, scat.resolve("STORETIME")} <= set(built)
+    assert set(built.values()) == {1}, built
+
+
+class FailsOnText:
+    """The hash embedder, except that one text raises a non-retried error."""
+
+    def __init__(self, text):
+        self.backend_id = "hash-failing"
+        self.text = text
+        self.inner = HashEmbeddingBackend()
+
+    def embed(self, texts):
+        if self.text in texts:
+            raise GatewayError("embedder rejected the query text")
+        return self.inner.embed(texts)
+
+
+def test_failed_query_embedding_warns_once_and_keeps_prompt_order(caplog):
+    artifacts, q = four_groups_fixture()
+    artifacts = dataclasses.replace(artifacts, source_graph=None)  # the query must embed
+    scat, tcat = artifacts.source_catalog, artifacts.target_catalog
+    gw = hash_gw(responder=chain_bots(diff_echo_bot, first_candidate_decision_bot),
+                 embed_backend=FailsOnText(embedding_text(scat, q.source)))
+    with caplog.at_level(logging.WARNING):
+        result = run_match(q, PipelineConfig.from_mode("full"), artifacts, gw)
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1 and "query embedding failed" in warnings[0].getMessage()
+    prompt = result.trace.prompt_snapshot
+    # every group at priority 0: equal sizes, so smallest member first, and
+    # members in sort_key order (a working embedder puts "C6 vs C5" first)
+    assert re.findall(r"^Group #\d+ \(([^)]*)\)", prompt, re.M) == [
+        "C1 vs C2", "C3 vs C4", "C5 vs C6", "C7 vs C8"]
+    in_prompt = [tcat.by_cid(c) for c in re.findall(r"^- (C\d+): name:", prompt, re.M)]
+    assert result.chosen == in_prompt[0]  # the query still answers
+    assert list(result.ranked) == in_prompt
