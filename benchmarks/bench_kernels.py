@@ -6,7 +6,11 @@ labeling over random unit embeddings, the workload that dominates offline
 hypergraph builds. Then times ``tree.plan_merges``, the average-linkage
 plan behind a context tree's table clustering, on random unit root
 embeddings with a cutoff every pair is within, so each run makes n - 1
-merges. Neither part makes an LLM call.
+merges. Last, on tied roots (each table takes one of a few random
+directions, as tables with equal summaries do), it times
+``tree.plan_merges`` and ``tree.collapse_tied_merges``, which turns tied
+merges into n-ary clusters, and prints the clusters kept and the
+collapse's share of the planning time. No part makes an LLM call.
 
 Usage: python benchmarks/bench_kernels.py [--dim 64] [--tau 0.5] [--repeat 3]
 """
@@ -17,11 +21,21 @@ import time
 import numpy as np
 
 from construm import kernels
-from construm.tree import plan_merges
+from construm.tree import collapse_tied_merges, plan_merges
 
 
 FULL_MERGE = 1.999  # a cosine-distance cutoff every pair of tables is within
 TABLES = (200, 1000, 2000)  # table counts the merge planning is timed at
+DIRECTIONS = 4  # distinct root directions among tied tables
+
+
+def best_of(repeat, fn, *args):
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        times.append(time.perf_counter() - t0)
+    return min(times), out
 
 
 def run_once(matrix, tau):
@@ -64,12 +78,24 @@ def main():
         m = rng.standard_normal((n, args.dim))
         m /= np.linalg.norm(m, axis=1, keepdims=True)
         dist = 1.0 - m @ m.T
-        times = []
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            merges, survivors = plan_merges(dist, FULL_MERGE)
-            times.append(time.perf_counter() - t0)
-        print(f"{n:>6} | {min(times) * 1e3:8.1f}ms | {len(merges):>10} | {len(survivors)}")
+        elapsed, (merges, survivors) = best_of(args.repeat, plan_merges, dist, FULL_MERGE)
+        print(f"{n:>6} | {elapsed * 1e3:8.1f}ms | {len(merges):>10} | {len(survivors)}")
+
+    print(f"\ntied roots ({DIRECTIONS} directions), cluster cutoff {FULL_MERGE}, "
+          f"best-of-{args.repeat}")
+    header = f"{'tables':>6} | {'plan':>10} | {'collapse':>10} | {'share':>6} | kept clusters"
+    print(header)
+    print("-" * len(header))
+    rng = np.random.default_rng(0)
+    for n in TABLES:
+        base = rng.standard_normal((DIRECTIONS, args.dim))
+        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        m = base[rng.integers(DIRECTIONS, size=n)]
+        dist = 1.0 - m @ m.T
+        plan_s, (merges, _) = best_of(args.repeat, plan_merges, dist, FULL_MERGE)
+        collapse_s, kept = best_of(args.repeat, collapse_tied_merges, dist, merges)
+        print(f"{n:>6} | {plan_s * 1e3:8.1f}ms | {collapse_s * 1e3:8.1f}ms | "
+              f"{collapse_s / plan_s:6.1%} | {len(kept)}")
 
 
 if __name__ == "__main__":

@@ -189,9 +189,12 @@ def _build_artifacts(cfg: dict, source_catalog: SchemaCatalog,
 
     def load_or(name, loader, builder):
         p = paths.get(name)
-        if p:
+        if not p:
+            return builder()
+        try:
             return loader(p)
-        return builder()
+        except tree_mod.TreeError as exc:
+            raise UsageError(f"cannot load {name} from {p}: {exc}") from exc
 
     target_graph = load_or(
         "target_graph",

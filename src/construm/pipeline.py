@@ -284,9 +284,13 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
 
     source_group, source_members = None, []
     if config.use_diff and sg is not None:
-        group = source_confusable_set(s, sg)
-        if len(group) >= 2:
-            source_group, source_members = group, group.sorted_members()[: config.max_group_members]
+        if s not in sg:
+            logger.warning("source differentiation skipped: %s is not in the source graph", s)
+        else:
+            group = source_confusable_set(s, sg)
+            if len(group) >= 2:
+                source_group = group
+                source_members = group.sorted_members()[: config.max_group_members]
 
     # one pack per column, read by the prompt and both sides' blocks; a
     # ColumnRef carries its side, so source and target keys never collide

@@ -7,7 +7,8 @@ four stages -- windowed batch summaries, a sampled global theme, an
 LLM-proposed grouping plan (validated and repaired), and optional boundary
 refinement for ordered tables -- recursing on any group still above the
 leaf budget. Per-table trees are then merged bottom-up by agglomerative
-clustering over root-summary embeddings.
+clustering over root-summary embeddings; merges tied at one height form
+one n-ary cluster.
 
 A built tree is immutable. It answers two queries: the column-to-root
 ``lineage`` of summaries, and a budgeted ``ContextPack`` combining that
@@ -714,6 +715,42 @@ def plan_merges(dist: np.ndarray, threshold: float) -> tuple[list[tuple[int, int
     return merges, [int(cluster[slot]) for slot in survivors]
 
 
+TIE_TOLERANCE = 1e-9  # merge heights this close are one height (float noise)
+
+
+def collapse_tied_merges(dist: np.ndarray, merges: Sequence[tuple[int, int]],
+                         ) -> list[tuple[int, tuple[int, ...]]]:
+    """The multidendrogram of a merge plan: tied merges make one n-ary cluster.
+
+    ``merges`` is :func:`plan_merges`' plan over ``dist``. A merge's height
+    is the average-linkage distance between its two clusters. When a merge
+    is within ``TIE_TOLERANCE`` of a child cluster's height, it takes in
+    that child's children, and the child is not kept (Fernández and Gómez,
+    "Solving non-uniqueness in agglomerative hierarchical clustering using
+    multidendrograms", 2008). A tolerance, not equality: the heights of
+    identical rows differ in the last bits. Returns the kept clusters in
+    merge order, each with its children, all in the plan's numbering.
+    """
+    n = len(dist)
+    members = {i: np.array([i]) for i in range(n)}
+    height: dict[int, float] = {}
+    children: dict[int, list[int]] = {}  # kept clusters only
+    for k, (a, b) in enumerate(merges):
+        rows, cols = members.pop(a), members.pop(b)
+        c = n + k
+        members[c] = np.concatenate((rows, cols))
+        height[c] = h = dist[rows[:, None], cols].sum() / (len(rows) * len(cols))
+        kids, todo = [], [a, b]
+        while todo:
+            child = todo.pop()
+            if child in children and abs(h - height[child]) <= TIE_TOLERANCE:
+                todo.extend(children.pop(child))
+            else:
+                kids.append(child)
+        children[c] = kids
+    return [(c, tuple(kids)) for c, kids in children.items()]
+
+
 def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParams,
                    gateway: ModelGateway, side: Side) -> ContextTree:
     """Merge per-table subtrees into one connected tree.
@@ -723,9 +760,16 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
     first (ties broken by the lexicographically smallest table-id pair)
     while the distance stays at or under the cutoff; whatever remains is
     joined under a final database root. A single table's root doubles as
-    the database root. The merge plan needs no summary, so the cluster
-    summaries go out one dendrogram level at a time, each level's calls
-    together; a merge's level is one above its higher child's.
+    the database root.
+
+    Tied merges then collapse (:func:`collapse_tied_merges`): a merge
+    whose height is within ``TIE_TOLERANCE`` (1e-9, float noise) of a
+    child cluster's takes in that child's children, so tables with equal
+    root summaries sit under one n-ary cluster, not a chain of binary
+    ones. The kept clusters are ``grp:1..m`` in merge order. The plan
+    needs no summary, so the cluster summaries go out one level at a
+    time, each level's calls together; a cluster's level is one above its
+    highest child's, and its prompt lists every child's summary.
     """
     if not table_trees:
         raise TreeError("no table trees to cluster")
@@ -749,32 +793,32 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
     vectors = np.stack([
         v.values for v in gateway.embed_batch([nodes[r].summary for r in roots])
     ])
-    merges, survivors = plan_merges(1.0 - vectors @ vectors.T, params.cluster_threshold)
-    ids = roots + [f"grp:{k}" for k in range(1, len(merges) + 1)]
-    summaries = [nodes[r].summary for r in roots] + [""] * len(merges)
-    levels = [0] * len(roots)
-    for a, b in merges:
-        levels.append(1 + max(levels[a], levels[b]))
-    for level in range(1, max(levels) + 1):
-        batch = [c for c in range(len(roots), len(ids)) if levels[c] == level]
+    dist = 1.0 - vectors @ vectors.T
+    merges, survivors = plan_merges(dist, params.cluster_threshold)
+    ids = dict(enumerate(roots))
+    levels = dict.fromkeys(range(len(roots)), 0)
+    kids: dict[str, tuple[str, ...]] = {}
+    for k, (c, children) in enumerate(collapse_tied_merges(dist, merges), start=1):
+        ids[c] = f"grp:{k}"
+        levels[c] = 1 + max(levels[child] for child in children)
+        kids[ids[c]] = tuple(sorted(ids[child] for child in children))
+    summaries = {r: nodes[r].summary for r in roots}
+    for level in range(1, max(levels.values()) + 1):
+        batch = [ids[c] for c, lv in levels.items() if lv == level]
         texts = gateway.concurrently([
             partial(_summarize_node, "cluster-summary", "",
-                    [summaries[a], summaries[b]], gateway)
-            for a, b in (merges[c - len(roots)] for c in batch)
+                    [summaries[child] for child in kids[g]], gateway)
+            for g in batch
         ])
-        for c, text in zip(batch, texts):
-            summaries[c] = text
-    for k, (a, b) in enumerate(merges):
-        c = len(roots) + k
-        nodes[ids[c]] = TreeNode(
-            node_id=ids[c], kind=NodeKind.CLUSTER, summary=summaries[c],
-            children=tuple(sorted((ids[a], ids[b]))),
-        )
+        summaries.update(zip(batch, texts))
+    for g, children in kids.items():
+        nodes[g] = TreeNode(node_id=g, kind=NodeKind.CLUSTER, summary=summaries[g],
+                            children=children)
 
     if len(survivors) == 1:
         return ContextTree(side, ids[survivors[0]], nodes, params)
     summary = _summarize_node(
-        "node-summary", "", [summaries[c] for c in survivors], gateway,
+        "node-summary", "", [summaries[ids[c]] for c in survivors], gateway,
     )
     root_id = "db:root"
     nodes[root_id] = TreeNode(
@@ -993,9 +1037,13 @@ def tree_to_dict(tree: ContextTree) -> dict:
             [r.from_node, r.to_node, r.relation_text] for r in tree.relations
         ],
     }
-    payload = json.dumps(doc, sort_keys=True)
-    doc["content_hash"] = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    doc["content_hash"] = _content_hash(doc)
     return doc
+
+
+def _content_hash(doc: dict) -> str:
+    payload = json.dumps(doc, sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def save_tree(tree: ContextTree, path):
@@ -1003,7 +1051,11 @@ def save_tree(tree: ContextTree, path):
 
 
 def load_tree(path) -> ContextTree:
+    """Read a tree that :func:`save_tree` wrote; an edited file is rejected."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if doc.pop("content_hash", None) != _content_hash(doc):
+        raise TreeError("content hash does not match the tree: the file was edited or is "
+                        "corrupt; rebuild it")
     side = as_side(doc["side"])
     params = TreeParams(**doc["params"])
     nodes = {nid: _node_from_dict(nid, nd, side) for nid, nd in doc["nodes"].items()}

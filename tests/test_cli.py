@@ -95,6 +95,27 @@ def test_build_graph_and_tree_then_match(tmp_path, capsys):
     assert (out_dir / "run_config.json").exists()
 
 
+def test_match_rejects_an_edited_tree_file(tmp_path, capsys):
+    source, target, script = fixture_files(tmp_path)
+    backend = f"scripted:{script}"
+    tree_path = tmp_path / "st.json"
+    assert main(["build-tree", "--catalog", str(source), "--side", "source",
+                 "--out", str(tree_path), "--backend", backend]) == 0
+    doc = json.loads(tree_path.read_text())
+    node = next(n for n in doc["nodes"].values() if n["kind"] == "group_leaf")
+    node["summary"] += " (edited)"
+    tree_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["match", "--source-catalog", str(source), "--target-catalog", str(target),
+               "--source-tree", str(tree_path), "--source", "income_main",
+               "--mode", "full", "--k", "3", "--out", str(tmp_path / "run"),
+               "--backend", backend])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(tree_path) in err and "content hash" in err
+    assert "Traceback" not in err
+
+
 def bench_setup(tmp_path):
     source, target, script = fixture_files(tmp_path)
     benchspec = write_json(tmp_path / "benchspec.json", {

@@ -574,3 +574,32 @@ def test_failed_query_embedding_warns_once_and_keeps_prompt_order(caplog):
     in_prompt = [tcat.by_cid(c) for c in re.findall(r"^- (C\d+): name:", prompt, re.M)]
     assert result.chosen == in_prompt[0]  # the query still answers
     assert list(result.ranked) == in_prompt
+
+
+def test_query_missing_from_source_graph_skips_source_block_with_one_warning(caplog):
+    columns = [("first_col", "an interesting field"), ("second_col", "another field")]
+    scat = build_catalog("source", [table_doc("s", columns)])
+    older = build_catalog("source", [table_doc("s", columns[:1])])
+    tcat = random_catalog(7, "target", n=12, table_id="tt")
+    gw = hash_gw()
+    sg = build_hypergraph(older, gw, tau=0.9)  # built before the catalog grew
+    artifacts = Artifacts(scat, tcat, source_graph=sg,
+                          target_graph=build_hypergraph(tcat, gw, tau=0.9))
+    s = scat.resolve("second_col")
+    assert s not in sg
+    q = MatchQuery(source=s, shortlist=tuple(shortlist(s, artifacts, k=5, gateway=gw)))
+    for mode in ("full", "no_tree"):
+        caplog.clear()
+        gw = hash_gw(responder=chain_bots(tree_bot, diff_echo_bot,
+                                          first_candidate_decision_bot))
+        arts = artifacts
+        if mode == "full":
+            arts = dataclasses.replace(
+                artifacts, source_tree=build_context_tree(scat, PARAMS, gw),
+                target_tree=build_context_tree(tcat, PARAMS, gw))
+        with caplog.at_level(logging.WARNING):
+            result = run_match(q, PipelineConfig.from_mode(mode), arts, gw)
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1, mode
+        assert "not in the source graph" in warnings[0].getMessage()
+        assert result.chosen in set(tcat.refs())  # the query answers

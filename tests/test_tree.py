@@ -9,6 +9,7 @@ import pytest
 from construm.catalog import Side
 from construm.gateway import MAX_IN_FLIGHT, DiskCache, TransportError
 from construm.tree import (
+    TIE_TOLERANCE,
     ContextTree,
     GroupingPlan,
     NodeKind,
@@ -20,6 +21,7 @@ from construm.tree import (
     build_context_tree,
     build_table_tree,
     cluster_tables,
+    collapse_tied_merges,
     even_sample_indices,
     lineage,
     plan_merges,
@@ -465,17 +467,91 @@ def test_full_merge_matches_reference_and_depth_bound():
 
 def test_exact_distance_ties_merge_in_key_order():
     k = 8
-    cat = multi_table_catalog([2] * k)
+    cat = described_tables([2] * k)
     subtrees = [build_table_tree(cat, t, PARAMS, tree_gateway()) for t in cat.tables]
     same = np.eye(1, 16)[0]  # identical one-hot summaries: every distance is 0.0
-    gw = make_gateway(responder=tree_bot,
+    asked = []
+
+    def record(prompt):
+        if "TASK: cluster-summary" in prompt:
+            asked.append(re.findall(r"^- (.*)$", prompt.split("CHILD SUMMARIES:\n", 1)[1], re.M))
+        return None
+
+    gw = make_gateway(responder=chain_bots(record, tree_bot),
                       embed_backend=PositionalEmbeddingBackend([[same] * k]))
     tree = cluster_tables(subtrees, TreeParams(cluster_threshold=1.999), gw, Side.SOURCE)
 
-    assert tree.root == f"grp:{k - 1}"
-    assert tree.node("grp:1").children == ("tbl:t0", "tbl:t1")
-    for n in range(2, k):
-        assert tree.node(f"grp:{n}").children == (f"grp:{n - 1}", f"tbl:t{n}")
+    # the k - 1 tied merges make one cluster over every table, in key order
+    tables = tuple(f"tbl:t{i}" for i in range(k))
+    assert tree.root == "grp:1"
+    assert [n for n in tree.nodes if n.startswith("grp:")] == ["grp:1"]
+    assert tree.node("grp:1").children == tables
+    assert asked == [[tree.node(t).summary for t in tables]]
+    assert len(set(asked[0])) == k
+
+
+def test_near_tied_heights_make_one_cluster():
+    k = 12
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal(16)
+    rows = np.stack([unit(base + 1e-13 * rng.standard_normal(16)) for _ in range(k)])
+    dist = 1.0 - rows @ rows.T
+    assert len(np.unique(dist[np.triu_indices(k, 1)])) > 1  # not an exact tie
+    [(c, kids)] = collapse_tied_merges(dist, plan_merges(dist, 1.999)[0])
+    assert c == 2 * k - 2 and sorted(kids) == list(range(k))
+
+
+def test_tied_blocks_at_distinct_heights_stay_apart():
+    k = 8
+    cat = multi_table_catalog([2] * k)
+    subtrees = [build_table_tree(cat, t, PARAMS, tree_gateway()) for t in cat.tables]
+    e = np.eye(16)
+    # t0..t3 identical (height 0); t4..t7 pairwise cosine 0.9 (height 0.1);
+    # the two blocks orthogonal (height 1)
+    vectors = [e[0]] * 4 + [unit(3 * e[1] + e[2 + i]) for i in range(4)]
+    gw = make_gateway(responder=tree_bot, embed_backend=PositionalEmbeddingBackend([vectors]))
+    tree = cluster_tables(subtrees, TreeParams(cluster_threshold=1.999), gw, Side.SOURCE)
+
+    assert tree.root == "grp:3"
+    assert tree.node("grp:3").children == ("grp:1", "grp:2")
+    assert tree.node("grp:1").children == tuple(f"tbl:t{i}" for i in range(4))
+    assert tree.node("grp:2").children == tuple(f"tbl:t{i}" for i in range(4, 8))
+
+
+def test_collapse_keeps_member_sets_and_separates_heights():
+    rng = np.random.default_rng(11)
+    shrunk = 0
+    for _ in range(200):
+        n = int(np.exp(rng.uniform(np.log(2), np.log(121))))
+        dist = random_distances(rng, n)
+        merges, survivors = plan_merges(dist, float(rng.choice([0.3, 0.5, 1.0, 1.999])))
+        members = [frozenset([i]) for i in range(n)]
+        height = {}
+        for c, (a, b) in enumerate(merges, start=n):
+            members.append(members[a] | members[b])
+            height[c] = float(dist[np.ix_(sorted(members[a]), sorted(members[b]))].mean())
+        kept = collapse_tied_merges(dist, merges)
+        assert [c for c, _ in kept] == sorted(c for c, _ in kept)
+        children = dict(kept)
+        for c, kids in kept:
+            # a kept cluster holds its binary merge's members, split among its children
+            assert frozenset().union(*(members[x] for x in kids)) == members[c]
+            assert sum(len(members[x]) for x in kids) == len(members[c])
+            assert all(x < n or x in children for x in kids)
+            assert all(abs(height[c] - height[x]) > TIE_TOLERANCE for x in kids if x >= n)
+        # every table sits under exactly one top-level node
+        assert all(c < n or c in children for c in survivors)
+        under = []
+        todo = list(survivors)
+        while todo:
+            c = todo.pop()
+            if c < n:
+                under.append(c)
+            else:
+                todo.extend(children[c])
+        assert sorted(under) == list(range(n))
+        shrunk += len(kept) < len(merges)
+    assert shrunk >= 50
 
 
 # -- relations -------------------------------------------------------------------
@@ -608,6 +684,19 @@ def test_build_is_deterministic_and_serializable(tmp_path):
     loaded = load_tree(path)
     assert tree_to_dict(loaded) == tree_to_dict(t1)
     check_tree_invariants(loaded, cat, PARAMS)
+
+
+def test_load_tree_rejects_an_edited_summary(tmp_path):
+    cat = multi_table_catalog([12, 5], seed=2)
+    tree = build_context_tree(cat, PARAMS, tree_gateway())
+    path = tmp_path / "tree.json"
+    save_tree(tree, path)
+    assert tree_to_dict(load_tree(path)) == tree_to_dict(tree)
+    doc = json.loads(path.read_text())
+    doc["nodes"]["tbl:t0"]["summary"] += " (edited)"
+    path.write_text(json.dumps(doc, sort_keys=True))
+    with pytest.raises(TreeError, match="content hash"):
+        load_tree(path)
 
 
 def test_table_ids_with_separator_characters():
