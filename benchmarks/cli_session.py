@@ -9,6 +9,9 @@ every path in the outputs is relative:
 * ``match`` in all five modes over a query file in which two queries
   fail: one's shortlist leaves out the scripted answer, and the script
   answers no decision for the other;
+* a masked leg: ``build-graph --mask`` and ``build-tree --mask`` for the
+  target side, then a ``full`` ``match`` on those artifacts with both mask
+  keys set through ``--config``, under a script keyed on masked names;
 * ``bench generate``, then ``bench run`` over all five modes, once with a
   script that answers every query and once with one that never answers;
 * ``report`` over one run and over both runs, in both formats.
@@ -111,12 +114,16 @@ def write_inputs(out: Path):
     write("target.json", TARGET)
     write("answers.json", {"rules": answers + AUX_RULES, "default": DEFAULT_REPLY})
     write("silent.json", {"rules": AUX_RULES, "default": DEFAULT_REPLY})
+    source_cid = _cids(SOURCE)
+    masked_answers = [{"contains": f"Query column: {source_cid[s]};",
+                       "reply": f"ANSWER: {target_cid[t]}"} for s, t in TRUTH.items()]
+    write("masked.json", {"rules": masked_answers + AUX_RULES, "default": DEFAULT_REPLY})
+    write("masked_config.json", {"mask_source": True, "mask_target": True})
     write("benchspec.json", {
         "source_catalog": "source.json", "target_catalog": "target.json",
         "pair_similarity_tau": 0.8, "min_separation": 2,
         "verified_matches": TRUTH,
     })
-    source_cid = _cids(SOURCE)
     write("queries.json", [
         {"source": source_cid["income_main"], "truth": target_cid["wage_amount"]},
         {"source": source_cid["hours_side"], "truth": target_cid["work_hours"]},
@@ -152,6 +159,20 @@ def commands() -> list[tuple[str, list[str], bool]]:
             "--queries", "queries.json", "--mode", mode, "--k", "3", "--tau", "0.8",
             "--cache", "match_cache", "--out", f"match/{mode}",
             "--backend", "scripted:answers.json"], True))
+    masked_backend = ["--backend", "scripted:masked.json"]
+    cmds.append(("build_graph_target_masked", [
+        "build-graph", "--catalog", "target.json", "--side", "target", "--tau", "0.8",
+        "--mask", "--out", "masked/graph/target_graph.json", *masked_backend], True))
+    cmds.append(("build_tree_target_masked", [
+        "build-tree", "--catalog", "target.json", "--side", "target", *TREE_FLAGS,
+        "--mask", "--out", "masked/tree/target_tree.json", *masked_backend], True))
+    cmds.append(("match_full_masked", [
+        "match", "--source-catalog", "source.json", "--target-catalog", "target.json",
+        "--target-graph", "masked/graph/target_graph.json",
+        "--target-tree", "masked/tree/target_tree.json",
+        "--queries", "queries.json", "--mode", "full", "--k", "3", "--tau", "0.8",
+        *TREE_FLAGS, "--config", "masked_config.json", "--out", "masked/match",
+        *masked_backend], True))
     cmds.append(("bench_generate", [
         "bench", "generate", "--benchspec", "benchspec.json", "--out", "bench.json",
         "--backend", "scripted:answers.json"], True))

@@ -83,6 +83,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    if getattr(args, "mask", None):  # build-tree/build-graph --mask: the side built
+        cfg[f"mask_{args.side}"] = True
     return cfg
 
 
@@ -144,18 +146,12 @@ def pipeline_config(cfg: dict) -> PipelineConfig:
 # -- subcommands ----------------------------------------------------------------
 
 
-def _side_mask(args, cfg) -> bool:
-    if getattr(args, "mask", None) is not None:
-        return bool(args.mask)
-    return cfg["mask_source"] if args.side == "source" else cfg["mask_target"]
-
-
 def cmd_build_tree(args) -> int:
     cfg = resolve_config(args)
     out = Path(args.out)
     params = tree_params(cfg)
     gateway = make_gateway(cfg, cache_dir=args.cache or out.parent / "cache")
-    catalog = _load_catalog(args.catalog, args.side, _side_mask(args, cfg))
+    catalog = _load_catalog(args.catalog, args.side, cfg[f"mask_{args.side}"])
     tree = tree_mod.build_context_tree(catalog, params, gateway,
                                        annotate_relations=cfg["relations"])
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -170,7 +166,7 @@ def cmd_build_graph(args) -> int:
     cfg = resolve_config(args)
     out = Path(args.out)
     gateway = make_gateway(cfg, cache_dir=args.cache)
-    catalog = _load_catalog(args.catalog, args.side, _side_mask(args, cfg))
+    catalog = _load_catalog(args.catalog, args.side, cfg[f"mask_{args.side}"])
     hg = graph_mod.build_hypergraph(catalog, gateway, tau=cfg["tau"])
     out.parent.mkdir(parents=True, exist_ok=True)
     graph_mod.save_hypergraph(hg, catalog, out)
@@ -291,6 +287,8 @@ def cmd_match(args) -> int:
 
 
 def _load_benchspec(path, cfg) -> tuple[ev.BenchmarkSpec, SchemaCatalog, SchemaCatalog]:
+    """Read a bench spec. Its ``mask_source``/``mask_target`` override
+    ``cfg``'s and are written back, so the run config records the masking."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -300,10 +298,10 @@ def _load_benchspec(path, cfg) -> tuple[ev.BenchmarkSpec, SchemaCatalog, SchemaC
         if required not in doc:
             raise UsageError(f"benchmark spec is missing {required!r}")
     base = Path(path).parent
-    source = _load_catalog(base / doc["source_catalog"], "source",
-                           doc.get("mask_source", cfg["mask_source"]))
-    target = _load_catalog(base / doc["target_catalog"], "target",
-                           doc.get("mask_target", cfg["mask_target"]))
+    for key in ("mask_source", "mask_target"):
+        cfg[key] = doc.get(key, cfg[key])
+    source = _load_catalog(base / doc["source_catalog"], "source", cfg["mask_source"])
+    target = _load_catalog(base / doc["target_catalog"], "target", cfg["mask_target"])
     verified = {
         source.resolve(k): target.resolve(v)
         for k, v in doc["verified_matches"].items()

@@ -19,13 +19,12 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from construm import kernels
 from construm.catalog import ColumnRef, MatchQuery, SchemaCatalog
 from construm.gateway import AccountingSnapshot, GatewayError, ModelGateway
-from construm.graph import embedding_text
+from construm.graph import embed_columns
 from construm.pipeline import (
+    MODES,
     Artifacts,
     MatchResult,
     PipelineConfig,
@@ -35,8 +34,6 @@ from construm.pipeline import (
 )
 
 logger = logging.getLogger(__name__)
-
-MODE_ORDER = ("embed_top1", "llm_local", "full", "no_tree", "no_diff")
 
 
 class BenchmarkError(Exception):
@@ -61,10 +58,7 @@ def similar_separated_pairs(spec: BenchmarkSpec, gateway: ModelGateway
     sorted by position.
     """
     cat = spec.source_catalog
-    refs = list(cat.refs())
-    texts = [embedding_text(cat, r) for r in refs]
-    vectors = gateway.embed_batch(texts)
-    matrix = np.stack([v.values for v in vectors])
+    matrix = embed_columns(cat, list(cat.refs()), gateway)
     pairs = []
     start = 0
     for table in cat.tables:
@@ -223,6 +217,9 @@ def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig, artifacts
     ``config.k``). A query that raises gets ``(None, QueryFailure)``, which
     keeps the calls it made, and the run continues. Queries run
     concurrently on the gateway; each trace counts only its own query's calls.
+    The first query of each (source, shortlist) pair runs before any repeat
+    of it, so the first books the backend calls and the repeats the cache
+    hits, whatever the timing.
     """
     def run_one(i: int) -> Outcome:
         q = queries[i]
@@ -236,7 +233,16 @@ def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig, artifacts
                            exc_info=not isinstance(exc, (PipelineError, GatewayError)))
             return None, QueryFailure(str(exc), getattr(exc, "spent", AccountingSnapshot()))
 
-    return gateway.concurrently([partial(run_one, i) for i in range(len(queries))])
+    first: dict[tuple, int] = {}
+    for i, q in enumerate(queries):
+        first.setdefault((q.source, q.shortlist), i)
+    leads = list(first.values())  # in query order
+    repeats = sorted(set(range(len(queries))) - set(leads))
+    outcomes: list = [None] * len(queries)
+    for wave in (leads, repeats):
+        for i, outcome in zip(wave, gateway.concurrently([partial(run_one, i) for i in wave])):
+            outcomes[i] = outcome
+    return outcomes
 
 
 def run_ablation_suite(queries: Sequence[MatchQuery], modes: Sequence[str],
@@ -273,7 +279,7 @@ def render_report(reports: Mapping[str, Mapping[str, EvalReport]],
     emits one long row per (slice, mode). Both are deterministic.
     """
     slices = list(reports)
-    modes = [m for m in MODE_ORDER if any(m in reports[s] for s in slices)]
+    modes = [m for m in MODES if any(m in reports[s] for s in slices)]
     for s in slices:  # preserve unknown/custom modes too
         for m in reports[s]:
             if m not in modes:

@@ -234,9 +234,9 @@ class ScriptedChatBackend:
     matching rule wins, then the optional ``responder`` callable, then the
     optional ``default``. A missing match raises :class:`ScriptError`. An
     injected ``delay`` (seconds, slept for real) exercises timeout paths.
-    Every attempt is appended to ``call_log`` as (role_tag, prompt). A
-    script loaded with ``from_file`` puts a hash of its rules and default
-    into ``backend_id``, so an edited script never hits stale cached replies.
+    It keeps no state between calls. A script loaded with ``from_file``
+    puts a hash of its rules and default into ``backend_id``, so an edited
+    script never hits stale cached replies.
     """
 
     def __init__(self, rules: Sequence[ScriptRule] = (), default: str | None = None,
@@ -247,8 +247,6 @@ class ScriptedChatBackend:
         self.responder = responder
         self.delay = delay
         self.backend_id = backend_id
-        self.call_log: list[tuple[str, str]] = []
-        self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path) -> "ScriptedChatBackend":
@@ -267,8 +265,6 @@ class ScriptedChatBackend:
         )
 
     def chat(self, call: ChatCall) -> BackendReply:
-        with self._lock:
-            self.call_log.append((call.role_tag, call.prompt))
         if self.delay:
             time.sleep(self.delay)
         text = None

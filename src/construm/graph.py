@@ -64,6 +64,13 @@ def embedding_text(catalog: SchemaCatalog, ref: ColumnRef) -> str:
             f" table: {table.name}.")
 
 
+def embed_columns(catalog: SchemaCatalog, refs: Sequence[ColumnRef],
+                  gateway: ModelGateway) -> np.ndarray:
+    """One unit embedding row per column of ``refs``, in order, from one batch."""
+    texts = [embedding_text(catalog, r) for r in refs]
+    return np.stack([v.values for v in gateway.embed_batch(texts)])
+
+
 class Hypergraph:
     """Immutable tau-thresholded similarity structure for one side.
 
@@ -129,8 +136,7 @@ def build_hypergraph(catalog: SchemaCatalog, gateway: ModelGateway,
     refs = list(catalog.refs())
     if not refs:
         raise ValueError("cannot build a hypergraph over an empty catalog")
-    texts = [embedding_text(catalog, r) for r in refs]
-    matrix = np.stack([v.values for v in gateway.embed_batch(texts)])
+    matrix = embed_columns(catalog, refs, gateway)
     raw_links = kernels.threshold_links(matrix, tau)
     links = [SimilarityLink(refs[i], refs[j], cos) for i, j, cos in raw_links]
     groups = extract_groups(links, refs)

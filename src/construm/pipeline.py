@@ -41,7 +41,7 @@ from construm.gateway import AccountingSnapshot, ChatCall, GatewayError, ModelGa
 from construm.graph import (
     Hypergraph,
     SimilarityGroup,
-    embedding_text,
+    embed_columns,
     expand_candidates,
     groups_within,
     source_confusable_set,
@@ -50,7 +50,7 @@ from construm.tree import ContextPack, ContextTree, TreeError, build_context_pac
 
 logger = logging.getLogger(__name__)
 
-MODES = ("full", "no_tree", "no_diff", "llm_local", "embed_top1")
+MODES = ("embed_top1", "llm_local", "full", "no_tree", "no_diff")  # in report order
 
 
 class PipelineError(Exception):
@@ -156,8 +156,7 @@ def shortlist(s: ColumnRef, artifacts: Artifacts, k: int,
 def _source_vector(s: ColumnRef, artifacts: Artifacts, gateway: ModelGateway) -> np.ndarray:
     if artifacts.source_graph is not None and s in artifacts.source_graph:
         return artifacts.source_graph.vector(s)
-    text = embedding_text(artifacts.source_catalog, s)
-    return gateway.embed_batch([text])[0].values
+    return embed_columns(artifacts.source_catalog, [s], gateway)[0]
 
 
 # -- prompt assembly ----------------------------------------------------------

@@ -32,6 +32,7 @@ import numpy as np
 
 from construm.catalog import ColumnRef, SchemaCatalog, Side, TableMeta, as_side
 from construm.gateway import ChatCall, GatewayError, ModelGateway
+from construm.graph import embed_columns
 
 logger = logging.getLogger(__name__)
 
@@ -268,56 +269,42 @@ class PlanGroup:
     columns: tuple[ColumnRef, ...]  # contiguous span when the table is ordered
 
 
-@dataclass(frozen=True)
-class GroupingPlan:
-    groups: tuple[PlanGroup, ...]
-    ordered: bool
-
-
 _ORDERED_GROUP_RE = re.compile(r"\[(\d+)\.\.(\d+)\]\s*=\s*([^,\n\]]+)")
 _UNORDERED_GROUP_RE = re.compile(r"\{([\d,\s]+)\}\s*=\s*([^,\n]+)")
 
 
 def _parse_plan(reply: str, refs: Sequence[ColumnRef], ordered: bool) -> list[PlanGroup] | None:
-    by_ordinal = {r.ordinal: r for r in refs}
+    """The reply's groups as a partition of ``refs``, or None.
+
+    Both formats become listing positions: an ordered ``[lo..hi]`` is
+    ``lo - lo0 .. hi - lo0``, with groups in span order. One check then
+    rejects an empty group, an out-of-range or repeated position,
+    incomplete coverage and a single group.
+    """
+    found: list[tuple[Sequence[int], str]] = []
     if ordered:
-        found = []
-        for m in _ORDERED_GROUP_RE.finditer(reply):
-            lo, hi, label = int(m.group(1)), int(m.group(2)), m.group(3).strip()
-            found.append((lo, hi, label))
-        if not found:
-            return None
-        found.sort()
-        lo0, hi0 = refs[0].ordinal, refs[-1].ordinal
-        cursor = lo0
-        groups = []
-        for lo, hi, label in found:
-            if lo != cursor or hi < lo or hi > hi0:
-                return None
-            groups.append(PlanGroup(label, tuple(by_ordinal[o] for o in range(lo, hi + 1))))
-            cursor = hi + 1
-        if cursor != hi0 + 1:
-            return None
+        lo0 = refs[0].ordinal
+        spans = sorted((int(m.group(1)), int(m.group(2)), m.group(3).strip())
+                       for m in _ORDERED_GROUP_RE.finditer(reply))
+        found = [(range(lo - lo0, hi - lo0 + 1), label) for lo, hi, label in spans]
     else:
-        found = []
         for m in _UNORDERED_GROUP_RE.finditer(reply):
             try:
                 positions = [int(x) for x in m.group(1).split(",") if x.strip()]
             except ValueError:
                 return None
             found.append((positions, m.group(2).strip()))
-        if not found:
+    seen: set[int] = set()
+    groups = []
+    for positions, label in found:
+        if not positions:
             return None
-        seen: set[int] = set()
-        groups = []
-        for positions, label in found:
-            if any(p < 0 or p >= len(refs) or p in seen for p in positions) or not positions:
+        for p in positions:  # stops at the first bad position, however long the span
+            if not 0 <= p < len(refs) or p in seen:
                 return None
-            seen.update(positions)
-            groups.append(PlanGroup(label, tuple(refs[p] for p in sorted(positions))))
-        if len(seen) != len(refs):
-            return None
-    if len(groups) < 2:
+            seen.add(p)
+        groups.append(PlanGroup(label, tuple(refs[p] for p in sorted(positions))))
+    if len(seen) != len(refs) or len(groups) < 2:
         return None  # a single group makes no progress; force fallback
     return groups
 
@@ -401,7 +388,7 @@ def uniform_split(refs: Sequence[ColumnRef], fan_out: int, min_group: int) -> li
 def stage3_conceptual_map(catalog: SchemaCatalog, table: TableMeta,
                           window_summaries: list[tuple[tuple[int, int], str]],
                           theme: str, params: TreeParams,
-                          gateway: ModelGateway) -> GroupingPlan:
+                          gateway: ModelGateway) -> tuple[PlanGroup, ...]:
     """Ask for a labeled partition of the table's columns and repair it.
 
     The reply must list groups as ``[lo..hi]=label`` lines (ordered) or
@@ -444,29 +431,20 @@ def stage3_conceptual_map(catalog: SchemaCatalog, table: TableMeta,
     else:
         centroids = None
         if not table.ordered and any(len(g.columns) < params.min_group for g in groups):
-            vecs = _member_centroid_vectors(catalog, groups, gateway)
-            centroids = list(vecs)
+            centroids = _member_centroid_vectors(catalog, groups, gateway)
         groups = repair_plan(groups, params.min_group, params.fan_out * 2,
                              table.ordered, centroids)
         if len(groups) < 2:
             groups = uniform_split(refs, params.fan_out, params.min_group)
-    return GroupingPlan(tuple(groups), table.ordered)
+    return tuple(groups)
 
 
 def _member_centroid_vectors(catalog: SchemaCatalog, groups: Sequence[PlanGroup],
                              gateway: ModelGateway) -> list[np.ndarray]:
-    from construm.graph import embedding_text
-
-    texts = []
-    spans = []
-    for g in groups:
-        start = len(texts)
-        texts.extend(embedding_text(catalog, r) for r in g.columns)
-        spans.append((start, len(texts)))
-    vectors = gateway.embed_batch(texts)
-    return [
-        np.sum([vectors[i].values for i in range(a, b)], axis=0) for a, b in spans
-    ]
+    """Each group's summed member embedding, from one batch over all members."""
+    matrix = embed_columns(catalog, [r for g in groups for r in g.columns], gateway)
+    ends = np.cumsum([len(g.columns) for g in groups])
+    return [matrix[end - len(g.columns):end].sum(axis=0) for g, end in zip(groups, ends)]
 
 
 # -- stage 4: boundary refinement ---------------------------------------------
@@ -475,22 +453,20 @@ _MOVE_RE = re.compile(r"MOVE\s+(\d+)\s*->\s*(\d+)")
 
 
 def stage4_refine_boundaries(catalog: SchemaCatalog, table: TableMeta,
-                             plan: GroupingPlan, params: TreeParams,
-                             gateway: ModelGateway) -> GroupingPlan:
+                             plan: tuple[PlanGroup, ...], params: TreeParams,
+                             gateway: ModelGateway) -> tuple[PlanGroup, ...]:
     """Re-scan an ordered table and let the LLM nudge group boundaries.
 
     At most ``switch_budget`` moves apply per pass, in scan order; a move
     that would break contiguity or the minimum group size is discarded
     (logged) and the original boundary kept.
     """
-    if not plan.ordered:
-        return plan
     refs = table.columns
     lo, hi = _span_of(refs)
-    boundaries = [g.columns[0].ordinal for g in plan.groups[1:]]
+    boundaries = [g.columns[0].ordinal for g in plan[1:]]
     if not boundaries:
         return plan
-    labels = [g.label for g in plan.groups]
+    labels = [g.label for g in plan]
     moves_used = 0
     for start, stop in window_partition(len(refs), params.window, params.min_group):
         w_lo, w_hi = refs[start].ordinal, refs[stop - 1].ordinal
@@ -529,13 +505,9 @@ def stage4_refine_boundaries(catalog: SchemaCatalog, table: TableMeta,
                 continue
             boundaries[i] = new
             moves_used += 1
-    by_ordinal = {r.ordinal: r for r in refs}
-    edges = [lo] + boundaries + [hi + 1]
-    groups = [
-        PlanGroup(labels[i], tuple(by_ordinal[o] for o in range(edges[i], edges[i + 1])))
-        for i in range(len(labels))
-    ]
-    return GroupingPlan(tuple(groups), True)
+    edges = [lo] + boundaries + [hi + 1]  # refs[o - lo] is ordinal o
+    return tuple(PlanGroup(label, tuple(refs[a - lo:b - lo]))
+                 for label, a, b in zip(labels, edges, edges[1:]))
 
 
 # -- per-table build ----------------------------------------------------------
@@ -605,7 +577,7 @@ def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParam
             plan = stage4_refine_boundaries(catalog, view, plan, params, gateway)
         subtrees = gateway.concurrently([
             partial(build_block, f"{node_id}.{gi}", group.columns, NodeKind.WITHIN_TABLE)
-            for gi, group in enumerate(plan.groups)
+            for gi, group in enumerate(plan)
         ])
         context = f"TABLE: {table.name} ({table.table_id})\nTHEME: {theme}\n"
         node = TreeNode(

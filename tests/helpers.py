@@ -183,11 +183,23 @@ def chain_bots(*bots):
     return responder
 
 
+class RecordingChatBackend(ScriptedChatBackend):
+    """The scripted backend, keeping every attempt as (role_tag, prompt)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.call_log: list[tuple[str, str]] = []
+
+    def chat(self, call):
+        self.call_log.append((call.role_tag, call.prompt))  # one append is thread-safe
+        return super().chat(call)
+
+
 def make_gateway(responder=None, rules=(), default=None, cache=None, delay=0.0,
                  embed_backend=None, backend_id="scripted",
                  max_in_flight=MAX_IN_FLIGHT) -> ModelGateway:
-    chat = ScriptedChatBackend(rules=rules, default=default, responder=responder,
-                               delay=delay, backend_id=backend_id)
+    chat = RecordingChatBackend(rules=rules, default=default, responder=responder,
+                                 delay=delay, backend_id=backend_id)
     return ModelGateway(
         chat_backend=chat,
         embed_backend=embed_backend or HashEmbeddingBackend(),
@@ -274,6 +286,25 @@ def greedy_merge_oracle(sizes: list[int], m: int) -> list[int]:
             changed = True
             break
     return sizes
+
+
+def cap_merge_oracle(groups: list[list[int]], cap: int, ordered: bool) -> list[list[int]]:
+    """Reference group-count cap over member-position lists: while more
+    than ``cap`` groups remain, ordered tables merge the adjacent pair with
+    the smallest total (leftmost on ties) and unordered tables the two
+    smallest groups (earliest on ties); the merge sits at the earlier slot."""
+    groups = [sorted(g) for g in groups]
+    while len(groups) > cap:
+        if ordered:
+            i = min(range(len(groups) - 1),
+                    key=lambda i: (len(groups[i]) + len(groups[i + 1]), i))
+            j = i + 1
+        else:
+            by_size = sorted(range(len(groups)), key=lambda i: (len(groups[i]), i))
+            i, j = sorted(by_size[:2])
+        groups[i] = sorted(groups[i] + groups[j])
+        del groups[j]
+    return groups
 
 
 def leaf_coverage(tree) -> list:

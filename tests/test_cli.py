@@ -222,6 +222,40 @@ def test_bench_run_reproduces_byte_identical_traces(tmp_path):
         (outs[1] / "run_config.json").read_bytes()
 
 
+def test_masked_build_is_reproducible_from_its_run_config(tmp_path):
+    source, target, script = fixture_files(tmp_path)
+    # a rule keyed on a raw column name fires only if masking is lost
+    raw = write_json(tmp_path / "raw.json", {
+        "rules": [{"contains": "income_main", "reply": "a raw name reached the model"}],
+        "default": "a short deterministic summary",
+    })
+    for command, name in (("build-tree", "tree.json"), ("build-graph", "graph.json")):
+        first, again = tmp_path / command / "first", tmp_path / command / "again"
+        assert main([command, "--catalog", str(source), "--side", "source", "--mask",
+                     "--out", str(first / name), "--backend", f"scripted:{raw}"]) == 0
+        assert json.loads((first / "run_config.json").read_text())["mask_source"] is True
+        assert main([command, "--catalog", str(source), "--side", "source",
+                     "--out", str(again / name),
+                     "--config", str(first / "run_config.json")]) == 0
+        assert (again / name).read_bytes() == (first / name).read_bytes(), command
+    assert "raw name" not in (tmp_path / "build-tree" / "first" / "tree.json").read_text()
+
+
+def test_bench_run_records_the_masking_its_spec_applies(tmp_path):
+    source, target, script, benchspec = bench_setup(tmp_path)
+    spec = json.loads(benchspec.read_text())
+    masked_spec = write_json(tmp_path / "masked_spec.json", {**spec, "mask_source": True})
+    backend = f"scripted:{script}"
+    bench = tmp_path / "bench.json"
+    assert main(["bench", "generate", "--benchspec", str(benchspec),
+                 "--out", str(bench), "--backend", backend]) == 0
+    assert main(["bench", "run", "--benchspec", str(masked_spec), "--bench", str(bench),
+                 "--modes", "llm_local", "--out", str(tmp_path / "run"),
+                 "--backend", backend]) == 0
+    resolved = json.loads((tmp_path / "run" / "run_config.json").read_text())
+    assert resolved["mask_source"] is True and resolved["mask_target"] is False
+
+
 def test_match_accepts_spec_style_aliases(tmp_path):
     source, target, script = fixture_files(tmp_path)
     backend = f"scripted:{script}"

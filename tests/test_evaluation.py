@@ -23,7 +23,7 @@ from construm.evaluation import (
     weighted_average,
     weighted_total,
 )
-from construm.gateway import AccountingSnapshot, HashEmbeddingBackend, ModelGateway
+from construm.gateway import AccountingSnapshot, DiskCache, HashEmbeddingBackend, ModelGateway
 from construm.graph import build_hypergraph, embedding_text
 from construm.pipeline import Artifacts, MatchResult, MatchTrace, PipelineConfig
 from helpers import (
@@ -295,6 +295,34 @@ def test_concurrent_query_traces_equal_serial_and_sum_to_totals():
     finally:
         sys.setswitchinterval(interval)
     assert traces[16] == traces[1]
+
+
+def test_repeated_queries_split_calls_and_cache_hits_the_same_way_every_run(tmp_path):
+    scat = random_catalog(31, "source", n=20, table_id="S", tokens_per_desc=5)
+    tcat = random_catalog(32, "target", n=25, table_id="T", tokens_per_desc=5)
+    gw_build = hash_gw()
+    artifacts = Artifacts(scat, tcat, source_graph=build_hypergraph(scat, gw_build, tau=0.5),
+                          target_graph=build_hypergraph(tcat, gw_build, tau=0.5))
+    # four sources, each asked twice in a row: the copies share every prompt
+    queries = [MatchQuery(source=s) for s in list(scat.refs())[:4] for _ in range(2)]
+    config = PipelineConfig.from_mode("no_tree", k=6)
+    splits = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for run in range(20):
+            gw = make_gateway(responder=chain_bots(diff_echo_bot, first_candidate_decision_bot),
+                              delay=0.002, cache=DiskCache(tmp_path / f"cache{run}"))
+            outcomes = run_queries(queries, config, artifacts, gw)
+            splits.add(tuple((r.trace.spent.llm_calls, r.trace.spent.cache_hits)
+                             for r, _ in outcomes))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(splits) == 1, splits
+    (split,) = splits
+    # the first copy of each query books the calls, the repeat only cache hits
+    assert all(calls > 0 for calls, _ in split[::2])
+    assert all(calls == 0 and hits > 0 for calls, hits in split[1::2])
 
 
 def test_failed_queries_count_their_calls_in_the_report():

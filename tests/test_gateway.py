@@ -22,16 +22,15 @@ from construm.gateway import (
     ModelGateway,
     ScriptError,
     ScriptRule,
-    ScriptedChatBackend,
     TransportError,
     cache_key,
 )
 
-from helpers import RunningCount
+from helpers import RecordingChatBackend, RunningCount
 
 
 def scripted(rules=(), default=None, delay=0.0, cache=None):
-    backend = ScriptedChatBackend(rules=rules, default=default, delay=delay)
+    backend = RecordingChatBackend(rules=rules, default=default, delay=delay)
     return backend, ModelGateway(chat_backend=backend,
                                  embed_backend=HashEmbeddingBackend(), cache=cache)
 

@@ -603,3 +603,30 @@ def test_query_missing_from_source_graph_skips_source_block_with_one_warning(cap
         assert len(warnings) == 1, mode
         assert "not in the source graph" in warnings[0].getMessage()
         assert result.chosen in set(tcat.refs())  # the query answers
+
+
+def test_column_added_after_the_target_artifacts_degrades_with_one_warning_each(caplog):
+    columns = [(f"col_{i}", f"field number {i} of the table") for i in range(12)]
+    older = build_catalog("target", [table_doc("tt", columns)])
+    tcat = build_catalog("target", [table_doc("tt", columns + [("new_col", "a new field")])])
+    scat = build_catalog("source", [table_doc("s", [("query_col", "an interesting field")])])
+    gw = hash_gw(responder=chain_bots(tree_bot, diff_echo_bot, first_candidate_decision_bot))
+    # graph and tree built before the target catalog grew
+    artifacts = Artifacts(scat, tcat,
+                          source_tree=build_context_tree(scat, PARAMS, gw),
+                          target_tree=build_context_tree(older, PARAMS, gw),
+                          source_graph=build_hypergraph(scat, gw, tau=0.9),
+                          target_graph=build_hypergraph(older, gw, tau=0.9))
+    new = tcat.resolve("new_col")
+    assert new not in artifacts.target_graph
+    q = MatchQuery(source=scat.resolve("query_col"),
+                   shortlist=(new, tcat.resolve("col_3"), tcat.resolve("col_7")))
+    with caplog.at_level(logging.WARNING):
+        result = run_match(q, PipelineConfig.from_mode("full"), artifacts, gw)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    expected = ("candidate expansion failed", f"context pack unavailable for {new}:",
+                "candidate grouping skipped")
+    assert len(warnings) == len(expected)
+    assert all(sum(w.startswith(e) for w in warnings) == 1 for e in expected), warnings
+    assert result.chosen == new  # the query answers: the bot takes the first candidate
+    assert set(result.ranked) == set(q.shortlist)

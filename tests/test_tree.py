@@ -11,7 +11,6 @@ from construm.gateway import MAX_IN_FLIGHT, DiskCache, TransportError
 from construm.tree import (
     TIE_TOLERANCE,
     ContextTree,
-    GroupingPlan,
     NodeKind,
     PlanGroup,
     TreeError,
@@ -33,12 +32,14 @@ from construm.tree import (
     stage3_conceptual_map,
     stage4_refine_boundaries,
     tree_to_dict,
+    uniform_split,
     window_partition,
 )
 from helpers import (
     PositionalEmbeddingBackend,
     RunningCount,
     build_catalog,
+    cap_merge_oracle,
     chain_bots,
     greedy_merge_oracle,
     leaf_coverage,
@@ -152,18 +153,18 @@ def make_plan(cat, reply, params=PARAMS):
 def test_stage3_valid_plan_accepted_verbatim():
     cat = ordered_catalog(250)
     plan = make_plan(cat, "groups: [0..119]=demographics, [120..249]=pensions")
-    assert [(g.label, g.columns[0].ordinal, g.columns[-1].ordinal) for g in plan.groups] \
+    assert [(g.label, g.columns[0].ordinal, g.columns[-1].ordinal) for g in plan] \
         == [("demographics", 0, 119), ("pensions", 120, 249)]
 
 
 def test_stage3_undersized_group_merges_like_greedy_oracle():
     cat = ordered_catalog(250)
     plan = make_plan(cat, "[0..2]=tiny, [3..119]=a, [120..249]=b")
-    sizes = [len(g.columns) for g in plan.groups]
+    sizes = [len(g.columns) for g in plan]
     assert sizes == greedy_merge_oracle([3, 117, 130], m=10)
     # contiguity preserved
     cursor = 0
-    for g in plan.groups:
+    for g in plan:
         assert g.columns[0].ordinal == cursor
         cursor = g.columns[-1].ordinal + 1
     assert cursor == 250
@@ -192,13 +193,13 @@ def test_repair_matches_oracle_on_random_size_sequences():
 def test_stage3_garbage_twice_falls_back_to_uniform_split():
     cat = ordered_catalog(250)
     plan = make_plan(cat, "total nonsense")
-    assert [len(g.columns) for g in plan.groups] == [50, 50, 50, 50, 50]
+    assert [len(g.columns) for g in plan] == [50, 50, 50, 50, 50]
 
 
 def test_stage3_single_group_plan_rejected():
     cat = ordered_catalog(250)
     plan = make_plan(cat, "[0..249]=everything")
-    assert len(plan.groups) == 5  # fell back to the uniform split
+    assert len(plan) == 5  # fell back to the uniform split
 
 
 def test_stage3_unordered_sets():
@@ -206,8 +207,8 @@ def test_stage3_unordered_sets():
     reply = ("{" + ",".join(map(str, range(0, 15))) + "}=first, "
              "{" + ",".join(map(str, range(15, 30))) + "}=second")
     plan = make_plan(cat, reply)
-    assert [len(g.columns) for g in plan.groups] == [15, 15]
-    members = [r for g in plan.groups for r in g.columns]
+    assert [len(g.columns) for g in plan] == [15, 15]
+    members = [r for g in plan for r in g.columns]
     assert sorted(r.ordinal for r in members) == list(range(30))
 
 
@@ -225,9 +226,93 @@ def test_stage3_unordered_undersized_merges_into_nearest_centroid():
              "{" + ",".join(map(str, range(24, 30))) + "}=tiny")
     plan = make_plan(cat, reply)
     # the 6-member group is under min_group and joins the beta-like group
-    assert sorted(len(g.columns) for g in plan.groups) == [12, 18]
-    big = max(plan.groups, key=lambda g: len(g.columns))
+    assert sorted(len(g.columns) for g in plan) == [12, 18]
+    big = max(plan, key=lambda g: len(g.columns))
     assert {r.ordinal for r in big.columns} == set(range(12, 30))
+
+
+def settle_plan(cat, reply):
+    """Stage 3's plan for a table whose every plan reply is ``reply``, and
+    the number of group-plan prompts it sent."""
+    gw = make_gateway(responder=chain_bots(plan_reply_bot(reply), tree_bot))
+    plan = stage3_conceptual_map(cat, cat.tables[0], [((0, 0), "a window")], "a theme",
+                                 PARAMS, gw)
+    asks = sum("TASK: group-plan" in p for _, p in gw.chat_backend.call_log)
+    return plan, asks
+
+
+def uniform_plan(cat):
+    return tuple(uniform_split(cat.tables[0].columns, PARAMS.fan_out, PARAMS.min_group))
+
+
+def positions(*spans):
+    return "{" + ",".join(str(p) for lo, hi in spans for p in range(lo, hi + 1)) + "}"
+
+
+@pytest.mark.parametrize("reply", [
+    "[0..130]=a, [120..249]=b",                    # overlap
+    "[0..119]=a, [121..249]=b",                    # gap
+    "[0..119]=a, [120..250]=b",                    # a span past the table
+    "[0..119]=a, [120..119]=none, [120..249]=b",   # hi < lo
+    "[0..249]=everything",                         # a single group
+], ids=["overlap", "gap", "past-table", "hi-below-lo", "single-group"])
+def test_stage3_rejected_ordered_plan_reprompts_then_splits_uniformly(reply):
+    cat = ordered_catalog(250)
+    plan, asks = settle_plan(cat, reply)
+    assert asks == 2
+    assert plan == uniform_plan(cat)
+
+
+@pytest.mark.parametrize("reply", [
+    f"{positions((0, 15))}=a, {positions((15, 29))}=b",          # a duplicate position
+    f"{positions((0, 0), (0, 14))}=a, {positions((15, 29))}=b",  # repeated in one group
+    f"{positions((0, 14))}=a, {positions((16, 29))}=b",          # a missing position
+    f"{positions((0, 14))}=a, {positions((15, 30))}=b",          # a position past the table
+    "{0,1,2 3,4,5,6,7,8,9,10,11,12,13,14}=a, " + f"{positions((15, 29))}=b",  # not an int
+    f"{positions((0, 29))}=everything",                          # a single group
+], ids=["duplicate", "repeated-in-group", "missing", "out-of-range", "non-integer",
+        "single-group"])
+def test_stage3_rejected_unordered_plan_reprompts_then_splits_uniformly(reply):
+    cat = random_catalog(2, "source", n=30, ordered=False)
+    plan, asks = settle_plan(cat, reply)
+    assert asks == 2
+    assert plan == uniform_plan(cat)
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+def test_stage3_group_cap_matches_greedy_oracle(ordered):
+    rng = np.random.default_rng(11 + ordered)
+    n = 300
+    cat = random_catalog(3, "source", n=n, ordered=ordered)
+    cap = 2 * PARAMS.fan_out
+    for _ in range(8):
+        # 11-20 groups, each at least min_group, so only the cap repairs them
+        count = int(rng.integers(cap + 1, 2 * cap + 1))
+        cuts = sorted(rng.choice(np.arange(1, n // PARAMS.min_group), count - 1,
+                                 replace=False) * PARAMS.min_group)
+        bounds = [0, *map(int, cuts), n]
+        order = list(range(n)) if ordered else [int(p) for p in rng.permutation(n)]
+        groups = [sorted(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+        if ordered:
+            reply = ", ".join(f"[{g[0]}..{g[-1]}]=g{i}" for i, g in enumerate(groups))
+        else:
+            reply = ", ".join("{" + ",".join(map(str, g)) + f"}}=g{i}"
+                              for i, g in enumerate(groups))
+        plan, asks = settle_plan(cat, reply)
+        assert asks == 1
+        assert [[r.ordinal for r in g.columns] for g in plan] \
+            == cap_merge_oracle(groups, cap, ordered)
+
+
+@pytest.mark.parametrize("ordered, reply", [
+    (True, "[0..24]=big, [25..29]=small"),
+    (False, f"{positions((0, 24))}=big, {positions((25, 29))}=small"),
+])
+def test_stage3_plan_repaired_to_one_group_splits_uniformly(ordered, reply):
+    cat = random_catalog(4, "source", n=30, ordered=ordered)
+    plan, asks = settle_plan(cat, reply)
+    assert asks == 1  # accepted, then the repair left a single group
+    assert plan == uniform_plan(cat)
 
 
 # -- stage 4 --------------------------------------------------------------------
@@ -247,14 +332,13 @@ def move_bot(replies):
 
 def plan_for(cat, spans):
     refs = list(cat.refs())
-    groups = tuple(
+    return tuple(
         PlanGroup(f"g{i}", tuple(refs[lo:hi + 1])) for i, (lo, hi) in enumerate(spans)
     )
-    return GroupingPlan(groups, True)
 
 
 def spans_of(plan):
-    return [(g.columns[0].ordinal, g.columns[-1].ordinal) for g in plan.groups]
+    return [(g.columns[0].ordinal, g.columns[-1].ordinal) for g in plan]
 
 
 def test_stage4_accepts_in_budget_move():
