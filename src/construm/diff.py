@@ -20,7 +20,7 @@ import numpy as np
 from construm.catalog import ColumnRef, SchemaCatalog, Side
 from construm.gateway import ChatCall, ModelGateway
 from construm.graph import Hypergraph, SimilarityGroup
-from construm.tree import ContextPack
+from construm.tree import ContextPack, render_prompt_packs
 
 logger = logging.getLogger(__name__)
 
@@ -71,19 +71,22 @@ _CUE_RE = re.compile(r"^-\s*(C[1-9][0-9]*)\s*:\s*(.+?)\s*$", re.MULTILINE)
 def _block_prompt(catalog: SchemaCatalog, members: Sequence[ColumnRef],
                   packs: Mapping[ColumnRef, ContextPack | None] | None,
                   query_meta: str, side: Side) -> str:
+    member_packs = [packs.get(ref) if packs else None for ref in members]
+    shared, bodies = render_prompt_packs([p for p in member_packs if p is not None])
+    body = iter(bodies)
     lines = []
-    for ref in members:
+    for ref, pack in zip(members, member_packs):
         meta = catalog.meta(ref)
         lines.append(f"- {meta.cid} ({catalog.display_name(ref)}): {meta.description}")
-        pack = packs.get(ref) if packs else None
         if pack is not None:
-            ctx = pack.rendered.replace("\n", "\n    ")
-            lines.append(f"    context: {ctx}")
+            ctx = next(body).replace("\n", "\n    ")
+            lines.append(f"    {ctx}")
     return (
         f"TASK: differentiate\n"
         f"SIDE: {side.value}\n"
         f"QUERY: {query_meta}\n"
-        f"MEMBERS:\n" + "\n".join(lines) + "\n"
+        + (shared + "\n" if shared else "")
+        + "MEMBERS:\n" + "\n".join(lines) + "\n"
         f"These columns are easy to confuse. Reply with one line "
         f"'Summary: <1-2 sentences: what they share and how they differ>' "
         f"followed by one line '- <cid>: <short distinguishing cue>' per member."

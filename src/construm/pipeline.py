@@ -46,7 +46,13 @@ from construm.graph import (
     groups_within,
     source_confusable_set,
 )
-from construm.tree import ContextPack, ContextTree, TreeError, build_context_pack
+from construm.tree import (
+    ContextPack,
+    ContextTree,
+    TreeError,
+    build_context_pack,
+    render_prompt_packs,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -168,8 +174,12 @@ def final_prompt_sections(s_display: str, s_desc: str, s_pack: ContextPack | Non
                           ) -> list[tuple[str, str]]:
     """Ordered (name, text) sections of the decision prompt.
 
-    Order: query block, source diff, candidate list (cid, name, desc, then
-    context), candidate differentiation, answer instruction. The two
+    Order: query line, shared context, query context, source diff,
+    candidate list (cid, name, desc, then context), candidate
+    differentiation, answer instruction. The packs appear as
+    :func:`~construm.tree.render_prompt_packs` renders them: without their
+    header, and with each line that two of them carry said once in the
+    shared context, present only when some line is shared. The two
     differentiation sections arrive rendered and separate (empty when
     absent). Every prompt in a reduced mode is a subsequence of these
     sections for the same query.
@@ -179,8 +189,13 @@ def final_prompt_sections(s_display: str, s_desc: str, s_pack: ContextPack | Non
     if s_desc:
         query_line += f"; desc: {s_desc}"
     sections.append(("query", query_line))
+    shared, bodies = render_prompt_packs(
+        [p for p in [s_pack] + [c[3] for c in candidates] if p is not None])
+    body = iter(bodies)
+    if shared:
+        sections.append(("shared_context", shared))
     if s_pack is not None:
-        sections.append(("query_context", "Query context:\n" + s_pack.rendered))
+        sections.append(("query_context", "Query context:\n" + next(body)))
     source_diff = source_diff.strip()
     if source_diff:
         sections.append(("source_diff", source_diff))
@@ -188,8 +203,8 @@ def final_prompt_sections(s_display: str, s_desc: str, s_pack: ContextPack | Non
     for cid, name, desc, pack in candidates:
         sections.append((f"candidate:{cid}", f"- {cid}: name: {name}; desc: {desc}"))
         if pack is not None:
-            indented = pack.rendered.replace("\n", "\n    ")
-            sections.append((f"candidate_context:{cid}", f"    context: {indented}"))
+            indented = next(body).replace("\n", "\n    ")
+            sections.append((f"candidate_context:{cid}", f"    {indented}"))
     if candidate_diff:
         sections.append(("candidate_diff", candidate_diff.rstrip()))
     sections.append((

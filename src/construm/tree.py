@@ -13,7 +13,8 @@ one n-ary cluster.
 A built tree is immutable. It answers two queries: the column-to-root
 ``lineage`` of summaries, and a budgeted ``ContextPack`` combining that
 lineage with a few sibling relation snippets, truncated middle-out so the
-leaf and root levels always survive.
+leaf and root levels always survive. ``render_prompt_packs`` shows the
+packs of one prompt with each of their lines said once.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import hashlib
 import json
 import logging
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial
@@ -606,6 +608,9 @@ def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParam
 # -- database-level clustering ------------------------------------------------
 
 
+UNIFORM_READ_MIN = 4096  # block entries below which reading beats a uniform lookup
+
+
 def plan_merges(dist: np.ndarray, threshold: float) -> tuple[list[tuple[int, int]], list[int]]:
     """Average-linkage merge plan over a cosine-distance matrix.
 
@@ -619,16 +624,26 @@ def plan_merges(dist: np.ndarray, threshold: float) -> tuple[list[tuple[int, int
     cluster's items as rows, in listing order, so every distance is
     bit-for-bit that one ``mean`` call. Returns the merges and the
     surviving clusters, ordered by their smallest member.
+
+    Besides its block means, a merge costs O(n): it reads one row to find
+    the pair, and rescans a row only once no column holds its minimum. A
+    block of one value (tables with equal summaries) is not read: the
+    mean of ``k`` copies of ``v`` is summed once per ``(v, k)``.
     """
     # Per slot (row and column of ``live``): live[s, t] is the distance
     # between the clusters in slots s and t, inf on dead slots and the
-    # diagonal; nearest[s] is the minimum of row s; rank[s] the smallest
-    # member; listed[s] the position in the listing; cluster[s] the number.
+    # diagonal; nearest[s] is the minimum of row s and ties[s] the number
+    # of columns that hold it; rank[s] the smallest member; listed[s] the
+    # position in the listing; cluster[s] the number.
     n = len(dist)
     live = np.full((n, n), np.inf)
     upper = np.triu_indices(n, 1)
     live[upper] = live[upper[::-1]] = dist[upper]
     nearest = live.min(axis=1)
+    ties = (live == nearest[:, None]).sum(axis=1)
+    # uniform[s, t]: the one value of the block with slot s's items as rows
+    # and slot t's as columns, nan once the block holds two values
+    uniform = dist.astype(float)
     rank = np.arange(n)
     listed = np.arange(n)
     cluster = np.arange(n)
@@ -643,16 +658,36 @@ def plan_merges(dist: np.ndarray, threshold: float) -> tuple[list[tuple[int, int
         if keep.any():
             by_size[len(items[slot])] = (slots[keep], members[keep])
 
+    def block_means(members: np.ndarray, merged: np.ndarray,
+                    value: np.ndarray | None) -> np.ndarray:
+        # the mean of a uniform block depends only on its value and size,
+        # not on its layout, so each value is summed once; blocks too small
+        # to repay the lookup are read
+        def read(rows: np.ndarray) -> np.ndarray:
+            return dist[rows[:, :, None], merged].reshape(len(rows), -1).mean(axis=1)
+
+        if value is None or members.size * len(merged) < UNIFORM_READ_MIN:
+            return read(members)
+        mixed = np.isnan(value)
+        means = np.empty(len(members))
+        if mixed.any():
+            means[mixed] = read(members[mixed])
+        for v in set(value[~mixed].tolist()):
+            means[value == v] = np.full(members.shape[1] * len(merged), v).mean()
+        return means
+
     while len(items) > 1:
         d = nearest.min()
         if d > threshold:
             break
+        # the pair with the smallest (lo, hi) member ranks: every pair at d
+        # joins two rows whose minimum is d, so the lowest-ranked such row
+        # is in it, and its own row alone gives the partner
         rows = np.flatnonzero(nearest == d)
-        s, t = np.nonzero(live[rows] == d)
-        s = rows[s]
-        lo, hi = np.minimum(rank[s], rank[t]), np.maximum(rank[s], rank[t])
-        first = np.lexsort((hi, lo))[0]
-        a, b = sorted((int(s[first]), int(t[first])), key=lambda slot: listed[slot])
+        s = rows[np.argmin(rank[rows])]
+        cols = np.flatnonzero(live[s] == d)
+        t = cols[np.argmin(rank[cols])]
+        a, b = sorted((int(s), int(t)), key=lambda slot: listed[slot])
         merges.append((int(cluster[a]), int(cluster[b])))
         cluster[a] = n + len(merges) - 1
         listed[a] = n + len(merges)
@@ -666,18 +701,32 @@ def plan_merges(dist: np.ndarray, threshold: float) -> tuple[list[tuple[int, int
         # every other live cluster is listed before the merged one, so its
         # items are the rows; clusters of one size share one ``mean`` call
         others = np.concatenate([slots for slots, _ in by_size.values()])
-        fresh = np.concatenate([
-            dist[members[:, :, None], merged].reshape(len(slots), -1).mean(axis=1)
-            for slots, members in by_size.values()
-        ])
-        # a row whose minimum sat in a or b is rescanned
-        stale = others[(live[others, a] == nearest[others]) |
-                       (live[others, b] == nearest[others])]
+        # a block with the merged cluster is uniform where both parts' were,
+        # with one value
+        column = uniform[others, a]
+        column[column != uniform[others, b]] = np.nan
+        uniform[others, a] = column
+        row = uniform[a, others]
+        row[row != uniform[b, others]] = np.nan
+        uniform[a, others] = row
+        lookup = not np.isnan(column).all()
+        fresh = np.concatenate([block_means(members, merged, uniform[slots, a] if lookup else None)
+                                for slots, members in by_size.values()])
+        # a row keeps its minimum while another column still holds it; only
+        # a row that lost every holder of its minimum is rescanned
+        row_min = nearest[others]
+        held = ties[others] - (live[others, a] == row_min) - (live[others, b] == row_min)
         live[b, :] = live[:, b] = nearest[b] = np.inf
         live[others, a] = live[a, others] = fresh
-        nearest[others] = np.minimum(nearest[others], fresh)
-        nearest[stale] = live[stale].min(axis=1)
+        lower = fresh < row_min
+        nearest[others] = np.where(lower, fresh, row_min)
+        ties[others] = np.where(lower, 1, held + (fresh == row_min))
+        stale = others[ties[others] == 0]
+        rescanned = live[stale]
+        nearest[stale] = rescanned.min(axis=1)
+        ties[stale] = (rescanned == nearest[stale, None]).sum(axis=1)
         nearest[a] = fresh.min()
+        ties[a] = np.count_nonzero(fresh == nearest[a])
         if len(merged) in by_size:
             slots, members = by_size[len(merged)]
             by_size[len(merged)] = (np.append(slots, a), np.vstack((members, merged)))
@@ -971,6 +1020,49 @@ def build_context_pack(tree: ContextTree, catalog: SchemaCatalog, column: Column
         rendered=rendered,
         budget=budget,
     )
+
+
+_SHARED_ID_RE = re.compile(r"S[1-9][0-9]*")
+
+
+def render_prompt_packs(packs: Sequence[ContextPack]) -> tuple[str, list[str]]:
+    """The packs of one prompt as it shows them, each line said once.
+
+    A pack drops its header, which the prompt's row for the column already
+    gives, and becomes ``path to root: <leaf> > ... > <root>`` plus, with
+    relation snippets, ``relations: <r1> | <r2>``. A line said twice or
+    more across ``packs`` goes once into the shared section as
+    ``- S<n>: <line>`` (ids in first-use order) and is cited by id. A line
+    no longer than its id stays spelled out, so no prompt form outgrows
+    its ``rendered`` pack; one that reads like an id or holds ``>`` or
+    ``|`` always gets an id, so every item reads back exactly. Returns the
+    shared section ("" when nothing is shared) and the prompt forms.
+    """
+    said: Counter[str] = Counter()
+    for pack in packs:
+        said.update(s for _, s in pack.lineage_summaries)
+        said.update(pack.relation_lines)
+    ids: dict[str, str] = {}
+
+    def cite(line: str) -> str:
+        if line not in ids:
+            sid = f"S{len(ids) + 1}"
+            misread = _SHARED_ID_RE.fullmatch(line) or ">" in line or "|" in line
+            if not (misread or (said[line] >= 2 and len(line) > len(sid))):
+                return line
+            ids[line] = sid
+        return ids[line]
+
+    bodies = []
+    for pack in packs:
+        lines = ["path to root: " + " > ".join(cite(s) for _, s in pack.lineage_summaries)]
+        if pack.relation_lines:
+            lines.append("relations: " + " | ".join(cite(r) for r in pack.relation_lines))
+        bodies.append("\n".join(lines))
+    if not ids:
+        return "", bodies
+    shared = [f"- {sid}: {line}" for line, sid in ids.items()]
+    return "\n".join(["Shared context (cited by id below):"] + shared), bodies
 
 
 # -- serialization ------------------------------------------------------------

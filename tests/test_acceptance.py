@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from construm import kernels
+from construm import kernels, pipeline
 from construm.catalog import MatchQuery, mask_catalog, scan_for_raw_identifiers
 from construm.evaluation import (
     BenchmarkSpec,
@@ -331,7 +331,9 @@ def test_benchmark_determinism_and_exhaustive_oracle():
     assert len(got) == 2 * 6 - len(unmatched)
 
 
-def test_masking_soundness_full_mode_run():
+def masked_fixture():
+    """Masked catalogs whose descriptions name other raw columns, with
+    trees that carry relation snippets."""
     n = 50
     src_cols = [
         (f"J{i:03d}",
@@ -351,11 +353,24 @@ def test_masking_soundness_full_mode_run():
     params = TreeParams(leaf_budget=20, min_group=4, window=50)
     artifacts = Artifacts(
         scat, tcat,
-        source_tree=build_context_tree(scat, params, tree_gateway()),
-        target_tree=build_context_tree(tcat, params, tree_gateway()),
+        source_tree=build_context_tree(scat, params, tree_gateway(relation_bot), True),
+        target_tree=build_context_tree(tcat, params, tree_gateway(relation_bot), True),
         source_graph=build_hypergraph(scat, gw_build, tau=0.8),
         target_graph=build_hypergraph(tcat, gw_build, tau=0.8),
     )
+    return raw_source, raw_target, artifacts
+
+
+def relation_bot(prompt):
+    # the second snippet holds both separators of a pack's prompt form
+    if "TASK: sibling-relations" not in prompt:
+        return None
+    return "A -> B: A is read before B\nB -> A: B | A, since B > A"
+
+
+def test_masking_soundness_full_mode_run():
+    raw_source, raw_target, artifacts = masked_fixture()
+    scat = artifacts.source_catalog
     gw = make_gateway(responder=chain_bots(diff_echo_bot,
                                            first_candidate_decision_bot, tree_bot))
     for s in list(scat.refs())[:5]:
@@ -365,3 +380,110 @@ def test_masking_soundness_full_mode_run():
     assert len(prompts) >= 5
     assert scan_for_raw_identifiers(raw_source, prompts) == []
     assert scan_for_raw_identifiers(raw_target, prompts) == []
+
+
+# -- packs in prompts: each line said once, read back exactly --------------------
+
+_SHARED_RE = re.compile(r"^- (S[1-9][0-9]*): (.*)$")
+_ID_RE = re.compile(r"S[1-9][0-9]*")
+_OWNER_RE = re.compile(r"^- (C[0-9]+)(?:: name: | \()")
+
+
+def read_prompt_packs(prompt):
+    """The shared lines and the packs of one prompt, read from the format
+    the README documents: ``{id: line}`` and, in prompt order, (owner, path
+    items, relation items, prompt form), the owner ``"query"`` or a cid."""
+    lines = prompt.splitlines()
+    shared, packs, owner = {}, [], None
+    for i, line in enumerate(lines):
+        if line == "Shared context (cited by id below):":
+            for entry in lines[i + 1:]:
+                m = _SHARED_RE.match(entry)
+                if not m:
+                    break
+                assert m.group(1) not in shared
+                shared[m.group(1)] = m.group(2)
+        elif line == "Query context:":
+            owner = "query"
+        elif _OWNER_RE.match(line):
+            owner = _OWNER_RE.match(line).group(1)
+        body = line.removeprefix("    ")
+        if body.startswith("path to root: "):
+            form = [body]
+            relations = []
+            following = lines[i + 1].removeprefix("    ") if i + 1 < len(lines) else ""
+            if following.startswith("relations: "):
+                form.append(following)
+                relations = following[len("relations: "):].split(" | ")
+            path = body[len("path to root: "):].split(" > ")
+            packs.append((owner, path, relations, "\n".join(form)))
+    return shared, packs
+
+
+def check_prompt_packs(prompt, pack_of_owner):
+    shared, packs = read_prompt_packs(prompt)
+    assert len(set(shared.values())) == len(shared)  # each shared line listed once
+    spelled = []
+    for owner, path, relations, form in packs:
+        pack = pack_of_owner(owner)
+        for items, want in ((path, [s for _, s in pack.lineage_summaries]),
+                            (relations, list(pack.relation_lines))):
+            assert all(x in shared for x in items if _ID_RE.fullmatch(x))
+            assert [shared[x] if _ID_RE.fullmatch(x) else x for x in items] == want
+            spelled += [x for x in items if not _ID_RE.fullmatch(x)]
+        assert len(form) <= len(pack.rendered)  # the per-pack budget still bounds it
+    # a shared line is never spelled out; a line spelled out twice is no
+    # longer than an id
+    assert not set(spelled) & set(shared.values())
+    longest_id = len(f"S{len(shared) + 1}")
+    assert all(len(x) <= longest_id for x in spelled if spelled.count(x) > 1)
+    return len(shared), len(packs)
+
+
+def run_and_check_prompt_packs(queries, artifacts, responder, monkeypatch):
+    built = {}
+    original = pipeline.build_context_pack
+
+    def recording(tree, catalog, column, budget):
+        built[column] = original(tree, catalog, column, budget)
+        return built[column]
+
+    monkeypatch.setattr(pipeline, "build_context_pack", recording)
+    scat, tcat = artifacts.source_catalog, artifacts.target_catalog
+    shared_lines = packs_read = 0
+    for q in queries:
+        gw = make_gateway(responder=responder)
+        q = q.with_shortlist(tuple(shortlist(q.source, artifacts, 6, gw)))
+        run_match(q, PipelineConfig.from_mode("full"), artifacts, gw)
+        for tag, prompt in gw.chat_backend.call_log:
+            if tag == "decision":
+                def owner_pack(owner):
+                    return built[q.source if owner == "query" else tcat.by_cid(owner)]
+            elif tag == "differentiation":
+                catalog = scat if "\nSIDE: source\n" in prompt else tcat
+
+                def owner_pack(owner, catalog=catalog):
+                    return built[catalog.by_cid(owner)]
+            else:
+                continue
+            shared, packs = check_prompt_packs(prompt, owner_pack)
+            shared_lines += shared
+            packs_read += packs
+    return shared_lines, packs_read
+
+
+def test_prompt_packs_read_back_to_their_evidence_masked_and_unmasked(monkeypatch):
+    queries, artifacts, responder = planted_fixture()
+    params = TreeParams(leaf_budget=6, min_group=3, window=12)
+    artifacts.source_tree = build_context_tree(
+        artifacts.source_catalog, params, tree_gateway(relation_bot), True)
+    artifacts.target_tree = build_context_tree(
+        artifacts.target_catalog, params, tree_gateway(relation_bot), True)
+    shared, packs = run_and_check_prompt_packs(queries, artifacts, responder, monkeypatch)
+    assert shared > 0 and packs > len(queries)
+
+    _, _, masked = masked_fixture()
+    masked_queries = [MatchQuery(source=s) for s in list(masked.source_catalog.refs())[:5]]
+    responder = chain_bots(diff_echo_bot, first_candidate_decision_bot, tree_bot)
+    shared, packs = run_and_check_prompt_packs(masked_queries, masked, responder, monkeypatch)
+    assert shared > 0 and packs > len(masked_queries)

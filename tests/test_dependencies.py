@@ -71,3 +71,18 @@ def test_per_query_cosines_use_no_row_by_row_products():
                     and f"{func.value.id}.{func.attr}" in banned):
                 found.setdefault(name, []).append(node.lineno)
     assert found == {}
+
+
+def test_diff_renders_packs_without_the_pipeline():
+    # both prompt kinds render packs through tree.render_prompt_packs, so
+    # the block prompts need nothing from the module that assembles the
+    # decision prompt
+    path = ROOT / "src" / "construm" / "diff.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert "construm.tree" in imported
+    assert not {m for m in imported if m.endswith("pipeline")}

@@ -1,7 +1,8 @@
 import pytest
 
-from construm.catalog import Side
+from construm.catalog import ColumnRef, Side
 from construm.tree import (
+    ContextPack,
     ContextTree,
     NodeKind,
     PackBudgetError,
@@ -10,6 +11,7 @@ from construm.tree import (
     TreeParams,
     build_context_pack,
     middle_out_drop_order,
+    render_prompt_packs,
 )
 from helpers import build_catalog, table_doc
 
@@ -131,3 +133,50 @@ def test_two_level_tree_min_pack():
     tree, cat, ref = deep_tree(depth=2)
     pack = build_context_pack(tree, cat, ref, budget=10**4)
     assert [d for d, _ in pack.lineage_summaries] == [1, 0]
+
+
+# -- packs as prompts show them ----------------------------------------------------
+
+
+def pack_of(levels, relations=(), name="c"):
+    rendered = render_expect(name, "", levels, list(relations))
+    return ContextPack(ColumnRef(Side.TARGET, "t", 0),
+                       tuple((len(levels) - 1 - i, s) for i, s in enumerate(levels)),
+                       tuple(relations), rendered, len(rendered))
+
+
+def test_prompt_packs_drop_the_header_and_say_shared_lines_once():
+    first = pack_of(["leaf one", "cluster of both", "the root"], ["one feeds two"])
+    second = pack_of(["leaf two", "cluster of both", "the root"], ["one feeds two"])
+    shared, bodies = render_prompt_packs([first, second])
+    assert shared == ("Shared context (cited by id below):\n"
+                      "- S1: cluster of both\n"
+                      "- S2: the root\n"
+                      "- S3: one feeds two")
+    assert bodies == ["path to root: leaf one > S1 > S2\nrelations: S3",
+                      "path to root: leaf two > S1 > S2\nrelations: S3"]
+
+
+def test_prompt_packs_share_nothing_said_once():
+    packs = [pack_of(["leaf one", "root one"]), pack_of(["leaf two", "root two"], ["rel"])]
+    shared, bodies = render_prompt_packs(packs)
+    assert shared == ""
+    assert bodies == ["path to root: leaf one > root one",
+                      "path to root: leaf two > root two\nrelations: rel"]
+    assert render_prompt_packs([]) == ("", [])
+
+
+def test_prompt_pack_lines_that_could_be_misread_get_ids():
+    # "S9" reads like an id, and ">" and "|" are the separators, so each
+    # gets an id though said once; "ab" is said twice but no longer than
+    # an id, so it stays spelled out
+    packs = [pack_of(["S9", "ab", "x > y"], ["p | q"]), pack_of(["ab"])]
+    shared, bodies = render_prompt_packs(packs)
+    assert shared.splitlines()[1:] == ["- S1: S9", "- S2: x > y", "- S3: p | q"]
+    assert bodies == ["path to root: S1 > ab > S2\nrelations: S3", "path to root: ab"]
+
+
+def test_a_line_said_twice_in_one_pack_is_shared():
+    shared, bodies = render_prompt_packs([pack_of(["same words", "same words"])])
+    assert shared.splitlines()[1:] == ["- S1: same words"]
+    assert bodies == ["path to root: S1 > S1"]

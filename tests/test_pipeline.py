@@ -36,6 +36,7 @@ from helpers import (
     tree_bot,
     tree_gateway,
 )
+from test_pack import pack_of
 
 PARAMS = TreeParams()
 
@@ -135,6 +136,25 @@ def test_final_prompt_section_order():
                  prompt.index("Differentiation among candidates:"),
                  prompt.index("ANSWER: <cid>")]
     assert positions == sorted(positions)
+
+    # packs: the shared context comes only when two packs share a line
+    alone = [("C1", "a", "da", pack_of(["leaf a", "root a"])),
+             ("C2", "b", "db", pack_of(["leaf b", "root b"]))]
+    sections = final_prompt_sections("qcol", "desc", pack_of(["leaf q", "root q"]),
+                                     source_diff, candidate_diff, alone)
+    assert [n for n, _ in sections] == [
+        "query", "query_context", "source_diff", "candidates_header",
+        "candidate:C1", "candidate_context:C1", "candidate:C2", "candidate_context:C2",
+        "candidate_diff", "instruction"]
+    shared = [("C1", "a", "da", pack_of(["leaf a", "one root"])),
+              ("C2", "b", "db", pack_of(["leaf b", "one root"]))]
+    sections = final_prompt_sections("qcol", "desc", pack_of(["leaf q", "root q"]),
+                                     source_diff, candidate_diff, shared)
+    assert [n for n, _ in sections][:3] == ["query", "shared_context", "query_context"]
+    text = dict(sections)
+    assert text["shared_context"] == "Shared context (cited by id below):\n- S1: one root"
+    assert text["query_context"] == "Query context:\npath to root: leaf q > root q"
+    assert text["candidate_context:C2"] == "    path to root: leaf b > S1"
 
 
 def test_llm_local_prompt_has_only_core_sections():
@@ -401,19 +421,25 @@ def test_ablation_containment_of_sections():
     q = MatchQuery(source=scat.resolve("CHARTTIME"),
                    shortlist=(tcat.resolve("observation_time"),
                               tcat.resolve("recorded_time")))
+    artifacts = dataclasses.replace(
+        artifacts, source_tree=build_context_tree(scat, PARAMS, tree_gateway()),
+        target_tree=build_context_tree(tcat, PARAMS, tree_gateway()))
     prompts = {}
-    for mode in ("full", "llm_local"):
+    for mode in ("full", "llm_local", "no_tree", "no_diff"):
         gw = hash_gw(responder=responder)
         prompts[mode] = run_match(q, PipelineConfig.from_mode(mode), artifacts, gw) \
             .trace.prompt_snapshot
-    # every llm_local line appears in the full prompt, in order
+    # the two candidates share their table's leaf and root, said once
+    assert "Shared context (cited by id below):" in prompts["full"]
+    # every reduced-mode line appears in the full prompt, in order
     full_lines = prompts["full"].splitlines()
-    idx = 0
-    for line in prompts["llm_local"].splitlines():
-        while idx < len(full_lines) and full_lines[idx] != line:
+    for mode in ("llm_local", "no_tree", "no_diff"):
+        idx = 0
+        for line in prompts[mode].splitlines():
+            while idx < len(full_lines) and full_lines[idx] != line:
+                idx += 1
+            assert idx < len(full_lines), f"{mode} line missing from full prompt: {line!r}"
             idx += 1
-        assert idx < len(full_lines), f"line missing from full prompt: {line!r}"
-        idx += 1
 
 
 def test_unparseable_decision_retries_once_then_errors():
@@ -475,6 +501,10 @@ def test_masked_full_run_produces_no_raw_identifiers():
     run_match(q, PipelineConfig.from_mode("full"), artifacts, gw)
     prompts = [p for _, p in gw.chat_backend.call_log]
     assert prompts
+    # the scan covers the shared context of the decision and block prompts
+    for tag in ("decision", "differentiation"):
+        assert any(t == tag and "Shared context (cited by id below):" in p
+                   for t, p in gw.chat_backend.call_log)
     assert scan_for_raw_identifiers(raw_s, prompts) == []
     assert scan_for_raw_identifiers(raw_t, prompts) == []
 
