@@ -10,7 +10,11 @@ merges. Last, on tied roots (each table takes one of a few random
 directions, as tables with equal summaries do), it times
 ``tree.plan_merges`` and ``tree.collapse_tied_merges``, which turns tied
 merges into n-ary clusters, and prints the clusters kept and the
-collapse's share of the planning time. No part makes an LLM call.
+collapse's share of the planning time. Last, at 5k and 20k target
+columns with planted near-duplicates, it times one query's shortlist
+(``Hypergraph.ranked`` with a top-k, as ``pipeline.shortlist`` calls it,
+beside the full ranking cut at k) and its ``expand_candidates``, per
+query over a few queries. No part makes an LLM call.
 
 Usage: python benchmarks/bench_kernels.py [--dim 64] [--tau 0.5] [--repeat 3]
 """
@@ -21,12 +25,19 @@ import time
 import numpy as np
 
 from construm import kernels
+from construm.catalog import ColumnRef, Side
+from construm.graph import DEFAULT_TAU, Hypergraph, expand_candidates
 from construm.tree import collapse_tied_merges, plan_merges
 
 
 FULL_MERGE = 1.999  # a cosine-distance cutoff every pair of tables is within
 TABLES = (200, 1000, 2000)  # table counts the merge planning is timed at
 DIRECTIONS = 4  # distinct root directions among tied tables
+TARGETS = (5000, 20000)  # target column counts the shortlist is timed at
+SHORTLIST_K = 20  # MatchConfig.k's default
+QUERIES = 20  # queries each shortlist timing averages over
+NEAR_DUPLICATES = 30  # target columns per planted direction
+JITTER = 0.028  # per-dimension noise around a direction, over unit-scale rows
 
 
 def best_of(repeat, fn, *args):
@@ -96,6 +107,40 @@ def main():
         collapse_s, kept = best_of(args.repeat, collapse_tied_merges, dist, merges)
         print(f"{n:>6} | {plan_s * 1e3:8.1f}ms | {collapse_s * 1e3:8.1f}ms | "
               f"{collapse_s / plan_s:6.1%} | {len(kept)}")
+
+    print(f"\nshortlist (top-{SHORTLIST_K}) and expansion at tau {DEFAULT_TAU}, "
+          f"per query over {QUERIES} queries, best-of-{args.repeat}")
+    header = (f"{'targets':>7} | {'top-k':>8} | {'full sort':>9} | {'expand':>8} | "
+              f"{'total':>8} | added")
+    print(header)
+    print("-" * len(header))
+    rng = np.random.default_rng(0)
+    for n in TARGETS:
+        # columns come in groups of NEAR_DUPLICATES around one direction (pairwise
+        # cosine ~0.95), more than a shortlist holds, so expansion adds some
+        base = rng.standard_normal((-(-n // NEAR_DUPLICATES), args.dim)) / np.sqrt(args.dim)
+        m = np.repeat(base, NEAR_DUPLICATES, axis=0)[:n]
+        m += JITTER * rng.standard_normal((n, args.dim))
+        m /= np.linalg.norm(m, axis=1, keepdims=True)
+        columns = [ColumnRef(Side.TARGET, f"t{i // 100:04d}", i % 100) for i in range(n)]
+        hg = Hypergraph(Side.TARGET, DEFAULT_TAU, columns, m, (), ())
+        queries = base[rng.integers(len(base), size=QUERIES)]
+
+        def top_k():
+            return [hg.ranked(hg.matrix @ q, k=SHORTLIST_K) for q in queries]
+
+        def full_sort():
+            return [hg.ranked(hg.matrix @ q)[:SHORTLIST_K] for q in queries]
+
+        top_s, shortlists = best_of(args.repeat, top_k)
+        full_s, cut = best_of(args.repeat, full_sort)
+        assert shortlists == cut
+        expand_s, expanded = best_of(args.repeat, lambda: [expand_candidates(c, hg)
+                                                           for c in shortlists])
+        added = sum(len(e) - len(c) for e, c in zip(expanded, shortlists)) / QUERIES
+        ms = 1e3 / QUERIES
+        print(f"{n:>7} | {top_s * ms:6.2f}ms | {full_s * ms:7.2f}ms | {expand_s * ms:6.2f}ms | "
+              f"{(top_s + expand_s) * ms:6.2f}ms | {added:.1f}")
 
 
 if __name__ == "__main__":

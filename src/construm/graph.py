@@ -112,18 +112,26 @@ class Hypergraph:
     def vector(self, ref: ColumnRef) -> np.ndarray:
         return self.matrix[self._index[ref]]
 
-    def ranked(self, scores: np.ndarray,
-               among: Iterable[ColumnRef] | None = None) -> list[ColumnRef]:
+    def ranked(self, scores: np.ndarray, among: Iterable[ColumnRef] | None = None,
+               k: int | None = None) -> list[ColumnRef]:
         """Columns by score, highest first; ties go to the smaller ``sort_key``.
 
         ``scores`` holds one value per column in ``columns`` order, such as
         ``matrix @ vec``. With ``among``, only those columns are ranked
-        (a column listed twice comes back twice).
+        (a column listed twice comes back twice). With ``k``, the result
+        is ``ranked(scores, among)[:k]``: ``np.argpartition`` finds the
+        k-th highest score, and only the columns not below it, every tie
+        with it included, are sorted.
         """
         idx = (np.arange(len(self.columns)) if among is None
                else np.array([self._index[r] for r in among], dtype=np.intp))
+        if k is not None and 0 < k < len(idx):
+            picked = scores[idx]
+            # nan ranks last, as in the sort below; a nan k-th score keeps every column
+            kth = picked[np.argpartition(-picked, k - 1)[k - 1]]
+            idx = idx[~(picked < kth)]
         order = idx[np.lexsort((self._tie_rank[idx], -scores[idx]))]
-        return [self.columns[i] for i in order]
+        return [self.columns[i] for i in order[:k]]
 
 
 def build_hypergraph(catalog: SchemaCatalog, gateway: ModelGateway,

@@ -156,7 +156,7 @@ def shortlist(s: ColumnRef, artifacts: Artifacts, k: int,
     if artifacts.target_graph is None:
         raise PipelineError("shortlist requires a target hypergraph")
     hg = artifacts.target_graph
-    return hg.ranked(hg.matrix @ _source_vector(s, artifacts, gateway))[:k]
+    return hg.ranked(hg.matrix @ _source_vector(s, artifacts, gateway), k=k)
 
 
 def _source_vector(s: ColumnRef, artifacts: Artifacts, gateway: ModelGateway) -> np.ndarray:

@@ -118,6 +118,11 @@ class ContextTree:
         self.nodes = nodes
         self.params = params
         self.relations = tuple(relations)
+        # node id -> (position in ``relations``, text) of each snippet touching it
+        self.relations_at: dict[str, list[tuple[int, str]]] = {}
+        for order, r in enumerate(self.relations):
+            for n in dict.fromkeys((r.from_node, r.to_node)):
+                self.relations_at.setdefault(n, []).append((order, r.relation_text))
         self.parent: dict[str, str] = {}
         self.leaf_of: dict[ColumnRef, str] = {}
         for node in nodes.values():
@@ -540,7 +545,8 @@ def _summarize_node(task: str, context: str, child_summaries: Sequence[str],
 
 
 def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParams,
-                     gateway: ModelGateway) -> dict[str, TreeNode]:
+                     gateway: ModelGateway,
+                     relations: Relations | None = None) -> dict[str, TreeNode]:
     """Build one table's subtree; the root node id is ``tbl:<table_id>``.
 
     Tables at or under the leaf budget become a root plus a single group
@@ -550,8 +556,10 @@ def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParam
 
     Within a block, the window summaries go out beside the theme; the plan
     and the boundary re-scan follow one call at a time; then the child
-    blocks build together, and the block's own summary comes last. Nodes
-    are listed in post-order, as a serial depth-first build lists them.
+    blocks build together, and the block's own summary comes last, with
+    the block's sibling-relation call beside it when ``relations`` is not
+    None (:func:`_summarize_parents`). Nodes are listed in post-order, as
+    a serial depth-first build lists them.
     """
     root_id = f"tbl:{table.table_id}"
 
@@ -582,11 +590,12 @@ def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParam
             for gi, group in enumerate(plan)
         ])
         context = f"TABLE: {table.name} ({table.table_id})\nTHEME: {theme}\n"
+        children = [(sub[-1].node_id, sub[-1].summary) for sub in subtrees]
+        [summary] = _summarize_parents([(node_id, "node-summary", context, children)],
+                                       gateway, relations)
         node = TreeNode(
-            node_id=node_id, kind=kind,
-            summary=_summarize_node("node-summary", context,
-                                    [sub[-1].summary for sub in subtrees], gateway),
-            children=tuple(sub[-1].node_id for sub in subtrees),
+            node_id=node_id, kind=kind, summary=summary,
+            children=tuple(cid for cid, _ in children),
             span=(table.table_id, refs[0].ordinal, refs[-1].ordinal) if table.ordered else None,
         )
         return [n for sub in subtrees for n in sub] + [node]
@@ -773,7 +782,8 @@ def collapse_tied_merges(dist: np.ndarray, merges: Sequence[tuple[int, int]],
 
 
 def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParams,
-                   gateway: ModelGateway, side: Side) -> ContextTree:
+                   gateway: ModelGateway, side: Side,
+                   relations: Relations | None = None) -> ContextTree:
     """Merge per-table subtrees into one connected tree.
 
     Average-linkage agglomerative merging on cosine distance between
@@ -790,7 +800,10 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
     ones. The kept clusters are ``grp:1..m`` in merge order. The plan
     needs no summary, so the cluster summaries go out one level at a
     time, each level's calls together; a cluster's level is one above its
-    highest child's, and its prompt lists every child's summary.
+    highest child's, and its prompt lists every child's summary. When
+    ``relations`` is not None, each cluster's and the database root's
+    sibling-relation call goes beside its own summary
+    (:func:`_summarize_parents`). The returned tree holds no relations.
     """
     if not table_trees:
         raise TreeError("no table trees to cluster")
@@ -826,11 +839,10 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
     summaries = {r: nodes[r].summary for r in roots}
     for level in range(1, max(levels.values()) + 1):
         batch = [ids[c] for c, lv in levels.items() if lv == level]
-        texts = gateway.concurrently([
-            partial(_summarize_node, "cluster-summary", "",
-                    [summaries[child] for child in kids[g]], gateway)
+        texts = _summarize_parents([
+            (g, "cluster-summary", "", [(child, summaries[child]) for child in kids[g]])
             for g in batch
-        ])
+        ], gateway, relations)
         summaries.update(zip(batch, texts))
     for g, children in kids.items():
         nodes[g] = TreeNode(node_id=g, kind=NodeKind.CLUSTER, summary=summaries[g],
@@ -838,13 +850,13 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
 
     if len(survivors) == 1:
         return ContextTree(side, ids[survivors[0]], nodes, params)
-    summary = _summarize_node(
-        "node-summary", "", [summaries[ids[c]] for c in survivors], gateway,
-    )
     root_id = "db:root"
+    children = [(ids[c], summaries[ids[c]]) for c in survivors]
+    [summary] = _summarize_parents([(root_id, "node-summary", "", children)],
+                                   gateway, relations)
     nodes[root_id] = TreeNode(
         node_id=root_id, kind=NodeKind.DB_ROOT, summary=summary,
-        children=tuple(ids[c] for c in survivors),
+        children=tuple(cid for cid, _ in children),
     )
     return ContextTree(side, root_id, nodes, params)
 
@@ -864,21 +876,21 @@ def _alias(i: int) -> str:
 _RELATION_RE = re.compile(r"^\s*([A-Z]+)\s*->\s*([A-Z]+)\s*:\s*(.+?)\s*$", re.MULTILINE)
 
 
-def annotate_sibling_relations(tree: ContextTree, parent_id: str,
+def annotate_sibling_relations(parent_id: str, children: Sequence[tuple[str, str]],
                                gateway: ModelGateway) -> list[RelationSnippet]:
     """Ask for directed 1-2 sentence relations between a node's children.
 
-    Replies use alias arrows (``A -> B: text``). Proposals naming unknown
-    aliases are dropped and logged; survivors are capped in reply order at
-    ``RELATIONS_PER_NODE`` incident snippets per sibling and
+    ``children`` holds each child's ``(node id, summary)`` in the parent's
+    order. Replies use alias arrows (``A -> B: text``). Proposals naming
+    unknown aliases are dropped and logged; survivors are capped in reply
+    order at ``RELATIONS_PER_NODE`` incident snippets per sibling and
     ``RELATIONS_PER_PARENT`` total.
     """
-    parent = tree.node(parent_id)
-    if len(parent.children) < 2:
+    if len(children) < 2:
         return []
-    aliases = {_alias(i): cid for i, cid in enumerate(parent.children)}
+    aliases = {_alias(i): cid for i, (cid, _) in enumerate(children)}
     sibling_lines = "\n".join(
-        f"{a}={cid}: {tree.node(cid).summary}" for a, cid in aliases.items()
+        f"{a}={cid}: {summary}" for a, (cid, summary) in zip(aliases, children)
     )
     prompt = (
         f"TASK: sibling-relations\n"
@@ -907,6 +919,32 @@ def annotate_sibling_relations(tree: ContextTree, parent_id: str,
     return kept
 
 
+Relations = dict[str, list[RelationSnippet]]  # parent id -> its sibling snippets
+
+
+def _summarize_parents(parents: Sequence[tuple[str, str, str, Sequence[tuple[str, str]]]],
+                       gateway: ModelGateway, relations: Relations | None) -> list[str]:
+    """Each parent's summary, its sibling-relation call beside it.
+
+    ``parents`` holds ``(parent id, task, context, children)``, with each
+    child as ``(node id, summary)``. The summaries and, when ``relations``
+    is not None, the relation call of every parent with two or more
+    children go out in one fan-out: both read the same child summaries.
+    Snippets land in ``relations[parent id]``. Returns the summaries in
+    ``parents`` order.
+    """
+    thunks = [partial(_summarize_node, task, context, [s for _, s in children], gateway)
+              for _, task, context, children in parents]
+    annotated = [] if relations is None else [
+        (parent_id, children) for parent_id, _, _, children in parents if len(children) >= 2]
+    done = gateway.concurrently(thunks + [
+        partial(annotate_sibling_relations, parent_id, children, gateway)
+        for parent_id, children in annotated])
+    if relations is not None:
+        relations.update(zip([parent_id for parent_id, _ in annotated], done[len(thunks):]))
+    return done[:len(thunks)]
+
+
 # -- full build ---------------------------------------------------------------
 
 
@@ -914,23 +952,22 @@ def build_context_tree(catalog: SchemaCatalog, params: TreeParams, gateway: Mode
                        annotate_relations: bool = False) -> ContextTree:
     """Build the whole per-side tree: per-table subtrees, then clustering.
 
-    Table subtrees are independent and build concurrently. The relation
-    calls, one per parent with two or more children, are independent too
-    and go out together; their snippets are kept in parent-id order. A
-    build keeps no state of its own between attempts: to resume an aborted
-    build, rerun it through a gateway with a ``DiskCache``. It sends the
-    same prompts, so every call that finished before the abort is a cache
-    hit.
+    Table subtrees are independent and build concurrently. With
+    ``annotate_relations``, each parent with two or more children sends
+    its relation call beside its own summary, so no call follows the
+    clustering; the snippets are kept in parent-id order. A build keeps
+    no state of its own between attempts: to resume an aborted build,
+    rerun it through a gateway with a ``DiskCache``. It sends the same
+    prompts, so every call that finished before the abort is a cache hit.
     """
-    subtrees = gateway.concurrently([partial(build_table_tree, catalog, t, params, gateway)
-                                     for t in catalog.tables])
-    tree = cluster_tables(subtrees, params, gateway, catalog.side)
-    if annotate_relations:
-        parents = [n for n in sorted(tree.nodes) if len(tree.node(n).children) >= 2]
-        per_parent = gateway.concurrently([
-            partial(annotate_sibling_relations, tree, n, gateway) for n in parents])
-        tree = tree.with_relations([r for snippets in per_parent for r in snippets])
-    return tree
+    relations: Relations | None = {} if annotate_relations else None
+    subtrees = gateway.concurrently([
+        partial(build_table_tree, catalog, t, params, gateway, relations)
+        for t in catalog.tables])
+    tree = cluster_tables(subtrees, params, gateway, catalog.side, relations)
+    if relations is None:
+        return tree
+    return tree.with_relations([r for parent in sorted(relations) for r in relations[parent]])
 
 
 # -- context packs ------------------------------------------------------------
@@ -958,14 +995,16 @@ def _render_pack(header: list[str], levels: list[tuple[int, str]],
 
 
 def select_relation_lines(tree: ContextTree, path: Sequence[TreeNode]) -> list[str]:
-    """Relation snippets touching the lineage, nearest the leaf first."""
-    on_path = {node.node_id: i for i, node in enumerate(path)}  # 0 = leaf
-    scored = []
-    for order, snippet in enumerate(tree.relations):
-        touches = [on_path[n] for n in (snippet.from_node, snippet.to_node) if n in on_path]
-        if touches:
-            scored.append((min(touches), order, snippet.relation_text))
-    scored.sort()
+    """Relation snippets touching the lineage, nearest the leaf first.
+
+    A snippet ranks by its end nearest the leaf, then by its place in
+    ``tree.relations``; only the path's nodes are looked up.
+    """
+    nearest: dict[int, tuple[int, str]] = {}  # snippet order -> (path position, text)
+    for i, node in enumerate(path):  # 0 = leaf
+        for order, text in tree.relations_at.get(node.node_id, ()):
+            nearest.setdefault(order, (i, text))
+    scored = sorted((i, order, text) for order, (i, text) in nearest.items())
     return [text for _, _, text in scored[:PACK_RELATIONS]]
 
 

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from construm.catalog import Side
+from construm.catalog import ColumnRef, Side
 from construm.gateway import HashEmbeddingBackend, ModelGateway
 from construm.graph import (
+    Hypergraph,
     SimilarityLink,
     build_hypergraph,
     expand_candidates,
@@ -167,6 +168,26 @@ def test_ranked_matches_sort_oracle_with_ties_and_unsorted_tables():
         among = hg.columns[1::2] + hg.columns[:1]
         assert hg.ranked(scores, among=among) == [r for r in oracle if r in among]
         assert hg.ranked(scores, among=[]) == []
+
+
+def test_top_k_ranking_matches_the_full_ranking_cut_at_k():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(1, 120))
+        # tables out of table_id order, so catalog order is not sort_key order
+        tables = rng.permutation(max(1, n // 7))
+        columns = [ColumnRef(Side.TARGET, f"t{tables[i % len(tables)]}", i) for i in range(n)]
+        hg = Hypergraph(Side.TARGET, 0.9, columns, rng.standard_normal((n, 4)), (), ())
+        # planted exact ties: most scores come from a few values, -0.0 among them
+        scores = np.where(rng.random(n) < 0.7,
+                          rng.choice([0.5, 0.25, 0.0, -0.0, -0.5], size=n),
+                          rng.standard_normal(n))
+        if trial % 10 == 9:
+            scores[rng.integers(n)] = np.nan
+        among = [columns[i] for i in rng.integers(n, size=int(rng.integers(0, n + 5)))]
+        for k in range(-2, n + 3):
+            assert hg.ranked(scores, k=k) == hg.ranked(scores)[:k]
+            assert hg.ranked(scores, among=among, k=k) == hg.ranked(scores, among=among)[:k]
 
 
 def test_groups_within_induced_subgraph():

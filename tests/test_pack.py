@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from construm.catalog import ColumnRef, Side
 from construm.tree import (
+    PACK_RELATIONS,
     ContextPack,
     ContextTree,
     NodeKind,
@@ -10,8 +13,10 @@ from construm.tree import (
     TreeNode,
     TreeParams,
     build_context_pack,
+    lineage,
     middle_out_drop_order,
     render_prompt_packs,
+    select_relation_lines,
 )
 from helpers import build_catalog, table_doc
 
@@ -127,6 +132,43 @@ def test_relations_prefer_lineage_proximity_to_leaf():
     pack = build_context_pack(tree, cat, ref, budget=10**5)
     # three at most, leaf-nearest first; the unrelated snippet stays out
     assert list(pack.relation_lines) == ["touches leaf", "mid lineage", "near root"]
+
+
+def scan_relation_lines(tree, path):
+    """Oracle: every snippet of the tree scored against the path."""
+    on_path = {node.node_id: i for i, node in enumerate(path)}  # 0 = leaf
+    scored = []
+    for order, snippet in enumerate(tree.relations):
+        touches = [on_path[n] for n in (snippet.from_node, snippet.to_node) if n in on_path]
+        if touches:
+            scored.append((min(touches), order, snippet.relation_text))
+    scored.sort()
+    return [text for _, _, text in scored[:PACK_RELATIONS]]
+
+
+def test_relation_lookup_per_lineage_matches_the_full_scan():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        parent = {i: rng.randrange(i) for i in range(1, n)}  # node 0 is the root
+        kids = {i: tuple(f"n{c}" for c in range(1, n) if parent[c] == i) for i in range(n)}
+        leaves = [i for i in range(n) if not kids[i]]
+        cat = build_catalog("source", [table_doc("t0", [(f"c{j}", "d")
+                                                        for j in range(len(leaves))])])
+        refs = list(cat.refs())
+        nodes = {}
+        for i in range(n):
+            leaf = not kids[i]
+            nodes[f"n{i}"] = TreeNode(
+                f"n{i}", NodeKind.GROUP_LEAF if leaf else NodeKind.WITHIN_TABLE, f"s{i}",
+                children=kids[i], members=(refs[leaves.index(i)],) if leaf else None)
+        ids = [f"n{i}" for i in range(n)] + ["elsewhere"]
+        relations = [RelationSnippet(rng.choice(ids), rng.choice(ids), f"r{rng.randrange(8)}")
+                     for _ in range(rng.randint(0, 40))]
+        tree = ContextTree(Side.SOURCE, "n0", nodes, PARAMS, relations)
+        for ref in refs:
+            path = lineage(tree, ref)
+            assert select_relation_lines(tree, path) == scan_relation_lines(tree, path)
 
 
 def test_two_level_tree_min_pack():

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -649,66 +650,46 @@ def relation_bot(reply):
     return bot
 
 
-def two_child_tree():
-    nodes = {
-        "root": TreeNode("root", NodeKind.DB_ROOT, "root", children=("a", "b")),
-        "a": TreeNode("a", NodeKind.TABLE_ROOT, "summary a"),
-        "b": TreeNode("b", NodeKind.TABLE_ROOT, "summary b"),
-    }
-    return ContextTree(Side.SOURCE, "root", nodes, PARAMS)
+TWO_CHILDREN = [("a", "summary a"), ("b", "summary b")]
 
 
 def test_relation_snippet_parsed_to_sibling_ids():
-    tree = two_child_tree()
     gw = make_gateway(responder=relation_bot("A -> B: A defines terms used by B"))
-    snippets = annotate_sibling_relations(tree, "root", gw)
+    snippets = annotate_sibling_relations("root", TWO_CHILDREN, gw)
     assert len(snippets) == 1
     assert (snippets[0].from_node, snippets[0].to_node) == ("a", "b")
     assert snippets[0].relation_text == "A defines terms used by B"
 
 
 def test_single_child_yields_no_relations():
-    nodes = {
-        "root": TreeNode("root", NodeKind.DB_ROOT, "root", children=("a",)),
-        "a": TreeNode("a", NodeKind.TABLE_ROOT, "summary a"),
-    }
-    tree = ContextTree(Side.SOURCE, "root", nodes, PARAMS)
-    assert annotate_sibling_relations(tree, "root", make_gateway(default="x")) == []
+    children = [("a", "summary a")]
+    assert annotate_sibling_relations("root", children, make_gateway(default="x")) == []
 
 
 def test_relation_cap_keeps_first_in_reply_order():
-    children = tuple(f"c{i}" for i in range(26))
-    nodes = {"root": TreeNode("root", NodeKind.DB_ROOT, "root", children=children)}
-    for i, cid in enumerate(children):
-        nodes[cid] = TreeNode(cid, NodeKind.TABLE_ROOT, f"summary {i}")
-    tree = ContextTree(Side.SOURCE, "root", nodes, PARAMS)
+    children = [(f"c{i}", f"summary {i}") for i in range(26)]
     from construm.tree import _alias
 
     reply = "\n".join(
         f"{_alias(i)} -> {_alias(i + 1)}: rel {i}" for i in range(25)
     )
     gw = make_gateway(responder=relation_bot(reply))
-    snippets = annotate_sibling_relations(tree, "root", gw)  # at most 18 per parent
+    snippets = annotate_sibling_relations("root", children, gw)  # at most 18 per parent
     assert len(snippets) == 18
     assert [s.relation_text for s in snippets] == [f"rel {i}" for i in range(18)]
 
 
 def test_relation_unknown_alias_dropped():
-    tree = two_child_tree()
     gw = make_gateway(responder=relation_bot("A -> Z: bogus\nB -> A: real one"))
-    snippets = annotate_sibling_relations(tree, "root", gw)
+    snippets = annotate_sibling_relations("root", TWO_CHILDREN, gw)
     assert [(s.from_node, s.to_node) for s in snippets] == [("b", "a")]
 
 
 def test_relation_per_column_cap():
-    children = ("x", "y", "z")
-    nodes = {"root": TreeNode("root", NodeKind.DB_ROOT, "root", children=children)}
-    for cid in children:
-        nodes[cid] = TreeNode(cid, NodeKind.TABLE_ROOT, cid)
-    tree = ContextTree(Side.SOURCE, "root", nodes, PARAMS)
+    children = [(cid, cid) for cid in ("x", "y", "z")]
     reply = "A -> B: r1\nB -> A: r2\nA -> C: r3\nC -> A: r4"
     gw = make_gateway(responder=relation_bot(reply))
-    snippets = annotate_sibling_relations(tree, "root", gw)  # at most 2 per sibling
+    snippets = annotate_sibling_relations("root", children, gw)  # at most 2 per sibling
     # x is saturated after two incident snippets; later ones touching it drop
     assert [(s.from_node, s.to_node) for s in snippets] == [("x", "y"), ("y", "x")]
 
@@ -841,7 +822,7 @@ def test_relations_completing_in_reverse_order_give_the_same_tree():
     reference = build_context_tree(cat, PARAMS, tree_gateway(relations),
                                    annotate_relations=True)
     parents = sorted(n.node_id for n in reference.nodes.values() if len(n.children) >= 2)
-    assert 2 <= len(parents) <= MAX_IN_FLIGHT  # every relation call in flight at once
+    assert 2 <= len(parents) <= MAX_IN_FLIGHT  # the pool can hold every waiting relation call
     assert [r.relation_text.rsplit(" ", 1)[1] for r in reference.relations] == parents
     done = {p: threading.Event() for p in parents}
     completed = []
@@ -1130,6 +1111,97 @@ def test_replies_completing_in_reverse_order_give_the_same_build():
         json.dumps(tree_to_dict(reference), sort_keys=True)
     assert list(tree.nodes) == list(reference.nodes)
     assert [n.node_id for n in tree.leaves()] == [n.node_id for n in reference.leaves()]
+
+
+# -- relation calls beside their parent's summary ---------------------------------
+
+
+def relation_parent(prompt):
+    """The parent a sibling-relation prompt asks about, or None."""
+    if "TASK: sibling-relations" not in prompt:
+        return None
+    return re.search(r"^PARENT: (.*)$", prompt, re.M).group(1)
+
+
+def paired_bot(pairs, summary_parent):
+    """Holds a parent's summary call and its relation call at one barrier.
+
+    ``pairs`` maps a parent id to a ``Barrier(2)``; ``summary_parent``
+    names the parent a summary prompt belongs to. Each call of a pair
+    waits until the other is in flight too, so a build that sends the two
+    one after the other breaks the barrier and fails.
+    """
+    def bot(prompt):
+        parent = relation_parent(prompt) or summary_parent(prompt)
+        if parent in pairs:
+            pairs[parent].wait()
+        return "A -> B: A leads to B" if relation_parent(prompt) else None
+    return bot
+
+
+def test_block_summary_and_its_relation_call_are_in_flight_together():
+    cat = ordered_catalog(150)
+    plan = span_plan_bot({(0, 149): [(0, 49), (50, 99), (100, 149)]})
+    pairs = {"tbl:t0": threading.Barrier(2, timeout=5)}
+    bot = paired_bot(pairs, lambda p: "tbl:t0" if "TASK: node-summary" in p else None)
+    relations = {}
+    nodes = build_table_tree(cat, cat.tables[0], PARAMS, tree_gateway(chain_bots(bot, plan)),
+                             relations)
+    assert nodes == build_table_tree(cat, cat.tables[0], PARAMS, tree_gateway(plan))
+    assert {p: [(r.from_node, r.to_node) for r in snippets]
+            for p, snippets in relations.items()} == {"tbl:t0": [("tbl:t0.0", "tbl:t0.1")]}
+    assert not pairs["tbl:t0"].broken
+
+
+def test_cluster_and_root_summaries_are_in_flight_beside_their_relation_calls():
+    cat = multi_table_catalog([3, 3, 3])
+    subtrees = [build_table_tree(cat, t, PARAMS, tree_gateway()) for t in cat.tables]
+    e = np.eye(4)
+
+    def cluster(bot=None, relations=None):
+        # root summaries embed as e1, e1, e3: t0 and t1 make grp:1, then db:root
+        gw = tree_gateway(bot, embed_backend=PositionalEmbeddingBackend([[e[0], e[0], e[2]]]))
+        return cluster_tables(subtrees, PARAMS, gw, Side.SOURCE, relations)
+
+    pairs = {parent: threading.Barrier(2, timeout=5) for parent in ("grp:1", "db:root")}
+    task_of = {"TASK: cluster-summary": "grp:1", "TASK: node-summary": "db:root"}
+    relations = {}
+    tree = cluster(paired_bot(pairs, lambda p: task_of.get(p.split("\n", 1)[0])), relations)
+    assert tree_to_dict(tree) == tree_to_dict(cluster())
+    assert tree.node("db:root").children == ("grp:1", "tbl:t2")
+    assert {p: [(r.from_node, r.to_node) for r in snippets]
+            for p, snippets in relations.items()} == {
+        "grp:1": [("tbl:t0", "tbl:t1")], "db:root": [("grp:1", "tbl:t2")]}
+    assert not any(barrier.broken for barrier in pairs.values())
+
+
+def test_relations_ride_beside_summaries_without_changing_the_tree():
+    # the narrow tables with one description have equal root summaries, so they cluster
+    cat = build_catalog("source", [
+        table_doc(f"t{i}", [(f"t{i}_c{j}", f"col {j} of table {i}") for j in range(n)],
+                  description=about)
+        for i, (n, about) in enumerate([(60, ""), (7, "payments"), (130, ""), (3, "visits"),
+                                        (12, "payments"), (4, "visits"), (55, "")])
+    ])
+
+    def relations(prompt):
+        if relation_parent(prompt) is None:
+            return None
+        tag = zlib.crc32(prompt.encode())  # a reply that depends on the children listed
+        return "\n".join(f"{a} -> {b}: {a} leads to {b} ({tag})"
+                         for a, b in ("AB", "BC", "CA", "BA", "DA"))
+
+    on = build_context_tree(cat, PARAMS, tree_gateway(relations), annotate_relations=True)
+    off = build_context_tree(cat, PARAMS, tree_gateway(relations))
+    assert (on.root, on.nodes) == (off.root, off.nodes) and off.relations == ()
+    parents = sorted(n for n, node in on.nodes.items() if len(node.children) >= 2)
+    assert {on.node(p).kind for p in parents} >= {NodeKind.TABLE_ROOT, NodeKind.CLUSTER}
+    # the oracle: one relation call per parent over the finished tree, in parent-id order
+    gw = tree_gateway(relations)
+    expected = [r for p in parents for r in annotate_sibling_relations(
+        p, [(c, on.node(c).summary) for c in on.node(p).children], gw)]
+    assert len(expected) > len(parents)
+    assert list(on.relations) == expected
 
 
 def test_first_failure_in_submission_order_is_raised_and_threads_end():
