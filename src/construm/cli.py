@@ -47,8 +47,6 @@ DEFAULTS = {
     "chat_model": "gpt-5",
     "embed_model": "text-embedding-3-small",
     "decoding": {},
-    "embed_dim": 64,
-    "embed_seed": 0,
     **asdict(tree_mod.TreeParams()),
     "relations": False,
     "tau": graph_mod.DEFAULT_TAU,
@@ -61,19 +59,33 @@ DEFAULTS = {
 _SECRET_KEYS = ("api_key",)
 
 
+def read_json(path, what: str, load=json.loads):
+    """``load`` over the text of a file the user named; a file that cannot be
+    read or parsed is a UsageError naming it."""
+    try:
+        return load(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, KeyError) as exc:  # JSONDecodeError is a ValueError
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     """defaults < config file < environment (secrets) < explicit flags."""
     cfg = dict(DEFAULTS)
     cfg["api_key"] = None
     config_path = getattr(args, "config", None)
     if config_path:
-        try:
-            file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {config_path}: {exc}") from exc
+        file_cfg = read_json(config_path, "config file")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            default = cfg[key]
+            # a value keeps its default's JSON type, but an int may stand for a
+            # float (a bool never does) and a secret's None default for a string
+            if not (type(value) is type(default) or type(value) is int and type(default) is float
+                    or key in _SECRET_KEYS and isinstance(value, str)):
+                raise UsageError(f"config key {key!r} in {config_path} must have the type of "
+                                 f"its default {json.dumps(default)}, got {json.dumps(value)}")
         cfg.update(file_cfg)
     if os.environ.get("CONSTRUM_API_KEY"):
         cfg["api_key"] = os.environ["CONSTRUM_API_KEY"]
@@ -103,18 +115,14 @@ def make_gateway(cfg: dict, cache_dir=None) -> ModelGateway:
         if not Path(script_path).exists():
             raise UsageError(f"scripted backend file not found: {script_path}")
         chat = ScriptedChatBackend.from_file(script_path)
-        embed = HashEmbeddingBackend(dim=cfg["embed_dim"], seed=cfg["embed_seed"])
+        embed = HashEmbeddingBackend()
     elif backend_spec == "live":
         chat = HttpChatBackend(cfg["base_url"], cfg["chat_model"], cfg["api_key"],
                                cfg["decoding"])
         embed = HttpEmbeddingBackend(cfg["base_url"], cfg["embed_model"], cfg["api_key"])
-    elif backend_spec == "hash-only":
-        chat = None
-        embed = HashEmbeddingBackend(dim=cfg["embed_dim"], seed=cfg["embed_seed"])
     else:
         raise UsageError(
-            f"unknown backend {backend_spec!r} (expected 'live', 'hash-only' "
-            f"or 'scripted:<script path>')"
+            f"unknown backend {backend_spec!r} (expected 'live' or 'scripted:<script path>')"
         )
     cache = DiskCache(cache_dir) if cache_dir else None
     try:
@@ -189,8 +197,9 @@ def _build_artifacts(cfg: dict, source_catalog: SchemaCatalog,
             return builder()
         try:
             return loader(p)
-        except tree_mod.TreeError as exc:
-            raise UsageError(f"cannot load {name} from {p}: {exc}") from exc
+        except (tree_mod.TreeError, OSError, ValueError, KeyError, IndexError) as exc:
+            detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
+            raise UsageError(f"cannot load {name} from {p}: {detail}") from exc
 
     target_graph = load_or(
         "target_graph",
@@ -267,8 +276,8 @@ def cmd_match(args) -> int:
                                  need_tree=pcfg.use_tree, need_diff=pcfg.use_diff,
                                  paths=paths)
     if args.queries:
-        queries = ev.load_benchmark(Path(args.queries).read_text(encoding="utf-8"),
-                                    source_catalog, target_catalog)
+        queries = read_json(args.queries, "query file",
+                            lambda text: ev.load_benchmark(text, source_catalog, target_catalog))
     elif args.source:
         queries = [MatchQuery(source=source_catalog.resolve(args.source))]
     else:
@@ -289,10 +298,7 @@ def cmd_match(args) -> int:
 def _load_benchspec(path, cfg) -> tuple[ev.BenchmarkSpec, SchemaCatalog, SchemaCatalog]:
     """Read a bench spec. Its ``mask_source``/``mask_target`` override
     ``cfg``'s and are written back, so the run config records the masking."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read benchmark spec {path}: {exc}") from exc
+    doc = read_json(path, "benchmark spec")
     for required in ("source_catalog", "target_catalog", "pair_similarity_tau",
                      "min_separation", "verified_matches"):
         if required not in doc:
@@ -340,8 +346,8 @@ def cmd_bench_run(args) -> int:
     cache_dir = args.cache or out_dir / "cache"
     gateway = make_gateway(cfg, cache_dir=cache_dir)
     spec, source, target = _load_benchspec(args.benchspec, cfg)
-    queries = ev.load_benchmark(Path(args.bench).read_text(encoding="utf-8"),
-                                source, target)
+    queries = read_json(args.bench, "--bench file",
+                        lambda text: ev.load_benchmark(text, source, target))
     for i, q in enumerate(queries):
         if q.ground_truth is None:
             raise UsageError(f"--bench query {i} (source {source.meta(q.source).cid}) has no "
@@ -389,7 +395,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--backend", help="'live', 'hash-only' or 'scripted:<script path>'")
+    p.add_argument("--backend", help="'live' or 'scripted:<script path>'")
     p.add_argument("--config", help="JSON config file (defaults < file < env < flags)")
     p.add_argument("--cache", help="disk cache directory for chat replies")
     p.add_argument("--max-in-flight", dest="max_in_flight", type=int,
@@ -443,8 +449,6 @@ def build_parser() -> _Parser:
     p.add_argument("--target-tree", dest="target_tree")
     p.add_argument("--source-graph", dest="source_graph")
     p.add_argument("--target-graph", dest="target_graph")
-    p.add_argument("--tree", dest="target_tree", help="alias for --target-tree")
-    p.add_argument("--graph", dest="target_graph", help="alias for --target-graph")
     p.add_argument("--queries", help="benchmark-style JSON query file")
     p.add_argument("--source", help="single query column (cid or unique name)")
     p.add_argument("--mode", choices=list(MODES))

@@ -25,8 +25,9 @@ from construm.tree import ContextPack, render_prompt_packs
 logger = logging.getLogger(__name__)
 
 MISSING_CUE = "no distinguishing information provided"
-DEFAULT_MAX_GROUPS = 6
-DEFAULT_MAX_MEMBERS = 24
+MAX_GROUPS = 6  # candidate groups one query differentiates at most
+MAX_GROUP_MEMBERS = 24  # members one block lists at most, highest cosine first
+DIFF_TIMEOUT = 45.0  # seconds for one differentiation call
 
 
 @dataclass
@@ -38,8 +39,8 @@ class DifferentiationBlock:
 
 
 def select_groups(groups: Sequence[SimilarityGroup], query_vec: np.ndarray | None,
-                  hypergraph: Hypergraph, max_groups: int = DEFAULT_MAX_GROUPS,
-                  max_members: int = DEFAULT_MAX_MEMBERS) -> list[tuple[SimilarityGroup, tuple[ColumnRef, ...]]]:
+                  hypergraph: Hypergraph, max_groups: int = MAX_GROUPS,
+                  max_members: int = MAX_GROUP_MEMBERS) -> list[tuple[SimilarityGroup, tuple[ColumnRef, ...]]]:
     """Keep the most confusable non-singleton groups, members ranked.
 
     Priority is the maximum member cosine to the query embedding (closest
@@ -71,15 +72,14 @@ _CUE_RE = re.compile(r"^-\s*(C[1-9][0-9]*)\s*:\s*(.+?)\s*$", re.MULTILINE)
 def _block_prompt(catalog: SchemaCatalog, members: Sequence[ColumnRef],
                   packs: Mapping[ColumnRef, ContextPack | None] | None,
                   query_meta: str, side: Side) -> str:
-    member_packs = [packs.get(ref) if packs else None for ref in members]
-    shared, bodies = render_prompt_packs([p for p in member_packs if p is not None])
-    body = iter(bodies)
+    shared, bodies = render_prompt_packs([packs.get(ref) if packs else None
+                                          for ref in members])
     lines = []
-    for ref, pack in zip(members, member_packs):
+    for ref, body in zip(members, bodies):
         meta = catalog.meta(ref)
         lines.append(f"- {meta.cid} ({catalog.display_name(ref)}): {meta.description}")
-        if pack is not None:
-            ctx = next(body).replace("\n", "\n    ")
+        if body is not None:
+            ctx = body.replace("\n", "\n    ")
             lines.append(f"    {ctx}")
     return (
         f"TASK: differentiate\n"
@@ -97,7 +97,7 @@ def generate_block(group: SimilarityGroup, members: Sequence[ColumnRef],
                    catalog: SchemaCatalog,
                    packs: Mapping[ColumnRef, ContextPack | None] | None,
                    query_meta: str, gateway: ModelGateway,
-                   timeout: float = 45.0) -> DifferentiationBlock:
+                   timeout: float = DIFF_TIMEOUT) -> DifferentiationBlock:
     """One LLM call turning a confusable group into summary + per-member cues.
 
     Members that the reply leaves without a cue get a placeholder. A reply
@@ -109,15 +109,11 @@ def generate_block(group: SimilarityGroup, members: Sequence[ColumnRef],
     if len(members) < 2:
         raise ValueError("differentiation needs at least 2 members")
     prompt = _block_prompt(catalog, members, packs, query_meta, group.side)
-    reply = gateway.complete(ChatCall("differentiation", prompt, timeout=timeout))
-    parsed = _parse_block(reply.text, members, catalog)
-    if parsed is None:
-        retry_prompt = prompt + (
-            "\nYour previous reply could not be parsed. Use exactly the "
-            "'Summary:' line followed by '- <cid>: <cue>' lines."
-        )
-        reply = gateway.complete(ChatCall("differentiation", retry_prompt, timeout=timeout))
-        parsed = _parse_block(reply.text, members, catalog)
+    parsed, reply = gateway.ask(
+        ChatCall("differentiation", prompt, timeout=timeout),
+        lambda text: _parse_block(text, members, catalog),
+        "\nYour previous reply could not be parsed. Use exactly the "
+        "'Summary:' line followed by '- <cid>: <cue>' lines.")
     if parsed is None:
         logger.warning("differentiation reply unparseable for group of %d; summary only",
                        len(members))

@@ -560,6 +560,21 @@ class ModelGateway:
                 )
             return self._call_backend(call, key)
 
+    def ask(self, call: ChatCall, parse: Callable[[str], T | None],
+            reminder: str) -> tuple[T | None, ChatReply]:
+        """Send ``call`` and parse its reply; a miss (``parse`` gives None)
+        sends the prompt once more with ``reminder`` appended.
+
+        Returns the parsed value, or None after two misses, and the last
+        reply. Both sends go through ``complete``.
+        """
+        reply = self.complete(call)
+        parsed = parse(reply.text)
+        if parsed is None:
+            reply = self.complete(replace(call, prompt=call.prompt + reminder))
+            parsed = parse(reply.text)
+        return parsed, reply
+
     @contextmanager
     def _single_flight(self, key: str) -> Iterator[None]:
         # one caller per key at a time: a waiter that gets the lock after a

@@ -28,6 +28,8 @@ from construm.gateway import ModelGateway
 logger = logging.getLogger(__name__)
 
 DEFAULT_TAU = 0.90
+CAP_STRONG = 3  # shortlist head whose tau-neighbours expansion adds
+CAP_TOTAL = 5  # columns expansion adds at most
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ def extract_groups(links: Iterable[SimilarityLink],
 
 
 def expand_candidates(c0: Sequence[ColumnRef], hypergraph: Hypergraph,
-                      cap_total: int = 5, cap_strong: int = 3) -> list[ColumnRef]:
+                      cap_total: int = CAP_TOTAL, cap_strong: int = CAP_STRONG) -> list[ColumnRef]:
     """Grow a shortlist with near-duplicate neighbors of its strong head.
 
     The first ``cap_strong`` shortlist members are the strong candidates;

@@ -29,8 +29,7 @@ import numpy as np
 
 from construm.catalog import ColumnRef, MatchQuery, SchemaCatalog
 from construm.diff import (
-    DEFAULT_MAX_GROUPS,
-    DEFAULT_MAX_MEMBERS,
+    MAX_GROUP_MEMBERS,
     DifferentiationBlock,
     generate_block,
     render_candidate_diff,
@@ -57,6 +56,7 @@ from construm.tree import (
 logger = logging.getLogger(__name__)
 
 MODES = ("embed_top1", "llm_local", "full", "no_tree", "no_diff")  # in report order
+DECISION_TIMEOUT = 90.0  # seconds for one decision call
 
 
 class PipelineError(Exception):
@@ -80,23 +80,13 @@ class PipelineConfig:
     mode: str = "full"
     k: int = 20
     pack_budget: int = 1200
-    decision_timeout: float = 90.0
-    diff_timeout: float = 45.0
-    max_groups: int = DEFAULT_MAX_GROUPS
-    max_group_members: int = DEFAULT_MAX_MEMBERS
-    cap_total: int = 5
-    cap_strong: int = 3
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        for name, least in (("k", 1), ("pack_budget", 1), ("max_group_members", 2),
-                            ("max_groups", 0), ("cap_total", 0), ("cap_strong", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        for name in ("decision_timeout", "diff_timeout"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("k", "pack_budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod
     def from_mode(cls, mode: str, **overrides) -> "PipelineConfig":
@@ -189,21 +179,19 @@ def final_prompt_sections(s_display: str, s_desc: str, s_pack: ContextPack | Non
     if s_desc:
         query_line += f"; desc: {s_desc}"
     sections.append(("query", query_line))
-    shared, bodies = render_prompt_packs(
-        [p for p in [s_pack] + [c[3] for c in candidates] if p is not None])
-    body = iter(bodies)
+    shared, (s_body, *bodies) = render_prompt_packs([s_pack] + [c[3] for c in candidates])
     if shared:
         sections.append(("shared_context", shared))
-    if s_pack is not None:
-        sections.append(("query_context", "Query context:\n" + next(body)))
+    if s_body is not None:
+        sections.append(("query_context", "Query context:\n" + s_body))
     source_diff = source_diff.strip()
     if source_diff:
         sections.append(("source_diff", source_diff))
     sections.append(("candidates_header", "Candidates:"))
-    for cid, name, desc, pack in candidates:
+    for (cid, name, desc, _), body in zip(candidates, bodies):
         sections.append((f"candidate:{cid}", f"- {cid}: name: {name}; desc: {desc}"))
-        if pack is not None:
-            indented = next(body).replace("\n", "\n    ")
+        if body is not None:
+            indented = body.replace("\n", "\n    ")
             sections.append((f"candidate_context:{cid}", f"    {indented}"))
     if candidate_diff:
         sections.append(("candidate_diff", candidate_diff.rstrip()))
@@ -282,9 +270,7 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     candidates = list(query.shortlist)
     if config.use_expansion and tg is not None:
         try:
-            candidates = expand_candidates(
-                candidates, tg, cap_total=config.cap_total, cap_strong=config.cap_strong,
-            )
+            candidates = expand_candidates(candidates, tg)
         except Exception as exc:
             logger.warning("candidate expansion failed, keeping shortlist: %s", exc)
 
@@ -304,7 +290,7 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
             group = source_confusable_set(s, sg)
             if len(group) >= 2:
                 source_group = group
-                source_members = group.sorted_members()[: config.max_group_members]
+                source_members = group.sorted_members()[:MAX_GROUP_MEMBERS]
 
     # one pack per column, read by the prompt and both sides' blocks; a
     # ColumnRef carries its side, so source and target keys never collide
@@ -324,8 +310,7 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     chosen_groups: list[tuple[SimilarityGroup, tuple[ColumnRef, ...]]] = []
     if config.use_diff and tg is not None:
         try:
-            chosen_groups = select_groups(groups_within(candidates, tg), s_vec, tg,
-                                          config.max_groups, config.max_group_members)
+            chosen_groups = select_groups(groups_within(candidates, tg), s_vec, tg)
         except Exception as exc:
             logger.warning("candidate grouping skipped: %s", exc)
 
@@ -334,8 +319,7 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     def block(group: SimilarityGroup, members: Sequence[ColumnRef], catalog: SchemaCatalog,
               skipped: str) -> DifferentiationBlock | None:
         try:
-            return generate_block(group, members, catalog, packs, query_meta, gateway,
-                                  config.diff_timeout)
+            return generate_block(group, members, catalog, packs, query_meta, gateway)
         except GatewayError as exc:
             logger.warning("%s: %s", skipped, exc)
             return None
@@ -366,24 +350,25 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     )
     by_cid = {tcat.meta(t).cid: t for t in candidates}
 
-    reply = gateway.complete(ChatCall("decision", prompt, timeout=config.decision_timeout))
-    try:
-        chosen = parse_choice(reply.text, by_cid)
-    except PipelineError as first_error:
-        retry_prompt = prompt + (
-            "\nReminder: end your reply with exactly one line 'ANSWER: <cid>' "
-            "where <cid> is one of: " + ", ".join(sorted(by_cid)) + "."
-        )
-        reply = gateway.complete(
-            ChatCall("decision", retry_prompt, timeout=config.decision_timeout))
+    misses: list[PipelineError] = []
+
+    def parse(text: str) -> ColumnRef | None:
         try:
-            chosen = parse_choice(reply.text, by_cid)
+            return parse_choice(text, by_cid)
         except PipelineError as exc:
-            raise PipelineError(
-                f"decision reply unusable after retry: {exc} "
-                f"(first failure: {first_error})",
-                prompt_snapshot=prompt,
-            ) from exc
+            misses.append(exc)
+            return None
+
+    chosen, _ = gateway.ask(
+        ChatCall("decision", prompt, timeout=DECISION_TIMEOUT), parse,
+        "\nReminder: end your reply with exactly one line 'ANSWER: <cid>' "
+        "where <cid> is one of: " + ", ".join(sorted(by_cid)) + ".")
+    if chosen is None:
+        first_error, exc = misses
+        raise PipelineError(
+            f"decision reply unusable after retry: {exc} (first failure: {first_error})",
+            prompt_snapshot=prompt,
+        ) from exc
 
     # chosen first; the rest by cosine when every one has an embedding, else
     # in prompt order (external shortlists without a graph)

@@ -420,17 +420,11 @@ def stage3_conceptual_map(catalog: SchemaCatalog, table: TableMeta,
         f"(at most {params.fan_out * 2}), each of at least {params.min_group} "
         f"columns, one per line as {fmt}."
     )
-    groups = None
-    prompt = base_prompt
-    for attempt in range(2):
-        reply = gateway.complete(ChatCall("tree_summary", prompt))
-        groups = _parse_plan(reply.text, refs, table.ordered)
-        if groups is not None:
-            break
-        prompt = base_prompt + (
-            "\nYour previous reply could not be parsed or did not cover every "
-            "column exactly once. Reply with group lines only."
-        )
+    groups, _ = gateway.ask(
+        ChatCall("tree_summary", base_prompt),
+        lambda text: _parse_plan(text, refs, table.ordered),
+        "\nYour previous reply could not be parsed or did not cover every "
+        "column exactly once. Reply with group lines only.")
     if groups is None:
         logger.warning("grouping plan unusable for %s %s..%s; uniform fallback",
                        table.table_id, lo, hi)
@@ -979,7 +973,6 @@ class ContextPack:
     lineage_summaries: tuple[tuple[int, str], ...]  # (depth, summary), leaf -> root
     relation_lines: tuple[str, ...]
     rendered: str
-    budget: int
 
 
 def _render_pack(header: list[str], levels: list[tuple[int, str]],
@@ -1057,14 +1050,13 @@ def build_context_pack(tree: ContextTree, catalog: SchemaCatalog, column: Column
         lineage_summaries=tuple(kept_levels),
         relation_lines=tuple(relations),
         rendered=rendered,
-        budget=budget,
     )
 
 
 _SHARED_ID_RE = re.compile(r"S[1-9][0-9]*")
 
 
-def render_prompt_packs(packs: Sequence[ContextPack]) -> tuple[str, list[str]]:
+def render_prompt_packs(packs: Sequence[ContextPack | None]) -> tuple[str, list[str | None]]:
     """The packs of one prompt as it shows them, each line said once.
 
     A pack drops its header, which the prompt's row for the column already
@@ -1075,10 +1067,11 @@ def render_prompt_packs(packs: Sequence[ContextPack]) -> tuple[str, list[str]]:
     no longer than its id stays spelled out, so no prompt form outgrows
     its ``rendered`` pack; one that reads like an id or holds ``>`` or
     ``|`` always gets an id, so every item reads back exactly. Returns the
-    shared section ("" when nothing is shared) and the prompt forms.
+    shared section ("" when nothing is shared) and one prompt form per
+    entry of ``packs``, None for None.
     """
     said: Counter[str] = Counter()
-    for pack in packs:
+    for pack in filter(None, packs):
         said.update(s for _, s in pack.lineage_summaries)
         said.update(pack.relation_lines)
     ids: dict[str, str] = {}
@@ -1092,8 +1085,11 @@ def render_prompt_packs(packs: Sequence[ContextPack]) -> tuple[str, list[str]]:
             ids[line] = sid
         return ids[line]
 
-    bodies = []
+    bodies: list[str | None] = []
     for pack in packs:
+        if pack is None:
+            bodies.append(None)
+            continue
         lines = ["path to root: " + " > ".join(cite(s) for _, s in pack.lineage_summaries)]
         if pack.relation_lines:
             lines.append("relations: " + " | ".join(cite(r) for r in pack.relation_lines))

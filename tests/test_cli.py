@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from construm.cli import main
 from construm.evaluation import parse_report_csv
 from helpers import table_doc
@@ -57,6 +58,11 @@ def test_unknown_backend_is_user_error(tmp_path, capsys):
                str(tmp_path / "g.json"), "--backend", "warp-drive"])
     assert rc == 1
     assert "backend" in capsys.readouterr().err
+    # hash-only (an embedder and no chat model) is gone; scripted: covers it
+    rc = main(["build-graph", "--catalog", str(source), "--out",
+               str(tmp_path / "g.json"), "--backend", "hash-only"])
+    assert rc == 1
+    assert "unknown backend 'hash-only'" in capsys.readouterr().err
 
 
 def test_build_graph_and_tree_then_match(tmp_path, capsys):
@@ -256,19 +262,20 @@ def test_bench_run_records_the_masking_its_spec_applies(tmp_path):
     assert resolved["mask_source"] is True and resolved["mask_target"] is False
 
 
-def test_match_accepts_spec_style_aliases(tmp_path):
+def test_match_reads_a_stored_target_graph(tmp_path):
     source, target, script = fixture_files(tmp_path)
     backend = f"scripted:{script}"
     graph = tmp_path / "tg.json"
     assert main(["build-graph", "--catalog", str(target), "--side", "target",
                  "--tau", "0.8", "--out", str(graph), "--backend", backend]) == 0
-    out_dir = tmp_path / "aliasrun"
-    rc = main(["match",
-               "--source-catalog", str(source), "--target-catalog", str(target),
-               "--graph", str(graph), "--source", "income_main",
-               "--mode", "llm_local", "--k", "2",
-               "--out", str(out_dir), "--backend", backend])
-    assert rc == 0
+    out_dir = tmp_path / "graphrun"
+    argv = ["match", "--source-catalog", str(source), "--target-catalog", str(target),
+            "--source", "income_main", "--mode", "llm_local", "--k", "2",
+            "--out", str(out_dir), "--backend", backend]
+    # --tree and --graph were second names for --target-tree and --target-graph
+    for alias in ("--tree", "--graph"):
+        assert main(argv + [alias, str(graph)]) == 1
+    assert main(argv + ["--target-graph", str(graph)]) == 0
     row = json.loads(next((out_dir / "traces").glob("q*.json")).read_text())
     assert row["ranked"][0] == row["chosen"] == "C1"
     assert len(row["ranked"]) == 2
@@ -438,26 +445,78 @@ def test_delta_flag_sets_the_cluster_threshold(tmp_path):
     assert json.loads(out.read_text())["params"]["cluster_threshold"] == 0.25
 
 
+# the four LLM-mode matches and the masked match run query files that hold
+# failing queries; every other command of the session succeeds
+SESSION_FAILS = {5, 6, 7, 8, 11}
+
+
 def test_cli_session_outputs_do_not_depend_on_max_in_flight(tmp_path):
     session = Path(__file__).resolve().parents[1] / "benchmarks" / "cli_session.py"
     outs = {}
-    for cap in ("1", "16"):
-        outs[cap] = tmp_path / f"session{cap}"
-        subprocess.run([sys.executable, str(session), str(outs[cap]), "--max-in-flight", cap],
+    for name, extra in (("default", []), ("serial", ["--max-in-flight", "1"])):
+        outs[name] = tmp_path / name
+        subprocess.run([sys.executable, str(session), str(outs[name]), *extra],
                        check=True, capture_output=True)
-    files = {cap: sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
-             for cap, out in outs.items()}
-    assert files["1"] == files["16"] and len(files["1"]) > 300
-    differ = [rel for rel in files["1"]
-              if (outs["1"] / rel).read_bytes() != (outs["16"] / rel).read_bytes()]
-    assert differ and all(rel.name == "run_config.json" for rel in differ)
+    commands = sorted((outs["default"] / "commands").iterdir())
+    assert len(commands) == 19
+    for i, path in enumerate(commands):
+        head, stderr = path.read_text(encoding="utf-8").split("--- stderr\n")
+        assert head.startswith(f"exit: {2 if i in SESSION_FAILS else 0}\n"), path.name
+        assert "Traceback" not in stderr, path.name
+
+    files = {name: sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+             for name, out in outs.items()}
+    assert files["default"] == files["serial"] and len(files["default"]) > 300
+
+    def comparable(path: Path) -> bytes:
+        if path.name != "run_config.json":
+            return path.read_bytes()
+        return b"".join(line for line in path.read_bytes().splitlines(keepends=True)
+                        if b'"max_in_flight"' not in line)
+
+    for rel in files["default"]:
+        assert comparable(outs["default"] / rel) == comparable(outs["serial"] / rel), rel
+
+
+@pytest.mark.parametrize("argv,files,named", [
+    (["match", "--target-graph", "nope.json"], {}, "nope.json"),
+    (["match", "--source-tree", "nope.json"], {}, "nope.json"),
+    (["match", "--target-graph", "bad.json"], {"bad.json": "not json"}, "bad.json"),
+    (["match", "--target-graph", "bad.json"], {"bad.json": '{"side": "target"}'}, "bad.json"),
+    (["match", "--target-graph", "bad.json"],
+     {"bad.json": '{"side": "target", "tau": 0.9, "columns": [], "embeddings": [], '
+                  '"links": [], "groups": [[0]]}'}, "bad.json"),
+    (["match", "--queries", "nope.json"], {}, "nope.json"),
+    (["match", "--queries", "q.json"], {"q.json": '[{"truth": "C1"}]'}, "q.json"),
+    (["bench", "run", "--bench", "nope.json"], {}, "nope.json"),
+    (["match", "--config", "c.json"], {"c.json": '{"k": "3"}'}, "'k'"),
+    (["match", "--config", "c.json"], {"c.json": '{"window": "4"}'}, "'window'"),
+], ids=["missing-graph", "missing-tree", "graph-not-json", "graph-without-columns",
+        "graph-group-past-its-columns", "missing-queries", "query-without-source",
+        "missing-bench", "string-k", "string-window"])
+def test_unreadable_file_or_mistyped_config_value_is_user_error(
+        tmp_path, monkeypatch, capsys, argv, files, named):
+    bench_setup(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    rest = {"match": ["--source-catalog", "source.json", "--target-catalog", "target.json",
+                      "--source", "income_main", "--mode", "llm_local", "--k", "2"],
+            "bench": ["--benchspec", "benchspec.json"]}[argv[0]]
+    rc = main(argv + rest + ["--out", "run", "--backend", "scripted:script.json"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert named in err and "Traceback" not in err
 
 
 def test_bad_config_key_rejected(tmp_path, capsys):
     source, target, script, benchspec = bench_setup(tmp_path)
-    # "workers" was a key until max_in_flight replaced it, and "delta" until
-    # the tree settings took TreeParams' own names
-    for key in ("no_such_option", "workers", "delta"):
+    # "workers" was a key until max_in_flight replaced it, "delta" until the
+    # tree settings took TreeParams' own names, and the last eight until each
+    # became a constant of the module that uses it
+    for key in ("no_such_option", "workers", "delta", "cap_total", "cap_strong",
+                "max_groups", "max_group_members", "decision_timeout", "diff_timeout",
+                "embed_dim", "embed_seed"):
         config = write_json(tmp_path / "config.json", {key: 1})
         rc = main(["build-graph", "--catalog", str(target), "--out",
                    str(tmp_path / "g.json"), "--backend", f"scripted:{script}",

@@ -249,9 +249,7 @@ def test_suite_records_errors_and_continues():
 
 def test_suite_carries_every_non_mode_field_into_every_mode(monkeypatch):
     queries, artifacts, gw = suite_fixture()
-    base = PipelineConfig(mode="full", k=2, pack_budget=900, decision_timeout=30.0,
-                          diff_timeout=15.0, max_groups=2, max_group_members=3,
-                          cap_total=4, cap_strong=1)
+    base = PipelineConfig(mode="full", k=2, pack_budget=900)
     seen = []
     run_match = evaluation.run_match
 

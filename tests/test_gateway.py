@@ -256,6 +256,21 @@ def test_fan_out_items_book_into_the_callers_meter():
     assert gw.accounting.snapshot().llm_calls == 3
 
 
+def test_ask_sends_the_reminder_once_after_a_miss():
+    backend, gw = scripted(rules=[ScriptRule("REMIND", "ok: 7")], default="no number")
+
+    def number(text):
+        return int(text.split(": ")[1]) if text.startswith("ok: ") else None
+
+    assert gw.ask(ChatCall("decision", "ask"), number, " REMIND")[0] == 7
+    assert [p for _, p in backend.call_log] == ["ask", "ask REMIND"]
+    parsed, reply = gw.ask(ChatCall("decision", "ask"), number, " again")
+    assert parsed is None and reply.text == "no number"
+    assert [p for _, p in backend.call_log[2:]] == ["ask", "ask again"]
+    assert gw.ask(ChatCall("decision", "REMIND"), number, " unused")[0] == 7
+    assert len(backend.call_log) == 5  # a hit on the first send asks once
+
+
 def test_whitespace_reply_is_retried_then_fails():
     backend, gw = scripted(rules=[ScriptRule("", " \n\t ")])
     with pytest.raises(TransportError, match="empty reply"):

@@ -184,7 +184,7 @@ def pack_of(levels, relations=(), name="c"):
     rendered = render_expect(name, "", levels, list(relations))
     return ContextPack(ColumnRef(Side.TARGET, "t", 0),
                        tuple((len(levels) - 1 - i, s) for i, s in enumerate(levels)),
-                       tuple(relations), rendered, len(rendered))
+                       tuple(relations), rendered)
 
 
 def test_prompt_packs_drop_the_header_and_say_shared_lines_once():
@@ -206,6 +206,13 @@ def test_prompt_packs_share_nothing_said_once():
     assert bodies == ["path to root: leaf one > root one",
                       "path to root: leaf two > root two\nrelations: rel"]
     assert render_prompt_packs([]) == ("", [])
+
+
+def test_prompt_packs_keep_a_place_for_each_missing_pack():
+    packs = [pack_of(["leaf one", "the root"]), pack_of(["leaf two", "the root"])]
+    shared, bodies = render_prompt_packs(packs)
+    assert render_prompt_packs([None, packs[0], None, packs[1]]) == (
+        shared, [None, bodies[0], None, bodies[1]])
 
 
 def test_prompt_pack_lines_that_could_be_misread_get_ids():

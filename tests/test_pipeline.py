@@ -187,9 +187,7 @@ def test_mode_flag_implications():
 
 
 @pytest.mark.parametrize("field,bad,least", [
-    ("k", 0, 1), ("pack_budget", 0, 1), ("max_group_members", 1, 2),
-    ("max_groups", -1, 0), ("cap_total", -1, 0), ("cap_strong", -1, 0),
-    ("decision_timeout", -1.0, 0.5), ("diff_timeout", 0.0, 0.5),
+    ("k", 0, 1), ("pack_budget", 0, 1),
 ])
 def test_config_rejects_out_of_range_numbers(field, bad, least):
     with pytest.raises(ValueError, match=field):
