@@ -14,7 +14,9 @@ collapse's share of the planning time. Last, at 5k and 20k target
 columns with planted near-duplicates, it times one query's shortlist
 (``Hypergraph.ranked`` with a top-k, as ``pipeline.shortlist`` calls it,
 beside the full ranking cut at k) and its ``expand_candidates``, per
-query over a few queries. No part makes an LLM call.
+query over a few queries. No part makes an LLM call. The first line states
+the thread count numpy's OpenBLAS runs the products on: one, as importing
+construm sets it, unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.
 
 Usage: python benchmarks/bench_kernels.py [--dim 64] [--tau 0.5] [--repeat 3]
 """
@@ -26,6 +28,7 @@ import numpy as np
 
 from construm import kernels
 from construm.catalog import ColumnRef, Side
+from construm.gateway import openblas_function
 from construm.graph import DEFAULT_TAU, Hypergraph, expand_candidates
 from construm.tree import collapse_tied_merges, plan_merges
 
@@ -34,7 +37,7 @@ FULL_MERGE = 1.999  # a cosine-distance cutoff every pair of tables is within
 TABLES = (200, 1000, 2000)  # table counts the merge planning is timed at
 DIRECTIONS = 4  # distinct root directions among tied tables
 TARGETS = (5000, 20000)  # target column counts the shortlist is timed at
-SHORTLIST_K = 20  # MatchConfig.k's default
+SHORTLIST_K = 20  # PipelineConfig.k's default
 QUERIES = 20  # queries each shortlist timing averages over
 NEAR_DUPLICATES = 30  # target columns per planted direction
 JITTER = 0.028  # per-dimension noise around a direction, over unit-scale rows
@@ -66,7 +69,9 @@ def main():
                         default=[200, 400, 800, 1600, 5000, 10000])
     args = parser.parse_args()
 
-    print(f"dim={args.dim} tau={args.tau} best-of-{args.repeat}")
+    blas_threads = openblas_function("get_num_threads")
+    print(f"BLAS threads: {blas_threads() if blas_threads else 'unknown (not a bundled OpenBLAS)'}")
+    print(f"\nlinks, dim={args.dim} tau={args.tau} best-of-{args.repeat}")
     header = f"{'n':>6} | {'time':>10} | {'links':>10} | components"
     print(header)
     print("-" * len(header))

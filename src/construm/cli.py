@@ -75,6 +75,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         file_cfg = read_json(config_path, "config file")
+        if not isinstance(file_cfg, dict):
+            raise UsageError(f"config file {config_path} must hold a JSON object of "
+                             f"settings, got {type(file_cfg).__name__}")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")

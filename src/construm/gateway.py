@@ -10,6 +10,9 @@ texts, token/call accounting, and an append-only disk cache of chat replies
 (content-addressed by backend, role and prompt). ``ModelGateway.concurrently``
 is the one place that starts threads; one value, ``max_in_flight``, bounds
 both its threads and the chat calls at the backend, however fan-outs nest.
+So that numpy's bundled OpenBLAS starts no second set of busy threads beside
+that pool, importing the gateway sets it to one thread, unless the
+environment already sets ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``.
 
 Both live backends POST JSON through ``_post_json``, built on the standard
 library's ``urllib``. A timeout, HTTP 408, 429 or 5xx, a failed connection
@@ -24,6 +27,7 @@ into cosine similarity without any model in the loop.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import logging
@@ -51,6 +55,26 @@ T = TypeVar("T")
 
 _sleep = time.sleep  # the pause before a retry; tests replace it to record waits
 _now = time.time  # the clock an HTTP-date Retry-After is read against; tests fix it
+
+
+def openblas_function(name: str) -> Callable[..., int] | None:
+    """``name`` (``get_num_threads``, ``set_num_threads``) from the OpenBLAS in
+    numpy's wheel, or None when there is none (MKL, Accelerate, a system BLAS)."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))  # numpy has loaded it, so this is the same library
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_"):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)
+    return None
+
+
+# After a multi-threaded product, OpenBLAS workers spin-wait on the cores that
+# ``concurrently``'s pool and the build's own thread need. construm's products
+# are small enough that one thread costs them little (README: the trade-off).
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    _set_blas_threads = openblas_function("set_num_threads")
+    if _set_blas_threads is not None:
+        _set_blas_threads(1)
 
 
 class GatewayError(Exception):

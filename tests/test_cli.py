@@ -491,9 +491,11 @@ def test_cli_session_outputs_do_not_depend_on_max_in_flight(tmp_path):
     (["bench", "run", "--bench", "nope.json"], {}, "nope.json"),
     (["match", "--config", "c.json"], {"c.json": '{"k": "3"}'}, "'k'"),
     (["match", "--config", "c.json"], {"c.json": '{"window": "4"}'}, "'window'"),
+    (["match", "--config", "c.json"], {"c.json": '[{"k": 3}]'}, "c.json"),
+    (["match", "--config", "c.json"], {"c.json": '"k"'}, "c.json"),
 ], ids=["missing-graph", "missing-tree", "graph-not-json", "graph-without-columns",
         "graph-group-past-its-columns", "missing-queries", "query-without-source",
-        "missing-bench", "string-k", "string-window"])
+        "missing-bench", "string-k", "string-window", "config-array", "config-string"])
 def test_unreadable_file_or_mistyped_config_value_is_user_error(
         tmp_path, monkeypatch, capsys, argv, files, named):
     bench_setup(tmp_path)

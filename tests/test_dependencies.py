@@ -1,9 +1,13 @@
 """The package imports no third-party module that pyproject.toml does not declare,
-only the gateway reaches the standard library's thread-starting APIs, and the
-per-query modules take every cosine from one full matrix-vector product."""
+only the gateway reaches the standard library's thread-starting APIs, importing
+the package sets numpy's OpenBLAS to one thread unless the environment sets its
+thread count, and the per-query modules take every cosine from one full
+matrix-vector product."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,6 +59,45 @@ def test_only_the_gateway_starts_threads():
     starters = {p.relative_to(package).as_posix(): thread_starters(p)
                 for p in sorted(package.rglob("*.py"))}
     assert {name for name, found in starters.items() if found} == {"gateway.py"}
+
+
+# prints the thread count of numpy's OpenBLAS before and after ``import construm``,
+# read through the library's own getter; prints nothing if no getter is found
+BLAS_THREADS = """
+import ctypes, pathlib, numpy
+libs = pathlib.Path(numpy.__file__).parents[1] / "numpy.libs"
+getters = [getattr(lib, symbol) for lib in map(ctypes.CDLL, map(str, libs.glob("*openblas*")))
+           for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_")
+           if hasattr(lib, symbol)]
+if getters:
+    before = getters[0]()
+    import construm
+    print(before, getters[0]())
+"""
+
+
+def blas_threads_around_import(**env: str) -> tuple[int, int]:
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", BLAS_THREADS], env={**base, **env},
+                         capture_output=True, text=True, check=True).stdout.split()
+    if not out:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    return tuple(map(int, out))
+
+
+def test_import_sets_openblas_to_one_thread():
+    # OpenBLAS workers spin-wait after each multi-threaded product, on the
+    # cores the gateway's pool needs
+    assert blas_threads_around_import()[1] == 1
+
+
+def test_import_keeps_a_blas_thread_count_the_environment_sets():
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS caps its thread count at the CPU count")
+    assert blas_threads_around_import(OPENBLAS_NUM_THREADS="2") == (2, 2)
 
 
 def test_per_query_cosines_use_no_row_by_row_products():
