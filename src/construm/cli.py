@@ -194,36 +194,36 @@ def _build_artifacts(cfg: dict, source_catalog: SchemaCatalog,
                      paths: dict | None = None) -> Artifacts:
     paths = paths or {}
 
-    def load_or(name, loader, builder):
+    def load_or(name, loader, catalog, builder):
         p = paths.get(name)
         if not p:
             return builder()
         try:
-            return loader(p)
+            return loader(p, catalog)  # rejects one built from another catalog
         except (tree_mod.TreeError, OSError, ValueError, KeyError, IndexError) as exc:
             detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
             raise UsageError(f"cannot load {name} from {p}: {detail}") from exc
 
     target_graph = load_or(
         "target_graph",
-        graph_mod.load_hypergraph,
+        graph_mod.load_hypergraph, target_catalog,
         lambda: graph_mod.build_hypergraph(target_catalog, gateway, cfg["tau"]),
     )
     source_graph = None
     if need_diff or paths.get("source_graph"):
         source_graph = load_or(
             "source_graph",
-            graph_mod.load_hypergraph,
+            graph_mod.load_hypergraph, source_catalog,
             lambda: graph_mod.build_hypergraph(source_catalog, gateway, cfg["tau"]),
         )
     source_tree = target_tree = None
     if need_tree or paths.get("source_tree") or paths.get("target_tree"):
         source_tree = load_or(
-            "source_tree", tree_mod.load_tree,
+            "source_tree", tree_mod.load_tree, source_catalog,
             lambda: tree_mod.build_context_tree(source_catalog, tree_params(cfg), gateway,
                                                 annotate_relations=cfg["relations"]))
         target_tree = load_or(
-            "target_tree", tree_mod.load_tree,
+            "target_tree", tree_mod.load_tree, target_catalog,
             lambda: tree_mod.build_context_tree(target_catalog, tree_params(cfg), gateway,
                                                 annotate_relations=cfg["relations"]))
     return Artifacts(source_catalog, target_catalog, source_tree, target_tree,

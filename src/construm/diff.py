@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from construm.catalog import ColumnRef, SchemaCatalog, Side
+from construm.catalog import ColumnRef, SchemaCatalog
 from construm.gateway import ChatCall, ModelGateway
 from construm.graph import Hypergraph, SimilarityGroup
 from construm.tree import ContextPack, render_prompt_packs
@@ -32,20 +32,18 @@ DIFF_TIMEOUT = 45.0  # seconds for one differentiation call
 
 @dataclass
 class DifferentiationBlock:
-    group: SimilarityGroup
     summary: str
     cues: dict[ColumnRef, str]
     members_in_prompt: tuple[ColumnRef, ...]
 
 
 def select_groups(groups: Sequence[SimilarityGroup], query_vec: np.ndarray | None,
-                  hypergraph: Hypergraph, max_groups: int = MAX_GROUPS,
-                  max_members: int = MAX_GROUP_MEMBERS) -> list[tuple[SimilarityGroup, tuple[ColumnRef, ...]]]:
-    """Keep the most confusable non-singleton groups, members ranked.
+                  hypergraph: Hypergraph) -> list[tuple[SimilarityGroup, tuple[ColumnRef, ...]]]:
+    """Keep the ``MAX_GROUPS`` most confusable non-singleton groups, members ranked.
 
     Priority is the maximum member cosine to the query embedding (closest
     first), ties broken by larger group then smallest member id. Oversize
-    groups are truncated to their ``max_members`` highest-cosine members.
+    groups are truncated to their ``MAX_GROUP_MEMBERS`` highest-cosine members.
     Returns (group, ordered members) pairs; empty when no group has two or
     more members.
     """
@@ -60,9 +58,9 @@ def select_groups(groups: Sequence[SimilarityGroup], query_vec: np.ndarray | Non
             members = hypergraph.ranked(sims, among=g.members)
             priority = float(sims[hypergraph.index_of(members[0])])
         smallest = min(g.members, key=lambda r: r.sort_key)
-        scored.append(((-priority, -len(g), smallest.sort_key), g, tuple(members[:max_members])))
+        scored.append(((-priority, -len(g), smallest.sort_key), g, members[:MAX_GROUP_MEMBERS]))
     scored.sort(key=lambda item: item[0])
-    return [(g, members) for _, g, members in scored[:max_groups]]
+    return [(g, tuple(members)) for _, g, members in scored[:MAX_GROUPS]]
 
 
 _SUMMARY_RE = re.compile(r"^Summary:\s*(.+?)\s*$", re.MULTILINE)
@@ -71,7 +69,7 @@ _CUE_RE = re.compile(r"^-\s*(C[1-9][0-9]*)\s*:\s*(.+?)\s*$", re.MULTILINE)
 
 def _block_prompt(catalog: SchemaCatalog, members: Sequence[ColumnRef],
                   packs: Mapping[ColumnRef, ContextPack | None] | None,
-                  query_meta: str, side: Side) -> str:
+                  query_meta: str) -> str:
     shared, bodies = render_prompt_packs([packs.get(ref) if packs else None
                                           for ref in members])
     lines = []
@@ -83,7 +81,7 @@ def _block_prompt(catalog: SchemaCatalog, members: Sequence[ColumnRef],
             lines.append(f"    {ctx}")
     return (
         f"TASK: differentiate\n"
-        f"SIDE: {side.value}\n"
+        f"SIDE: {catalog.side.value}\n"
         f"QUERY: {query_meta}\n"
         + (shared + "\n" if shared else "")
         + "MEMBERS:\n" + "\n".join(lines) + "\n"
@@ -93,11 +91,9 @@ def _block_prompt(catalog: SchemaCatalog, members: Sequence[ColumnRef],
     )
 
 
-def generate_block(group: SimilarityGroup, members: Sequence[ColumnRef],
-                   catalog: SchemaCatalog,
+def generate_block(members: Sequence[ColumnRef], catalog: SchemaCatalog,
                    packs: Mapping[ColumnRef, ContextPack | None] | None,
-                   query_meta: str, gateway: ModelGateway,
-                   timeout: float = DIFF_TIMEOUT) -> DifferentiationBlock:
+                   query_meta: str, gateway: ModelGateway) -> DifferentiationBlock:
     """One LLM call turning a confusable group into summary + per-member cues.
 
     Members that the reply leaves without a cue get a placeholder. A reply
@@ -108,9 +104,9 @@ def generate_block(group: SimilarityGroup, members: Sequence[ColumnRef],
     """
     if len(members) < 2:
         raise ValueError("differentiation needs at least 2 members")
-    prompt = _block_prompt(catalog, members, packs, query_meta, group.side)
+    prompt = _block_prompt(catalog, members, packs, query_meta)
     parsed, reply = gateway.ask(
-        ChatCall("differentiation", prompt, timeout=timeout),
+        ChatCall("differentiation", prompt, timeout=DIFF_TIMEOUT),
         lambda text: _parse_block(text, members, catalog),
         "\nYour previous reply could not be parsed. Use exactly the "
         "'Summary:' line followed by '- <cid>: <cue>' lines.")
@@ -118,11 +114,11 @@ def generate_block(group: SimilarityGroup, members: Sequence[ColumnRef],
         logger.warning("differentiation reply unparseable for group of %d; summary only",
                        len(members))
         summary = reply.text.strip().splitlines()[0][:200]
-        return DifferentiationBlock(group, summary, {}, tuple(members))
+        return DifferentiationBlock(summary, {}, tuple(members))
     summary, cues = parsed
     for ref in members:
         cues.setdefault(ref, MISSING_CUE)
-    return DifferentiationBlock(group, summary, cues, tuple(members))
+    return DifferentiationBlock(summary, cues, tuple(members))
 
 
 def _parse_block(text: str, members: Sequence[ColumnRef],

@@ -50,6 +50,7 @@ MAX_IN_FLIGHT = 16  # default max_in_flight: a gateway's fan-out threads and bac
 MAX_ATTEMPTS = 2  # one try and one retry, for chat and embedding calls alike
 MAX_EMBED_INPUTS = 2048  # most texts one embeddings request carries (OpenAI's cap)
 MAX_RETRY_AFTER = 30.0  # longest Retry-After wait, in seconds, honoured before the retry
+EMBED_TIMEOUT = 60.0  # seconds for one embeddings request
 
 T = TypeVar("T")
 
@@ -448,16 +449,15 @@ class HttpEmbeddingBackend:
     """Embeddings endpoint backend (``{model, input: [...]}`` POST)."""
 
     def __init__(self, base_url: str, model: str = "text-embedding-3-small",
-                 api_key: str | None = None, timeout: float = 60.0):
+                 api_key: str | None = None):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key
-        self.timeout = timeout
         self.backend_id = f"http-embed:{self.base_url}:{model}"
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         doc = _post_json(f"{self.base_url}/embeddings",
-                         {"model": self.model, "input": list(texts)}, self.api_key, self.timeout)
+                         {"model": self.model, "input": list(texts)}, self.api_key, EMBED_TIMEOUT)
         try:
             rows = sorted(doc["data"], key=lambda d: d["index"])
             indices = [r["index"] for r in rows]

@@ -102,9 +102,6 @@ class Hypergraph:
             for ref in g.members:
                 self._group_of[ref] = g
 
-    def __contains__(self, ref: ColumnRef) -> bool:
-        return ref in self._index
-
     def index_of(self, ref: ColumnRef) -> int:
         return self._index[ref]
 
@@ -193,7 +190,7 @@ def expand_candidates(c0: Sequence[ColumnRef], hypergraph: Hypergraph,
         return list(c0)
     best = np.max([hypergraph.matrix @ hypergraph.vector(s) for s in strong], axis=0)
     keep = best >= hypergraph.tau
-    keep[[hypergraph.index_of(r) for r in c0 if r in hypergraph]] = False
+    keep[[hypergraph.index_of(r) for r in c0]] = False
     added = hypergraph.ranked(best, among=[hypergraph.columns[i] for i in np.flatnonzero(keep)])
     return list(c0) + added[:cap_total]
 
@@ -247,10 +244,17 @@ def save_hypergraph(hg: Hypergraph, catalog: SchemaCatalog, path):
     Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
-def load_hypergraph(path) -> Hypergraph:
+def load_hypergraph(path, catalog: SchemaCatalog) -> Hypergraph:
+    """Read a graph that :func:`save_hypergraph` wrote over ``catalog``'s
+    columns, in order; a graph over any other columns is rejected."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"a graph file holds a JSON object, got {type(doc).__name__}")
     side = as_side(doc["side"])
     columns = [ColumnRef(side, c["table_id"], int(c["ordinal"])) for c in doc["columns"]]
+    if columns != list(catalog.refs()):
+        raise ValueError(f"the graph's {len(columns)} columns are not the {catalog.column_count} "
+                         f"of the {catalog.side.value} catalog; rebuild it from that catalog")
     embeddings = np.asarray(doc["embeddings"], dtype=np.float64)
     links = [
         SimilarityLink(columns[int(i)], columns[int(j)], float(cos))

@@ -7,7 +7,8 @@ neighbors, attaches budgeted context packs from the context trees, adds
 source-side and candidate-side differentiation blocks (the source block
 is sent beside the candidate blocks), and makes exactly one forced-choice
 LLM call whose reply must end with ``ANSWER: <cid>``.
-Auxiliary failures (expansion, the query embedding, packs,
+The artifacts must cover their catalogs (the loaders reject stored ones
+that do not). Auxiliary failures (the query embedding, packs,
 differentiation) degrade the prompt with a logged warning; only an
 unparseable decision reply aborts, after one stricter retry. Every cosine
 order is ``Hypergraph.ranked`` over a full ``matrix @ vec`` product.
@@ -39,7 +40,6 @@ from construm.diff import (
 from construm.gateway import AccountingSnapshot, ChatCall, GatewayError, ModelGateway
 from construm.graph import (
     Hypergraph,
-    SimilarityGroup,
     embed_columns,
     expand_candidates,
     groups_within,
@@ -150,7 +150,7 @@ def shortlist(s: ColumnRef, artifacts: Artifacts, k: int,
 
 
 def _source_vector(s: ColumnRef, artifacts: Artifacts, gateway: ModelGateway) -> np.ndarray:
-    if artifacts.source_graph is not None and s in artifacts.source_graph:
+    if artifacts.source_graph is not None:
         return artifacts.source_graph.vector(s)
     return embed_columns(artifacts.source_catalog, [s], gateway)[0]
 
@@ -269,10 +269,7 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     s = query.source
     candidates = list(query.shortlist)
     if config.use_expansion and tg is not None:
-        try:
-            candidates = expand_candidates(candidates, tg)
-        except Exception as exc:
-            logger.warning("candidate expansion failed, keeping shortlist: %s", exc)
+        candidates = expand_candidates(candidates, tg)
 
     s_vec = None
     if tg is not None:
@@ -282,15 +279,11 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
             logger.warning("query embedding failed for %s; candidate groups and "
                            "ranking fall back to prompt order: %s", s, exc)
 
-    source_group, source_members = None, []
+    source_members: list[ColumnRef] = []
     if config.use_diff and sg is not None:
-        if s not in sg:
-            logger.warning("source differentiation skipped: %s is not in the source graph", s)
-        else:
-            group = source_confusable_set(s, sg)
-            if len(group) >= 2:
-                source_group = group
-                source_members = group.sorted_members()[:MAX_GROUP_MEMBERS]
+        group = source_confusable_set(s, sg)
+        if len(group) >= 2:
+            source_members = group.sorted_members()[:MAX_GROUP_MEMBERS]
 
     # one pack per column, read by the prompt and both sides' blocks; a
     # ColumnRef carries its side, so source and target keys never collide
@@ -307,19 +300,15 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
                     logger.warning("context pack unavailable for %s: %s", ref, exc)
                     packs[ref] = None
 
-    chosen_groups: list[tuple[SimilarityGroup, tuple[ColumnRef, ...]]] = []
-    if config.use_diff and tg is not None:
-        try:
-            chosen_groups = select_groups(groups_within(candidates, tg), s_vec, tg)
-        except Exception as exc:
-            logger.warning("candidate grouping skipped: %s", exc)
+    chosen_groups = (select_groups(groups_within(candidates, tg), s_vec, tg)
+                     if config.use_diff and tg is not None else [])
 
     query_meta = f"{scat.display_name(s)}: {scat.meta(s).description}"
 
-    def block(group: SimilarityGroup, members: Sequence[ColumnRef], catalog: SchemaCatalog,
+    def block(members: Sequence[ColumnRef], catalog: SchemaCatalog,
               skipped: str) -> DifferentiationBlock | None:
         try:
-            return generate_block(group, members, catalog, packs, query_meta, gateway)
+            return generate_block(members, catalog, packs, query_meta, gateway)
         except GatewayError as exc:
             logger.warning("%s: %s", skipped, exc)
             return None
@@ -327,14 +316,13 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     # the source block goes out beside the candidate blocks, which go out
     # one after another; a skipped block comes back as None
     def source_lane() -> DifferentiationBlock | None:
-        return block(source_group, source_members, scat, "source differentiation skipped")
+        return block(source_members, scat, "source differentiation skipped")
 
     def candidate_lane() -> list[DifferentiationBlock | None]:
-        return [block(group, members, tcat,
-                      f"differentiation block skipped for group of {len(members)}")
-                for group, members in chosen_groups]
+        return [block(members, tcat, f"differentiation block skipped for group of {len(members)}")
+                for _, members in chosen_groups]
 
-    lanes = [source_lane] if source_group is not None else []
+    lanes = [source_lane] if source_members else []
     *source_blocks, candidate_blocks = gateway.concurrently(lanes + [candidate_lane])
     source_diff = render_source_diff([b for b in source_blocks if b is not None], scat)
     candidate_diff = render_candidate_diff(
@@ -370,9 +358,9 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
             prompt_snapshot=prompt,
         ) from exc
 
-    # chosen first; the rest by cosine when every one has an embedding, else
-    # in prompt order (external shortlists without a graph)
+    # chosen first; the rest by cosine when the query has an embedding, else
+    # in prompt order (no target graph, or the query embedding failed)
     rest = [c for c in candidates if c != chosen]
-    if s_vec is not None and all(c in tg for c in rest):
+    if s_vec is not None:
         rest = tg.ranked(tg.matrix @ s_vec, among=rest)
     return chosen, [chosen] + rest, prompt

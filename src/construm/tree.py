@@ -1149,9 +1149,12 @@ def save_tree(tree: ContextTree, path):
     Path(path).write_text(json.dumps(tree_to_dict(tree), sort_keys=True), encoding="utf-8")
 
 
-def load_tree(path) -> ContextTree:
-    """Read a tree that :func:`save_tree` wrote; an edited file is rejected."""
+def load_tree(path, catalog: SchemaCatalog) -> ContextTree:
+    """Read a tree that :func:`save_tree` wrote over ``catalog``'s columns; an
+    edited file, or a tree whose leaves hold other columns, is rejected."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise TreeError(f"a tree file holds a JSON object, got {type(doc).__name__}")
     if doc.pop("content_hash", None) != _content_hash(doc):
         raise TreeError("content hash does not match the tree: the file was edited or is "
                         "corrupt; rebuild it")
@@ -1159,4 +1162,9 @@ def load_tree(path) -> ContextTree:
     params = TreeParams(**doc["params"])
     nodes = {nid: _node_from_dict(nid, nd, side) for nid, nd in doc["nodes"].items()}
     relations = [RelationSnippet(a, b, t) for a, b, t in doc.get("relations", [])]
-    return ContextTree(side, doc["root"], nodes, params, relations)
+    tree = ContextTree(side, doc["root"], nodes, params, relations)
+    if tree.leaf_of.keys() != set(catalog.refs()):
+        raise TreeError(f"the tree's {len(tree.leaf_of)} columns are not the "
+                        f"{catalog.column_count} of the {catalog.side.value} catalog; "
+                        f"rebuild it from that catalog")
+    return tree

@@ -122,6 +122,33 @@ def test_match_rejects_an_edited_tree_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("change", ["grew", "shrank"])
+@pytest.mark.parametrize("flag", ["--source-graph", "--target-graph",
+                                  "--source-tree", "--target-tree"])
+def test_match_rejects_an_artifact_built_from_another_catalog(tmp_path, capsys, flag, change):
+    source, target, script = fixture_files(tmp_path)
+    backend = f"scripted:{script}"
+    side = flag.split("-")[2]
+    doc = json.loads({"source": source, "target": target}[side].read_text())
+    columns = doc["tables"][0]["columns"]
+    if change == "grew":  # the artifact lacks the catalog's last column
+        columns.pop()
+    else:
+        columns.append({"name": "extra_col", "description": "a column since dropped"})
+    other = write_json(tmp_path / "other.json", doc)
+    artifact = tmp_path / "artifact.json"
+    command = "build-graph" if flag.endswith("graph") else "build-tree"
+    assert main([command, "--catalog", str(other), "--side", side, "--out", str(artifact),
+                 "--backend", backend]) == 0
+    capsys.readouterr()
+    rc = main(["match", "--source-catalog", str(source), "--target-catalog", str(target),
+               flag, str(artifact), "--source", "income_main", "--mode", "full", "--k", "2",
+               "--out", str(tmp_path / "run"), "--backend", backend])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert str(artifact) in err and "rebuild" in err and "Traceback" not in err
+
+
 def bench_setup(tmp_path):
     source, target, script = fixture_files(tmp_path)
     benchspec = write_json(tmp_path / "benchspec.json", {
@@ -484,8 +511,10 @@ def test_cli_session_outputs_do_not_depend_on_max_in_flight(tmp_path):
     (["match", "--target-graph", "bad.json"], {"bad.json": "not json"}, "bad.json"),
     (["match", "--target-graph", "bad.json"], {"bad.json": '{"side": "target"}'}, "bad.json"),
     (["match", "--target-graph", "bad.json"],
-     {"bad.json": '{"side": "target", "tau": 0.9, "columns": [], "embeddings": [], '
-                  '"links": [], "groups": [[0]]}'}, "bad.json"),
+     {"bad.json": '{"side": "target", "tau": 0.9, "columns": [{"table_id": "K", "ordinal": 0}, '
+                  '{"table_id": "K", "ordinal": 1}, {"table_id": "K", "ordinal": 2}], '
+                  '"embeddings": [[1.0], [1.0], [1.0]], "links": [], "groups": [[3]]}'},
+     "bad.json"),
     (["match", "--queries", "nope.json"], {}, "nope.json"),
     (["match", "--queries", "q.json"], {"q.json": '[{"truth": "C1"}]'}, "q.json"),
     (["bench", "run", "--bench", "nope.json"], {}, "nope.json"),
@@ -493,9 +522,12 @@ def test_cli_session_outputs_do_not_depend_on_max_in_flight(tmp_path):
     (["match", "--config", "c.json"], {"c.json": '{"window": "4"}'}, "'window'"),
     (["match", "--config", "c.json"], {"c.json": '[{"k": 3}]'}, "c.json"),
     (["match", "--config", "c.json"], {"c.json": '"k"'}, "c.json"),
+    (["match", "--target-graph", "bad.json"], {"bad.json": "[]"}, "bad.json"),
+    (["match", "--source-tree", "bad.json"], {"bad.json": "[]"}, "bad.json"),
 ], ids=["missing-graph", "missing-tree", "graph-not-json", "graph-without-columns",
         "graph-group-past-its-columns", "missing-queries", "query-without-source",
-        "missing-bench", "string-k", "string-window", "config-array", "config-string"])
+        "missing-bench", "string-k", "string-window", "config-array", "config-string",
+        "graph-array", "tree-array"])
 def test_unreadable_file_or_mistyped_config_value_is_user_error(
         tmp_path, monkeypatch, capsys, argv, files, named):
     bench_setup(tmp_path)

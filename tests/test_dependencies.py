@@ -1,7 +1,8 @@
 """The package imports no third-party module that pyproject.toml does not declare,
-only the gateway reaches the standard library's thread-starting APIs, importing
-the package sets numpy's OpenBLAS to one thread unless the environment sets its
-thread count, and the per-query modules take every cosine from one full
+only the gateway reaches the standard library's thread-starting APIs, a handler
+that catches every exception sits only where the error is recorded or re-raised,
+importing the package sets numpy's OpenBLAS to one thread unless the environment
+sets its thread count, and the per-query modules take every cosine from one full
 matrix-vector product."""
 
 import ast
@@ -59,6 +60,42 @@ def test_only_the_gateway_starts_threads():
     starters = {p.relative_to(package).as_posix(): thread_starters(p)
                 for p in sorted(package.rglob("*.py"))}
     assert {name for name, found in starters.items() if found} == {"gateway.py"}
+
+
+def broad_handler_scopes(path: Path, module: str) -> set[str]:
+    """The dotted names of the functions in ``path`` that hold an ``except``
+    catching every exception: bare, ``Exception`` or ``BaseException``."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(t is None or isinstance(t, ast.Name)
+                       and t.id in ("Exception", "BaseException") for t in caught):
+                    found.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), module)
+    return found
+
+
+def test_broad_exception_handlers_only_record_or_re_raise():
+    # anywhere else, a catch-all would pass a bug off as a degraded prompt
+    allowed = ("cli.main",
+               "evaluation.run_queries",  # records each query's failure
+               "gateway.ModelGateway.concurrently",  # re-raises in the caller's thread
+               "pipeline.run_match")  # re-raises with the query's spent calls
+    package = ROOT / "src" / "construm"
+    found = set().union(*(
+        broad_handler_scopes(p, p.relative_to(package).with_suffix("").as_posix()
+                             .replace("/", "."))
+        for p in package.rglob("*.py")))
+    assert found and {f for f in found
+                      if not any(f == a or f.startswith(a + ".") for a in allowed)} == set()
 
 
 # prints the thread count of numpy's OpenBLAS before and after ``import construm``,

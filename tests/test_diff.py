@@ -1,6 +1,5 @@
 import numpy as np
 
-from construm.catalog import Side
 from construm.diff import (
     MISSING_CUE,
     DifferentiationBlock,
@@ -10,7 +9,7 @@ from construm.diff import (
     select_groups,
 )
 from construm.gateway import DiskCache, ModelGateway
-from construm.graph import SimilarityGroup, build_hypergraph
+from construm.graph import build_hypergraph
 from helpers import (
     PositionalEmbeddingBackend,
     build_catalog,
@@ -48,7 +47,7 @@ def test_select_groups_drops_singletons():
 def test_select_groups_priority_matches_sort_oracle():
     sims = [0.30, 0.95, 0.10, 0.80, 0.55, 0.70, 0.20, 0.60]
     cat, hg, query = planted_graph(sims)
-    chosen = select_groups(list(hg.groups), query, hg, max_groups=6)
+    chosen = select_groups(list(hg.groups), query, hg)
     assert len(chosen) == 6
 
     # oracle: sort groups by max member cosine to the query, descending
@@ -70,7 +69,7 @@ def test_select_groups_truncates_oversize_group_by_cosine():
     gw = ModelGateway(embed_backend=PositionalEmbeddingBackend([vectors]))
     hg = build_hypergraph(cat, gw, tau=0.9)
     big = [g for g in hg.groups if len(g) == 30][0]
-    chosen = select_groups([big], e[0], hg, max_members=24)
+    chosen = select_groups([big], e[0], hg)
     (group, members), = chosen
     assert len(members) == 24
     assert [m.ordinal for m in members] == list(range(24))  # highest cosine first
@@ -87,17 +86,15 @@ def reply_for(cat, refs, cues):
 def three_member_fixture():
     cat = build_catalog("target", [table_doc("t", [
         ("a", "first variant"), ("b", "second variant"), ("c", "third variant")])])
-    refs = list(cat.refs())
-    group = SimilarityGroup(frozenset(refs), Side.TARGET)
-    return cat, refs, group
+    return cat, list(cat.refs())
 
 
 def test_generate_block_parses_all_cues():
-    cat, refs, group = three_member_fixture()
+    cat, refs = three_member_fixture()
     reply = reply_for(cat, refs, ["applies to subset A", "applies to subset B",
                                   "same scope; different timeframe"])
     gw = make_gateway(rules=(), default=reply)
-    block = generate_block(group, refs, cat, None, "query meta", gw)
+    block = generate_block(refs, cat, None, "query meta", gw)
     assert block.summary == "all measure the same concept; differ in scope"
     assert block.cues == {
         refs[0]: "applies to subset A",
@@ -107,33 +104,32 @@ def test_generate_block_parses_all_cues():
 
 
 def test_generate_block_fills_missing_cue_with_placeholder():
-    cat, refs, group = three_member_fixture()
+    cat, refs = three_member_fixture()
     members = refs[:2]
     reply = reply_for(cat, members, ["only cue", None])
     gw = make_gateway(default=reply)
-    block = generate_block(SimilarityGroup(frozenset(members), Side.TARGET),
-                           members, cat, None, "q", gw)
+    block = generate_block(members, cat, None, "q", gw)
     assert block.cues[members[0]] == "only cue"
     assert block.cues[members[1]] == MISSING_CUE
 
 
 def test_generate_block_unparseable_falls_back_to_summary_only():
-    cat, refs, group = three_member_fixture()
+    cat, refs = three_member_fixture()
     gw = make_gateway(default="no structure at all in this reply")
     backend = gw.chat_backend
-    block = generate_block(group, refs, cat, None, "q", gw)
+    block = generate_block(refs, cat, None, "q", gw)
     assert block.cues == {}
     assert block.summary.startswith("no structure at all")
     assert len(backend.call_log) == 2  # one re-prompt happened
 
 
 def test_generate_block_second_call_is_cached(tmp_path):
-    cat, refs, group = three_member_fixture()
+    cat, refs = three_member_fixture()
     reply = reply_for(cat, refs, ["x", "y", "z"])
     gw = make_gateway(default=reply, cache=DiskCache(tmp_path))
-    generate_block(group, refs, cat, None, "q", gw)
+    generate_block(refs, cat, None, "q", gw)
     with gw.metered() as meter:
-        block = generate_block(group, refs, cat, None, "q", gw)
+        block = generate_block(refs, cat, None, "q", gw)
     delta = meter.snapshot()
     assert delta.total_tokens == 0 and delta.llm_calls == 0 and delta.cache_hits == 1
     assert block.cues[refs[0]] == "x"
@@ -151,14 +147,11 @@ def source_and_target_blocks():
     s_refs = list(scat.refs())
     t_refs = list(tcat.refs())
     sblock = DifferentiationBlock(
-        SimilarityGroup(frozenset(s_refs), Side.SOURCE), "source contrast",
-        {s_refs[0]: "made", s_refs[1]: "entered"}, tuple(s_refs))
+        "source contrast", {s_refs[0]: "made", s_refs[1]: "entered"}, tuple(s_refs))
     t1 = DifferentiationBlock(
-        SimilarityGroup(frozenset(t_refs[:2]), Side.TARGET), "first pair",
-        {t_refs[0]: "cue a", t_refs[1]: "cue b"}, tuple(t_refs[:2]))
+        "first pair", {t_refs[0]: "cue a", t_refs[1]: "cue b"}, tuple(t_refs[:2]))
     t2 = DifferentiationBlock(
-        SimilarityGroup(frozenset(t_refs[2:]), Side.TARGET), "second pair",
-        {t_refs[2]: "cue c", t_refs[3]: "cue d"}, tuple(t_refs[2:]))
+        "second pair", {t_refs[2]: "cue c", t_refs[3]: "cue d"}, tuple(t_refs[2:]))
     return sblock, t1, t2, scat, tcat
 
 
@@ -191,7 +184,7 @@ def test_render_is_byte_deterministic():
 
 
 def test_diff_echo_bot_round_trip():
-    cat, refs, group = three_member_fixture()
+    cat, refs = three_member_fixture()
     gw = make_gateway(responder=diff_echo_bot)
-    block = generate_block(group, refs, cat, None, "q", gw)
+    block = generate_block(refs, cat, None, "q", gw)
     assert set(block.cues.values()) == {f"cue for {cat.meta(r).cid}" for r in refs}

@@ -281,7 +281,7 @@ def test_save_load_roundtrip(tmp_path):
     hg = build_hypergraph(cat, hash_gateway(), tau=0.8)
     path = tmp_path / "graph.json"
     save_hypergraph(hg, cat, path)
-    loaded = load_hypergraph(path)
+    loaded = load_hypergraph(path, cat)
     assert loaded.tau == hg.tau and loaded.side is Side.TARGET
     assert loaded.columns == hg.columns
     assert loaded.links == hg.links
@@ -295,8 +295,8 @@ def test_save_load_roundtrip(tmp_path):
     doc["norms"] = [1.0] * len(doc["columns"])
     old = tmp_path / "old_graph.json"
     old.write_text(json.dumps(doc))
-    assert np.array_equal(load_hypergraph(old).matrix, hg.matrix)
+    assert np.array_equal(load_hypergraph(old, cat).matrix, hg.matrix)
     doc["embeddings"].pop()
     old.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="embedding rows"):
-        load_hypergraph(old)
+        load_hypergraph(old, cat)

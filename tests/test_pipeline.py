@@ -11,7 +11,7 @@ import pytest
 from construm import pipeline
 from construm.catalog import MatchQuery, mask_catalog, scan_for_raw_identifiers
 from construm.gateway import GatewayError, HashEmbeddingBackend, TransportError, estimate_tokens
-from construm.graph import build_hypergraph, embedding_text
+from construm.graph import build_hypergraph, embedding_text, load_hypergraph, save_hypergraph
 from construm.pipeline import (
     Artifacts,
     ChoiceParseError,
@@ -24,7 +24,7 @@ from construm.pipeline import (
     run_match,
     shortlist,
 )
-from construm.tree import build_context_tree, TreeParams
+from construm.tree import TreeError, TreeParams, build_context_tree, load_tree, save_tree
 from helpers import (
     build_catalog,
     chain_bots,
@@ -604,57 +604,26 @@ def test_failed_query_embedding_warns_once_and_keeps_prompt_order(caplog):
     assert list(result.ranked) == in_prompt
 
 
-def test_query_missing_from_source_graph_skips_source_block_with_one_warning(caplog):
-    columns = [("first_col", "an interesting field"), ("second_col", "another field")]
-    scat = build_catalog("source", [table_doc("s", columns)])
-    older = build_catalog("source", [table_doc("s", columns[:1])])
-    tcat = random_catalog(7, "target", n=12, table_id="tt")
-    gw = hash_gw()
-    sg = build_hypergraph(older, gw, tau=0.9)  # built before the catalog grew
-    artifacts = Artifacts(scat, tcat, source_graph=sg,
-                          target_graph=build_hypergraph(tcat, gw, tau=0.9))
-    s = scat.resolve("second_col")
-    assert s not in sg
-    q = MatchQuery(source=s, shortlist=tuple(shortlist(s, artifacts, k=5, gateway=gw)))
-    for mode in ("full", "no_tree"):
-        caplog.clear()
-        gw = hash_gw(responder=chain_bots(tree_bot, diff_echo_bot,
-                                          first_candidate_decision_bot))
-        arts = artifacts
-        if mode == "full":
-            arts = dataclasses.replace(
-                artifacts, source_tree=build_context_tree(scat, PARAMS, gw),
-                target_tree=build_context_tree(tcat, PARAMS, gw))
-        with caplog.at_level(logging.WARNING):
-            result = run_match(q, PipelineConfig.from_mode(mode), arts, gw)
-        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
-        assert len(warnings) == 1, mode
-        assert "not in the source graph" in warnings[0].getMessage()
-        assert result.chosen in set(tcat.refs())  # the query answers
-
-
-def test_column_added_after_the_target_artifacts_degrades_with_one_warning_each(caplog):
-    columns = [(f"col_{i}", f"field number {i} of the table") for i in range(12)]
-    older = build_catalog("target", [table_doc("tt", columns)])
-    tcat = build_catalog("target", [table_doc("tt", columns + [("new_col", "a new field")])])
-    scat = build_catalog("source", [table_doc("s", [("query_col", "an interesting field")])])
-    gw = hash_gw(responder=chain_bots(tree_bot, diff_echo_bot, first_candidate_decision_bot))
-    # graph and tree built before the target catalog grew
-    artifacts = Artifacts(scat, tcat,
-                          source_tree=build_context_tree(scat, PARAMS, gw),
-                          target_tree=build_context_tree(older, PARAMS, gw),
-                          source_graph=build_hypergraph(scat, gw, tau=0.9),
-                          target_graph=build_hypergraph(older, gw, tau=0.9))
-    new = tcat.resolve("new_col")
-    assert new not in artifacts.target_graph
-    q = MatchQuery(source=scat.resolve("query_col"),
-                   shortlist=(new, tcat.resolve("col_3"), tcat.resolve("col_7")))
-    with caplog.at_level(logging.WARNING):
-        result = run_match(q, PipelineConfig.from_mode("full"), artifacts, gw)
-    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
-    expected = ("candidate expansion failed", f"context pack unavailable for {new}:",
-                "candidate grouping skipped")
-    assert len(warnings) == len(expected)
-    assert all(sum(w.startswith(e) for w in warnings) == 1 for e in expected), warnings
-    assert result.chosen == new  # the query answers: the bot takes the first candidate
-    assert set(result.ranked) == set(q.shortlist)
+@pytest.mark.parametrize("change", ["grew", "shrank"])
+@pytest.mark.parametrize("side", ["source", "target"])
+@pytest.mark.parametrize("kind", ["graph", "tree"])
+def test_loader_rejects_an_artifact_built_before_its_catalog_changed(tmp_path, kind, side,
+                                                                     change):
+    columns = [(f"col_{i}", f"field number {i} of the table") for i in range(6)]
+    built = build_catalog(side, [table_doc("t", columns)])
+    now = build_catalog(side, [table_doc(
+        "t", columns + [("new_col", "a new field")] if change == "grew" else columns[:-1])])
+    gw = hash_gw(responder=tree_bot)
+    path = tmp_path / f"{kind}.json"
+    if kind == "graph":
+        save_hypergraph(build_hypergraph(built, gw, tau=0.9), built, path)
+        load, error = load_hypergraph, ValueError
+    else:
+        save_tree(build_context_tree(built, PARAMS, gw), path)
+        load, error = load_tree, TreeError
+    load(path, built)  # the catalog it was built from
+    with pytest.raises(error, match="rebuild") as info:
+        load(path, now)
+    message = str(info.value)
+    assert f"{built.column_count} columns" in message, message
+    assert f"not the {now.column_count} of the {side} catalog" in message, message

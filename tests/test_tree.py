@@ -746,7 +746,7 @@ def test_build_is_deterministic_and_serializable(tmp_path):
         json.dumps(tree_to_dict(t2), sort_keys=True)
     path = tmp_path / "tree.json"
     save_tree(t1, path)
-    loaded = load_tree(path)
+    loaded = load_tree(path, cat)
     assert tree_to_dict(loaded) == tree_to_dict(t1)
     check_tree_invariants(loaded, cat, PARAMS)
 
@@ -756,12 +756,12 @@ def test_load_tree_rejects_an_edited_summary(tmp_path):
     tree = build_context_tree(cat, PARAMS, tree_gateway())
     path = tmp_path / "tree.json"
     save_tree(tree, path)
-    assert tree_to_dict(load_tree(path)) == tree_to_dict(tree)
+    assert tree_to_dict(load_tree(path, cat)) == tree_to_dict(tree)
     doc = json.loads(path.read_text())
     doc["nodes"]["tbl:t0"]["summary"] += " (edited)"
     path.write_text(json.dumps(doc, sort_keys=True))
     with pytest.raises(TreeError, match="content hash"):
-        load_tree(path)
+        load_tree(path, cat)
 
 
 def test_table_ids_with_separator_characters():
