@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the link kernels at growing column counts, and table-merge planning.
+"""Time the link kernels at growing column counts, table-merge planning,
+the shortlist, and embedding batches.
 
 Times exact all-pairs thresholded link construction plus component
 labeling over random unit embeddings, the workload that dominates offline
@@ -14,7 +15,12 @@ collapse's share of the planning time. Last, at 5k and 20k target
 columns with planted near-duplicates, it times one query's shortlist
 (``Hypergraph.ranked`` with a top-k, as ``pipeline.shortlist`` calls it,
 beside the full ranking cut at k) and its ``expand_candidates``, per
-query over a few queries. No part makes an LLM call. The first line states
+query over a few queries. Then it times ``ModelGateway.embed_batch`` over
+2k and 20k synthetic column texts on a cold ``HashEmbeddingBackend`` (a
+new one, as each graph build starts with) and on a warm one (every token
+seen), prints texts/s and the share of the cold time spent creating token
+directions, and checks a sample of rows byte for byte against the
+per-token running sum. No part makes an LLM call. The first line states
 the thread count numpy's OpenBLAS runs the products on: one, as importing
 construm sets it, unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.
 
@@ -28,7 +34,7 @@ import numpy as np
 
 from construm import kernels
 from construm.catalog import ColumnRef, Side
-from construm.gateway import openblas_function
+from construm.gateway import HashEmbeddingBackend, ModelGateway, openblas_function
 from construm.graph import DEFAULT_TAU, Hypergraph, expand_candidates
 from construm.tree import collapse_tied_merges, plan_merges
 
@@ -41,6 +47,10 @@ SHORTLIST_K = 20  # PipelineConfig.k's default
 QUERIES = 20  # queries each shortlist timing averages over
 NEAR_DUPLICATES = 30  # target columns per planted direction
 JITTER = 0.028  # per-dimension noise around a direction, over unit-scale rows
+EMBED_TEXTS = (2000, 20000)  # column texts the embedding batch is timed at
+DESCRIPTION_WORDS = 14  # words per synthetic column description
+WORDS = 3000  # distinct description words
+SAMPLE = 50  # rows checked against the per-token running sum
 
 
 def best_of(repeat, fn, *args):
@@ -50,6 +60,30 @@ def best_of(repeat, fn, *args):
         out = fn(*args)
         times.append(time.perf_counter() - t0)
     return min(times), out
+
+
+def column_texts(n, rng):
+    """``n`` texts shaped like ``graph.embedding_text``: a unique column name,
+    a description drawn from a shared vocabulary, and the table name."""
+    consonants, vowels = "bcdfghjklmnprstvz", "aeiou"
+    words = ["".join(consonants[c] + vowels[v] for c, v in zip(cs, vs)) for cs, vs in
+             zip(rng.integers(len(consonants), size=(WORDS, 3)),
+                 rng.integers(len(vowels), size=(WORDS, 3)))]
+    picks = rng.integers(WORDS, size=(n, DESCRIPTION_WORDS))
+    return [f"name: t{i // 20:04d}_{i % 20:03d}. description: "
+            f"{' '.join(words[j] for j in row)}. table: t{i // 20:04d}." for i, row in
+            enumerate(picks)]
+
+
+def per_token_reference(texts, backend):
+    """Each text's running sum of its token directions, divided by its norm."""
+    rows = []
+    for text in texts:
+        acc = np.zeros(backend.dim)
+        for token in text.split() or [""]:
+            acc += backend._token_vector(token)
+        rows.append(acc / float(np.linalg.norm(acc)))
+    return rows
 
 
 def run_once(matrix, tau):
@@ -146,6 +180,35 @@ def main():
         ms = 1e3 / QUERIES
         print(f"{n:>7} | {top_s * ms:6.2f}ms | {full_s * ms:7.2f}ms | {expand_s * ms:6.2f}ms | "
               f"{(top_s + expand_s) * ms:6.2f}ms | {added:.1f}")
+
+    print(f"\nembedding batches, hash embedder, best-of-{args.repeat}")
+    header = (f"{'texts':>6} | {'tokens':>8} | {'cold':>9} | {'texts/s':>8} | {'warm':>9} | "
+              f"{'texts/s':>8} | creation share")
+    print(header)
+    print("-" * len(header))
+    rng = np.random.default_rng(0)
+    for n in EMBED_TEXTS:
+        texts = column_texts(n, rng)
+        tokens = {t for text in texts for t in text.split()}
+        cold, warm, create = [], [], []
+        for _ in range(args.repeat):
+            gateway = ModelGateway(embed_backend=HashEmbeddingBackend())
+            t0 = time.perf_counter()
+            gateway.embed_batch(texts)
+            t1 = time.perf_counter()
+            rows = gateway.embed_batch(texts)
+            t2 = time.perf_counter()
+            creator = HashEmbeddingBackend()
+            for token in tokens:  # the creation a cold batch does, alone
+                creator._token_vector(token)
+            create.append(time.perf_counter() - t2)
+            cold.append(t1 - t0)
+            warm.append(t2 - t1)
+        sample = rng.choice(n, size=SAMPLE, replace=False)
+        want = per_token_reference([texts[i] for i in sample], HashEmbeddingBackend())
+        assert all(rows[i].values.tobytes() == w.tobytes() for i, w in zip(sample, want))
+        print(f"{n:>6} | {len(tokens):>8} | {min(cold) * 1e3:7.1f}ms | {n / min(cold):8.0f} | "
+              f"{min(warm) * 1e3:7.1f}ms | {n / min(warm):8.0f} | {min(create) / min(cold):6.1%}")
 
 
 if __name__ == "__main__":

@@ -200,7 +200,9 @@ def _build_artifacts(cfg: dict, source_catalog: SchemaCatalog,
             return builder()
         try:
             return loader(p, catalog)  # rejects one built from another catalog
-        except (tree_mod.TreeError, OSError, ValueError, KeyError, IndexError) as exc:
+        # TypeError and AttributeError: a field of the wrong JSON type
+        except (tree_mod.TreeError, OSError, ValueError, KeyError, IndexError, TypeError,
+                AttributeError) as exc:
             detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
             raise UsageError(f"cannot load {name} from {p}: {detail}") from exc
 

@@ -130,14 +130,6 @@ class EmbeddingVector:
 
     values: np.ndarray
 
-    @classmethod
-    def from_raw(cls, raw) -> "EmbeddingVector":
-        v = np.asarray(raw, dtype=np.float64)
-        n = float(np.linalg.norm(v))
-        if n == 0.0:
-            raise GatewayError("cannot normalize a zero embedding vector")
-        return cls(values=v / n)
-
     def tolist(self) -> list[float]:
         return self.values.tolist()
 
@@ -411,6 +403,11 @@ class HashEmbeddingBackend:
     direction; a text embeds as the sum of its token directions. Texts
     sharing more tokens therefore get a higher cosine, which is enough to
     exercise similarity thresholds end to end.
+
+    A batch is one pass. A first scan, one text at a time, keeps only the
+    tokens no earlier batch has seen and gives each its direction. Then one
+    numpy call per text sums that text's directions in token order, which
+    gives the same bytes as adding them one by one.
     """
 
     def __init__(self, dim: int = 64, seed: int = 0):
@@ -418,30 +415,26 @@ class HashEmbeddingBackend:
         self.seed = seed
         self.backend_id = f"hash{dim}:{seed}"
         self._token_cache: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # one batch at a time adds its unseen tokens
 
     def _token_vector(self, token: str) -> np.ndarray:
-        with self._lock:
-            v = self._token_cache.get(token)
-        if v is not None:
-            return v
         digest = hashlib.blake2b(
             token.encode("utf-8"), digest_size=8, salt=str(self.seed).encode()[:16]
         ).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "little"))
-        v = rng.standard_normal(self.dim)
-        with self._lock:
-            self._token_cache[token] = v
-        return v
+        return np.random.default_rng(int.from_bytes(digest, "little")).standard_normal(self.dim)
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        out = []
-        for text in texts:
-            tokens = text.split() or [""]
-            acc = np.zeros(self.dim, dtype=np.float64)
-            for tok in tokens:
-                acc += self._token_vector(tok)
-            out.append(acc)
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        vectors = self._token_cache
+        with self._lock:
+            unseen = dict.fromkeys(t for text in texts for t in text.split() or ("",)
+                                   if t not in vectors)
+            for token in unseen:
+                vectors[token] = self._token_vector(token)
+        out = np.empty((len(texts), self.dim))
+        for row, text in zip(out, texts):
+            # initial=0.0: the running sum starts from +0.0, as ``zeros + v`` does
+            np.add.reduce([vectors[t] for t in text.split() or ("",)], axis=0,
+                          out=row, initial=0.0)
         return out
 
 
@@ -663,17 +656,26 @@ class ModelGateway:
         return raw
 
     def embed_batch(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+        """One unit vector per text, in order, from calls of at most
+        ``MAX_EMBED_INPUTS`` texts. The batch is normalised as one matrix."""
         if self.embed_backend is None:
             raise GatewayError("no embedding backend configured")
         if not texts:
             raise GatewayError("empty batch")
         starts = range(0, len(texts), MAX_EMBED_INPUTS)
-        raw = []
+        chunks = []
         for start in starts:
             chunk = list(texts[start:start + MAX_EMBED_INPUTS])
-            raw += self._with_retry("embedding", lambda: self._embed_once(chunk))
-        dims = {int(np.asarray(v).shape[0]) for v in raw}
+            chunks.append(self._with_retry("embedding", lambda: self._embed_once(chunk)))
+        dims = {len(v) for raw in chunks for v in raw}
         if len(dims) != 1:
             raise GatewayError(f"dimension mismatch across batch: {sorted(dims)}")
         self._books()._add(embed_calls=len(starts), embed_texts=len(texts))
-        return [EmbeddingVector.from_raw(v) for v in raw]
+        matrix = np.concatenate([np.asarray(raw, dtype=np.float64) for raw in chunks])
+        # each row's dot with itself, as np.linalg.norm takes it, so every row
+        # gets the bytes of v / np.linalg.norm(v)
+        norms = np.sqrt((matrix[:, None, :] @ matrix[:, :, None]).ravel())
+        if not norms.all():
+            raise GatewayError("cannot normalize a zero embedding vector")
+        matrix /= norms[:, None]
+        return [EmbeddingVector(row) for row in matrix]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -505,6 +506,14 @@ def test_cli_session_outputs_do_not_depend_on_max_in_flight(tmp_path):
         assert comparable(outs["default"] / rel) == comparable(outs["serial"] / rel), rel
 
 
+def hashed_tree(**fields) -> str:
+    """A source tree file whose content hash is valid, with ``fields`` set."""
+    doc = {"format": 1, "side": "source", "root": "root", "params": {}, "nodes": {},
+           "relations": [], **fields}
+    doc["content_hash"] = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("argv,files,named", [
     (["match", "--target-graph", "nope.json"], {}, "nope.json"),
     (["match", "--source-tree", "nope.json"], {}, "nope.json"),
@@ -524,10 +533,18 @@ def test_cli_session_outputs_do_not_depend_on_max_in_flight(tmp_path):
     (["match", "--config", "c.json"], {"c.json": '"k"'}, "c.json"),
     (["match", "--target-graph", "bad.json"], {"bad.json": "[]"}, "bad.json"),
     (["match", "--source-tree", "bad.json"], {"bad.json": "[]"}, "bad.json"),
+    (["match", "--target-graph", "bad.json"], {"bad.json": '{"side": "target", "columns": [1]}'},
+     "bad.json"),
+    (["match", "--target-graph", "bad.json"], {"bad.json": '{"side": "target", "columns": 5}'},
+     "bad.json"),
+    (["match", "--source-tree", "bad.json"], {"bad.json": hashed_tree(params=[])}, "bad.json"),
+    (["match", "--source-tree", "bad.json"], {"bad.json": hashed_tree(relations=[1])}, "bad.json"),
+    (["match", "--source-tree", "bad.json"], {"bad.json": hashed_tree(nodes=[])}, "bad.json"),
 ], ids=["missing-graph", "missing-tree", "graph-not-json", "graph-without-columns",
         "graph-group-past-its-columns", "missing-queries", "query-without-source",
         "missing-bench", "string-k", "string-window", "config-array", "config-string",
-        "graph-array", "tree-array"])
+        "graph-array", "tree-array", "graph-column-number", "graph-columns-number",
+        "tree-params-array", "tree-relation-number", "tree-nodes-array"])
 def test_unreadable_file_or_mistyped_config_value_is_user_error(
         tmp_path, monkeypatch, capsys, argv, files, named):
     bench_setup(tmp_path)

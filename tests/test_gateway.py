@@ -1,4 +1,5 @@
 import contextvars
+import hashlib
 import json
 import sys
 import threading
@@ -11,6 +12,7 @@ import pytest
 
 from construm.gateway import (
     MAX_ATTEMPTS,
+    MAX_EMBED_INPUTS,
     MAX_IN_FLIGHT,
     BackendReply,
     ChatCall,
@@ -396,3 +398,144 @@ def test_hash_embedder_overlap_monotone():
     cos_near = float(np.dot(full.values, near.values))
     cos_far = float(np.dot(full.values, far.values))
     assert cos_near > 0.85 > cos_far
+
+
+def test_zero_vector_is_an_error():
+    class Zero:
+        backend_id = "zero"
+
+        def embed(self, texts):
+            return [np.ones(4), np.zeros(4)]
+
+    gw = ModelGateway(embed_backend=Zero())
+    with pytest.raises(GatewayError, match="zero embedding vector"):
+        gw.embed_batch(["a", "b"])
+
+
+# -- the batch pass against the per-token running sum ------------------------
+#
+# The reference below is the hash embedder as a per-token loop: each token's
+# direction made on its own, added to a running sum that starts at zeros, and
+# each sum divided by its own norm. The batch pass must give the same bytes.
+
+
+def reference_token_vector(token, dim=64, seed=0):
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8,
+                             salt=str(seed).encode()[:16]).digest()
+    return np.random.default_rng(int.from_bytes(digest, "little")).standard_normal(dim)
+
+
+def reference_embed(texts, dim=64, seed=0):
+    out = []
+    for text in texts:
+        acc = np.zeros(dim, dtype=np.float64)
+        for tok in text.split() or [""]:
+            acc += reference_token_vector(tok, dim, seed)
+        out.append(acc)
+    return out
+
+
+def reference_from_raw(raw):
+    v = np.asarray(raw, dtype=np.float64)
+    n = float(np.linalg.norm(v))
+    if n == 0.0:
+        raise GatewayError("cannot normalize a zero embedding vector")
+    return v / n
+
+
+def same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+VOCABULARY = (["id", "name", "amount", "date", "status", "k", "x1", "total_amount"]
+              + ["café", "naïve", "Größe", "日付", "金额", "₹", "😀", "ñ"])
+SEPARATORS = (" ", "  ", "\t", "\n", " \u3000 ")
+
+
+def random_batch(rng, n_texts, vocabulary):
+    texts = ["", " \t\n "]  # no token: each embeds as the token ""
+    for _ in range(n_texts):
+        n = int(rng.integers(1, 301))
+        tokens = [vocabulary[int(i)] for i in rng.integers(len(vocabulary), size=n)]
+        seps = [SEPARATORS[int(i)] for i in rng.integers(len(SEPARATORS), size=n)]
+        texts.append("".join(s + t for s, t in zip(seps, tokens)) + seps[0])
+    rng.shuffle(texts)
+    return texts
+
+
+@pytest.mark.parametrize("dim,seed", [(64, 0), (16, 7)])
+def test_batch_pass_equals_the_per_token_running_sum(dim, seed):
+    rng = np.random.default_rng(dim + seed)
+    vocabulary = VOCABULARY + [f"w{i}" for i in range(200)]
+    backend = HashEmbeddingBackend(dim=dim, seed=seed)
+    gw = ModelGateway(embed_backend=HashEmbeddingBackend(dim=dim, seed=seed))
+    # the second batch runs warm: most of its tokens are cached, a few are new
+    cold = random_batch(rng, 40, vocabulary[:150])
+    warm = random_batch(rng, 40, vocabulary + ["fresh", "tokens", "only", "here"])
+    for texts in (cold, warm):
+        want = reference_embed(texts, dim, seed)
+        raw = backend.embed(texts)
+        assert len(raw) == len(texts)
+        assert all(same_bytes(r, w) for r, w in zip(raw, want))
+        got = gw.embed_batch(texts)
+        assert all(same_bytes(g.values, reference_from_raw(w)) for g, w in zip(got, want))
+
+
+def test_batch_over_several_calls_equals_the_per_row_normalisation():
+    texts = [f"col{i % 97} of table{i % 13}" for i in range(MAX_EMBED_INPUTS + 50)]
+    gw = ModelGateway(embed_backend=HashEmbeddingBackend())
+    got = gw.embed_batch(texts)
+    assert gw.accounting.snapshot().embed_calls == 2
+    want = reference_embed(texts)
+    assert all(same_bytes(g.values, reference_from_raw(w)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("dim", [1, 3, 64, 1536])
+def test_batch_normalisation_equals_the_per_row_one(dim):
+    rng = np.random.default_rng(dim)
+    rows = rng.standard_normal((50, dim)) * rng.uniform(1e-3, 1e3, size=(50, 1))
+
+    class Fixed:
+        backend_id = "fixed"
+
+        def embed(self, texts):  # float32 arrays and plain lists, as a backend may return
+            return [rows[int(t)].astype(np.float32) if int(t) % 2 else rows[int(t)].tolist()
+                    for t in texts]
+
+    got = ModelGateway(embed_backend=Fixed()).embed_batch([str(i) for i in range(50)])
+    want = Fixed().embed([str(i) for i in range(50)])
+    assert all(same_bytes(g.values, reference_from_raw(w)) for g, w in zip(got, want))
+
+
+class CountingEmbedder(HashEmbeddingBackend):
+    def __init__(self):
+        super().__init__()
+        self.created = []  # list.append is atomic, so no lock of its own
+
+    def _token_vector(self, token):
+        self.created.append(token)
+        return super()._token_vector(token)
+
+
+def test_concurrent_batches_give_the_bytes_of_serial_ones():
+    rng = np.random.default_rng(5)
+    vocabulary = VOCABULARY + [f"w{i}" for i in range(400)]
+    # each batch draws from an overlapping window, so unseen tokens overlap
+    batches = [random_batch(rng, 30, vocabulary[40 * i:40 * i + 120]) for i in range(8)]
+    serial_gw = ModelGateway(embed_backend=HashEmbeddingBackend())
+    serial = [serial_gw.embed_batch(b) for b in batches]
+    backend = CountingEmbedder()
+    concurrent_gw = ModelGateway(embed_backend=backend, max_in_flight=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        concurrent = concurrent_gw.concurrently([partial(concurrent_gw.embed_batch, b)
+                                                 for b in batches])
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(concurrent, serial):
+        assert all(same_bytes(g.values, w.values) for g, w in zip(got, want))
+    # every token's direction was made once, however the batches interleaved
+    assert sorted(backend.created) == sorted({t for b in batches for text in b
+                                              for t in text.split() or [""]})
