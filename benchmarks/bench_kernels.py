@@ -18,16 +18,19 @@ beside the full ranking cut at k) and its ``expand_candidates``, per
 query over a few queries. Then it times ``ModelGateway.embed_batch`` over
 2k and 20k synthetic column texts on a cold ``HashEmbeddingBackend`` (a
 new one, as each graph build starts with) and on a warm one (every token
-seen), prints texts/s and the share of the cold time spent creating token
-directions, and checks a sample of rows byte for byte against the
-per-token running sum. No part makes an LLM call. The first line states
-the thread count numpy's OpenBLAS runs the products on: one, as importing
-construm sets it, unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.
+seen), prints texts/s, the share of the cold time spent creating token
+directions and that creation's µs per new token, and checks a sample of
+rows byte for byte against a per-token running sum whose directions come
+from numpy's ``default_rng``, one token at a time. No part makes an LLM
+call. The first line states the thread count numpy's OpenBLAS runs the
+products on: one, as importing construm sets it, unless
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.
 
 Usage: python benchmarks/bench_kernels.py [--dim 64] [--tau 0.5] [--repeat 3]
 """
 
 import argparse
+import hashlib
 import time
 
 import numpy as np
@@ -75,13 +78,17 @@ def column_texts(n, rng):
             enumerate(picks)]
 
 
-def per_token_reference(texts, backend):
-    """Each text's running sum of its token directions, divided by its norm."""
+def per_token_reference(texts, dim=64, seed=0):
+    """Each text's running sum of its token directions, divided by its norm,
+    with each direction made on its own by numpy's ``default_rng``, as the
+    hash embedder's seeding is defined."""
     rows = []
     for text in texts:
-        acc = np.zeros(backend.dim)
+        acc = np.zeros(dim)
         for token in text.split() or [""]:
-            acc += backend._token_vector(token)
+            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8,
+                                     salt=str(seed).encode()).digest()
+            acc += np.random.default_rng(int.from_bytes(digest, "little")).standard_normal(dim)
         rows.append(acc / float(np.linalg.norm(acc)))
     return rows
 
@@ -183,13 +190,13 @@ def main():
 
     print(f"\nembedding batches, hash embedder, best-of-{args.repeat}")
     header = (f"{'texts':>6} | {'tokens':>8} | {'cold':>9} | {'texts/s':>8} | {'warm':>9} | "
-              f"{'texts/s':>8} | creation share")
+              f"{'texts/s':>8} | creation share | µs/new token")
     print(header)
     print("-" * len(header))
     rng = np.random.default_rng(0)
     for n in EMBED_TEXTS:
         texts = column_texts(n, rng)
-        tokens = {t for text in texts for t in text.split()}
+        tokens = list(dict.fromkeys(t for text in texts for t in text.split()))
         cold, warm, create = [], [], []
         for _ in range(args.repeat):
             gateway = ModelGateway(embed_backend=HashEmbeddingBackend())
@@ -198,17 +205,16 @@ def main():
             t1 = time.perf_counter()
             rows = gateway.embed_batch(texts)
             t2 = time.perf_counter()
-            creator = HashEmbeddingBackend()
-            for token in tokens:  # the creation a cold batch does, alone
-                creator._token_vector(token)
+            HashEmbeddingBackend()._token_vectors(tokens)  # a cold batch's creation, alone
             create.append(time.perf_counter() - t2)
             cold.append(t1 - t0)
             warm.append(t2 - t1)
         sample = rng.choice(n, size=SAMPLE, replace=False)
-        want = per_token_reference([texts[i] for i in sample], HashEmbeddingBackend())
+        want = per_token_reference([texts[i] for i in sample])
         assert all(rows[i].values.tobytes() == w.tobytes() for i, w in zip(sample, want))
         print(f"{n:>6} | {len(tokens):>8} | {min(cold) * 1e3:7.1f}ms | {n / min(cold):8.0f} | "
-              f"{min(warm) * 1e3:7.1f}ms | {n / min(warm):8.0f} | {min(create) / min(cold):6.1%}")
+              f"{min(warm) * 1e3:7.1f}ms | {n / min(warm):8.0f} | {min(create) / min(cold):14.1%} | "
+              f"{min(create) / len(tokens) * 1e6:12.2f}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,10 @@ other HTTP error fails at once.
 
 The deterministic embedder maps each whitespace token to a seeded random
 direction and sums them, so token overlap between two texts translates
-into cosine similarity without any model in the loop.
+into cosine similarity without any model in the loop. A direction is
+``np.random.default_rng(seed).standard_normal(dim)`` byte for byte, but a
+batch's new tokens run numpy's ``SeedSequence`` hash as one array pass
+(``seed_sequence_states``) and seed each ``PCG64`` from its result.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 logger = logging.getLogger(__name__)
 
@@ -396,40 +400,141 @@ class HttpChatBackend:
 # -- embedding backends ------------------------------------------------------
 
 
+# numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``), a port of
+# O'Neill's seed_seq_fe from the PCG paper (O'Neill 2014, HMC-CS-2014-0905);
+# the names are numpy's. It works on uint32 words, so every product wraps.
+POOL_SIZE = 4  # SeedSequence's default pool size, in uint32 words
+STATE_WORDS = 4  # uint64 words PCG64 asks its seed sequence for
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16  # half of a uint32's bits
+MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The first ``n`` (xor, multiplier) pairs of a hash whose constant starts
+    at ``init`` and is multiplied by ``mult`` before each use. They do not
+    depend on the data, so every seed of a batch uses the same ones."""
+    pairs = []
+    for _ in range(n):
+        nxt = init * mult & MASK32
+        pairs.append((init, nxt))
+        init = nxt
+    return pairs
+
+
+# mix_entropy hashes 4 pool words, then 12 more in its all-pairs mix;
+# generate_state(4, np.uint64) hashes 8 uint32 output words
+_HASHMIX = _hash_constants(INIT_A, MULT_A, POOL_SIZE * POOL_SIZE)
+_OUTPUT = _hash_constants(INIT_B, MULT_B, 2 * STATE_WORDS)
+
+
+def _hashmix(value: np.ndarray, xor: int, mult: int) -> np.ndarray:
+    # numpy's hashmix, with its running constant taken from a precomputed pair;
+    # generate_state hashes each output word the same way
+    value = (value ^ xor) * np.uint32(mult)
+    return value ^ value >> XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
+    return result ^ result >> XSHIFT
+
+
+def seed_sequence_states(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each seed ``s`` of
+    a uint64 array, as an ``(n, 4)`` uint64 array, all seeds at once.
+
+    numpy's entropy for a seed is its uint32 words, low first: one word
+    below 2**32, else two. The pool hashes zero words past the entropy, so
+    every 64-bit seed hashes as its low word, its high word and two zeros.
+    """
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    entropy = ((seeds & MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero)
+    constants = iter(_HASHMIX)
+    pool = [_hashmix(word, *next(constants)) for word in entropy]
+    # mix_entropy: every pool word into every other, so late bits reach early ones
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
+    words = np.empty((len(seeds), 2 * STATE_WORDS), dtype="<u4")
+    for i, (xor, mult) in enumerate(_OUTPUT):
+        words[:, i] = _hashmix(pool[i % POOL_SIZE], xor, mult)
+    # word pairs read as little-endian uint64, as generate_state does
+    return words.view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """Hands ``PCG64`` the state words ``seed_sequence_states`` derived for
+    one seed, where numpy would derive them with ``SeedSequence``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != STATE_WORDS or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only {STATE_WORDS} uint64 words were derived, "
+                             f"not {n_words} of {np.dtype(dtype)}")
+        return self.words
+
+
+def seeded_normals(seeds: np.ndarray, dim: int) -> list[np.ndarray]:
+    """``np.random.default_rng(s).standard_normal(dim)`` for each seed ``s``
+    of a uint64 array, byte for byte. ``SeedSequence``'s hash runs for all
+    seeds at once; numpy's ``PCG64`` and ``Generator`` do the rest."""
+    return [np.random.Generator(np.random.PCG64(_SeedState(words))).standard_normal(dim)
+            for words in seed_sequence_states(seeds)]
+
+
 class HashEmbeddingBackend:
     """Deterministic 64-d test embedder: no model, no network.
 
     Each whitespace token hashes (with the seed) to a fixed pseudo-random
     direction; a text embeds as the sum of its token directions. Texts
     sharing more tokens therefore get a higher cosine, which is enough to
-    exercise similarity thresholds end to end.
+    exercise similarity thresholds end to end. The seed salts the token
+    hash, so its decimal form must fit blake2b's 16-byte salt.
 
     A batch is one pass. A first scan, one text at a time, keeps only the
-    tokens no earlier batch has seen and gives each its direction. Then one
-    numpy call per text sums that text's directions in token order, which
-    gives the same bytes as adding them one by one.
+    tokens no earlier batch has seen, and ``_token_vectors`` gives them
+    their directions together. Then one numpy call per text sums that
+    text's directions in token order, which gives the same bytes as adding
+    them one by one.
     """
 
     def __init__(self, dim: int = 64, seed: int = 0):
+        self._salt = str(seed).encode()
+        if len(self._salt) > 16:
+            # a longer seed would share its directions with every seed of the
+            # same first 16 characters
+            raise ValueError(f"seed {seed} is longer than 16 characters")
         self.dim = dim
         self.seed = seed
         self.backend_id = f"hash{dim}:{seed}"
         self._token_cache: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()  # one batch at a time adds its unseen tokens
 
-    def _token_vector(self, token: str) -> np.ndarray:
-        digest = hashlib.blake2b(
-            token.encode("utf-8"), digest_size=8, salt=str(self.seed).encode()[:16]
-        ).digest()
-        return np.random.default_rng(int.from_bytes(digest, "little")).standard_normal(self.dim)
+    def _token_vectors(self, tokens: Iterable[str]) -> list[np.ndarray]:
+        """Each token's direction, seeded by its 8-byte blake2b digest read
+        as a little-endian integer."""
+        digests = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=8,
+                                           salt=self._salt).digest() for t in tokens)
+        return seeded_normals(np.frombuffer(digests, dtype="<u8"), self.dim)
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         vectors = self._token_cache
         with self._lock:
             unseen = dict.fromkeys(t for text in texts for t in text.split() or ("",)
                                    if t not in vectors)
-            for token in unseen:
-                vectors[token] = self._token_vector(token)
+            if unseen:  # the array pass has a fixed cost of ~0.1 ms; a warm batch skips it
+                vectors.update(zip(unseen, self._token_vectors(unseen)))
         out = np.empty((len(texts), self.dim))
         for row, text in zip(out, texts):
             # initial=0.0: the running sum starts from +0.0, as ``zeros + v`` does

@@ -25,7 +25,10 @@ from construm.gateway import (
     ScriptError,
     ScriptRule,
     TransportError,
+    _SeedState,
     cache_key,
+    seed_sequence_states,
+    seeded_normals,
 )
 
 from helpers import RecordingChatBackend, RunningCount
@@ -511,11 +514,11 @@ def test_batch_normalisation_equals_the_per_row_one(dim):
 class CountingEmbedder(HashEmbeddingBackend):
     def __init__(self):
         super().__init__()
-        self.created = []  # list.append is atomic, so no lock of its own
+        self.created = []  # list.extend is atomic, so no lock of its own
 
-    def _token_vector(self, token):
-        self.created.append(token)
-        return super()._token_vector(token)
+    def _token_vectors(self, tokens):
+        self.created.extend(tokens)
+        return super()._token_vectors(tokens)
 
 
 def test_concurrent_batches_give_the_bytes_of_serial_ones():
@@ -539,3 +542,63 @@ def test_concurrent_batches_give_the_bytes_of_serial_ones():
     # every token's direction was made once, however the batches interleaved
     assert sorted(backend.created) == sorted({t for b in batches for text in b
                                               for t in text.split() or [""]})
+
+
+# -- new token directions, seeded as numpy's default_rng seeds them ----------
+#
+# The oracle is the per-token form: np.random.default_rng(seed), with numpy's
+# own SeedSequence, then standard_normal(dim).
+
+EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def random_seeds(n, seed):
+    rng = np.random.default_rng(seed)
+    drawn = np.frombuffer(rng.bytes(8 * n), dtype="<u8")
+    return np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), drawn])
+
+
+def test_seed_sequence_states_equal_numpys():
+    seeds = random_seeds(10_000, 1)
+    want = np.array([np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
+                     for s in seeds])
+    got = seed_sequence_states(seeds)
+    assert got.dtype == want.dtype and got.shape == (len(seeds), 4)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 16, 64, 1536])
+def test_seeded_normals_equal_default_rng(dim):
+    seeds = random_seeds(100_000, dim)
+    for start in range(0, len(seeds), 2000):  # a chunk at 1536-d is 25 MB
+        chunk = seeds[start:start + 2000]
+        got = seeded_normals(chunk, dim)
+        assert len(got) == len(chunk)
+        assert all(same_bytes(g, np.random.default_rng(int(s)).standard_normal(dim))
+                   for g, s in zip(got, chunk))
+
+
+@pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                           (3, np.uint64), (5, np.uint64), (4, np.int64),
+                                           (4, np.float64)])
+def test_seed_state_refuses_anything_but_four_uint64_words(n_words, dtype):
+    words = seed_sequence_states(np.array([7], dtype=np.uint64))[0]
+    stub = _SeedState(words)
+    assert stub.generate_state(4, np.uint64) is words
+    assert stub.generate_state(4, "u8") is words
+    with pytest.raises(ValueError, match="only 4 uint64 words"):
+        stub.generate_state(n_words, dtype)
+    with pytest.raises(ValueError, match="only 4 uint64 words"):
+        stub.generate_state(n_words)  # SeedSequence's default dtype is uint32
+
+
+def test_seed_longer_than_the_salt_is_refused():
+    # blake2b's salt holds 16 bytes; these two seeds share their first 16
+    # characters, so they would embed alike under different backend ids
+    for seed in (12345678901234560, 12345678901234569, -1234567890123456):
+        with pytest.raises(ValueError, match="longer than 16 characters"):
+            HashEmbeddingBackend(seed=seed)
+    texts = ["name amount", "id", ""]
+    for seed in (0, 7, 1234567890123456, -123456789012345):
+        got = HashEmbeddingBackend(seed=seed).embed(texts)
+        assert all(same_bytes(g, w) for g, w in zip(got, reference_embed(texts, 64, seed)))
