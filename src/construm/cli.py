@@ -300,16 +300,40 @@ def cmd_match(args) -> int:
     return 2 if any("error" in row for row in rows) else 0
 
 
+_MASK_KEYS = ("mask_source", "mask_target")  # optional: they default to the config's
+# each bench spec key: the types json.loads may give its value, and their name
+_BENCHSPEC_KEYS = {
+    "source_catalog": ((str,), "a file name string"),
+    "target_catalog": ((str,), "a file name string"),
+    "pair_similarity_tau": ((int, float), "a number"),
+    "min_separation": ((int,), "an integer"),
+    "verified_matches": ((dict,), "an object of column identifiers"),
+    "mask_source": ((bool,), "true or false"),
+    "mask_target": ((bool,), "true or false"),
+}
+
+
 def _load_benchspec(path, cfg) -> tuple[ev.BenchmarkSpec, SchemaCatalog, SchemaCatalog]:
     """Read a bench spec. Its ``mask_source``/``mask_target`` override
     ``cfg``'s and are written back, so the run config records the masking."""
     doc = read_json(path, "benchmark spec")
-    for required in ("source_catalog", "target_catalog", "pair_similarity_tau",
-                     "min_separation", "verified_matches"):
-        if required not in doc:
-            raise UsageError(f"benchmark spec is missing {required!r}")
+    if not isinstance(doc, dict):
+        raise UsageError(f"benchmark spec {path} must hold a JSON object, "
+                         f"got {type(doc).__name__}")
+    for key, (kinds, kind_name) in _BENCHSPEC_KEYS.items():
+        if key not in doc:
+            if key in _MASK_KEYS:
+                continue
+            raise UsageError(f"benchmark spec {path} is missing {key!r}")
+        value = doc[key]
+        if type(value) not in kinds:  # exact types: a bool is no number here
+            raise UsageError(f"benchmark spec {path}: {key!r} must be {kind_name}, "
+                             f"got {json.dumps(value)}")
+    if not all(isinstance(v, str) for v in doc["verified_matches"].values()):
+        raise UsageError(f"benchmark spec {path}: 'verified_matches' must map each source "
+                         f"column to a target column identifier string")
     base = Path(path).parent
-    for key in ("mask_source", "mask_target"):
+    for key in _MASK_KEYS:
         cfg[key] = doc.get(key, cfg[key])
     source = _load_catalog(base / doc["source_catalog"], "source", cfg["mask_source"])
     target = _load_catalog(base / doc["target_catalog"], "target", cfg["mask_target"])
@@ -320,7 +344,7 @@ def _load_benchspec(path, cfg) -> tuple[ev.BenchmarkSpec, SchemaCatalog, SchemaC
     spec = ev.BenchmarkSpec(
         source_catalog=source, target_catalog=target,
         pair_similarity_tau=float(doc["pair_similarity_tau"]),
-        min_separation=int(doc["min_separation"]),
+        min_separation=doc["min_separation"],
         verified_matches=verified,
     )
     return spec, source, target

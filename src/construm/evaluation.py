@@ -110,9 +110,19 @@ def save_benchmark(queries: Sequence[MatchQuery], source_catalog: SchemaCatalog,
 
 def load_benchmark(text: str, source_catalog: SchemaCatalog,
                    target_catalog: SchemaCatalog) -> list[MatchQuery]:
+    """Read a query file: a JSON array of objects, each with a ``source``
+    column identifier and optionally a ``shortlist`` array of them and a
+    ``truth``. Any other shape is a ``ValueError``."""
     rows = json.loads(text)
+    if not isinstance(rows, list):
+        raise ValueError(f"a query file holds a JSON array, not {type(rows).__name__}")
     queries = []
-    for row in rows:
+    for n, row in enumerate(rows):
+        if not (isinstance(row, dict) and isinstance(row.get("shortlist", []), list)
+                and all(isinstance(row.get(key, ""), str) for key in ("source", "truth"))
+                and all(isinstance(c, str) for c in row.get("shortlist", []))):
+            raise ValueError(f"query {n} is not an object of column identifier strings: "
+                             f"{json.dumps(row)}")
         queries.append(MatchQuery(
             source=source_catalog.resolve(row["source"]),
             shortlist=tuple(target_catalog.resolve(c) for c in row.get("shortlist", [])),

@@ -25,7 +25,10 @@ direction and sums them, so token overlap between two texts translates
 into cosine similarity without any model in the loop. A direction is
 ``np.random.default_rng(seed).standard_normal(dim)`` byte for byte, but a
 batch's new tokens run numpy's ``SeedSequence`` hash as one array pass
-(``seed_sequence_states``) and seed each ``PCG64`` from its result.
+(``seed_sequence_states``) and seed each ``PCG64`` from its result. The
+directions are rows of one table, and a batch is summed token position by
+token position over it (``position_sums``), each text's additions in
+token order from +0.0, so every vector has the bytes of a running sum.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import ctypes
 import hashlib
 import json
 import logging
+import mmap
 import os
 import threading
 import time
@@ -41,6 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -485,12 +490,53 @@ class _SeedState(ISeedSequence):
         return self.words
 
 
-def seeded_normals(seeds: np.ndarray, dim: int) -> list[np.ndarray]:
-    """``np.random.default_rng(s).standard_normal(dim)`` for each seed ``s``
-    of a uint64 array, byte for byte. ``SeedSequence``'s hash runs for all
-    seeds at once; numpy's ``PCG64`` and ``Generator`` do the rest."""
-    return [np.random.Generator(np.random.PCG64(_SeedState(words))).standard_normal(dim)
-            for words in seed_sequence_states(seeds)]
+def seeded_normals(seeds: np.ndarray, out: np.ndarray) -> None:
+    """Write ``np.random.default_rng(s).standard_normal(dim)`` for each seed
+    ``s`` of a uint64 array, byte for byte, into the rows of ``out``, a
+    C-contiguous ``(len(seeds), dim)`` float64 array. ``SeedSequence``'s
+    hash runs for all seeds at once; numpy's ``PCG64`` and ``Generator`` do
+    the rest, each writing straight into its row."""
+    for row, words in zip(out, seed_sequence_states(seeds)):
+        np.random.Generator(np.random.PCG64(_SeedState(words))).standard_normal(out=row)
+
+
+# Address space a new backend's direction table takes: 32,768 rows at 64-d.
+# A page counts towards RSS only once written, so unused rows cost nothing
+# but addresses. A fuller table is copied into one twice its size, and while
+# both exist both count: a 1,024-row first table, copied as it filled, read
+# 1.2 MB more peak RSS on perfbench's match_llm.
+_TABLE_BYTES = 16 << 20
+
+
+def _anonymous_table(rows: int, dim: int) -> np.ndarray:
+    """A zeroed ``(rows, dim)`` float64 array in its own anonymous mapping,
+    which goes back to the system whole when the last array on it is
+    dropped. Tables on malloc's heap read 1.9-4.6 MB more peak RSS: a freed
+    one raises glibc's dynamic mmap threshold, so later large arrays come
+    from a heap that keeps its pages. The mapping is private, so a forked
+    child's new rows are its own copies and never land in its parent's."""
+    table = mmap.mmap(-1, rows * dim * 8, flags=mmap.MAP_PRIVATE)  # -1: anonymous
+    return np.frombuffer(table, dtype=np.float64).reshape(rows, dim)
+
+
+def position_sums(token_rows: Sequence[Sequence[int]], table: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Set ``out[i]`` to the sum of ``table``'s rows ``token_rows[i]``, added
+    in list order to a running sum that starts at +0.0.
+
+    Texts go longest first (a stable sort), so the texts that have a
+    ``j``-th row are a prefix of that order, and position ``j`` is one
+    gather and one addition for that prefix."""
+    order = sorted(range(len(token_rows)), key=lambda i: len(token_rows[i]), reverse=True)
+    lengths = np.array([len(token_rows[i]) for i in order], dtype=np.intp)
+    held = np.arange(lengths.max(initial=0)) < lengths[:, None]  # text by position
+    index = np.zeros(held.shape[::-1], dtype=np.intp)  # position by text
+    index.T[held] = np.fromiter(chain.from_iterable(token_rows[i] for i in order),
+                                dtype=np.intp, count=int(lengths.sum()))
+    acc = np.zeros((len(order), table.shape[1]))
+    for j, active in enumerate(held.sum(axis=0).tolist()):
+        acc[:active] += table[index[j, :active]]
+    out[order] = acc
 
 
 class HashEmbeddingBackend:
@@ -502,11 +548,20 @@ class HashEmbeddingBackend:
     exercise similarity thresholds end to end. The seed salts the token
     hash, so its decimal form must fit blake2b's 16-byte salt.
 
-    A batch is one pass. A first scan, one text at a time, keeps only the
-    tokens no earlier batch has seen, and ``_token_vectors`` gives them
-    their directions together. Then one numpy call per text sums that
-    text's directions in token order, which gives the same bytes as adding
-    them one by one.
+    Directions live in one float64 table, one row per token, with a dict
+    from token to row. Under the lock, a batch scans its texts for tokens
+    no earlier batch has seen, ``_token_vectors`` writes their directions
+    into new rows, and the batch takes the table as it then stands. A
+    table that must grow is copied into a new one twice its size, so a row
+    once written is never rewritten and a batch summing from an older
+    table reads the same bytes.
+
+    The sum runs outside the lock, over the batch's texts ordered by token
+    count, longest first. At token position ``j`` one gathered addition
+    adds the ``j``-th direction of every text that still has one. Each
+    text's row thus starts at +0.0 and takes its directions in token
+    order, the same additions as a per-token running sum, so it has the
+    same bytes.
     """
 
     def __init__(self, dim: int = 64, seed: int = 0):
@@ -518,28 +573,40 @@ class HashEmbeddingBackend:
         self.dim = dim
         self.seed = seed
         self.backend_id = f"hash{dim}:{seed}"
-        self._token_cache: dict[str, np.ndarray] = {}
+        self._rows: dict[str, int] = {}  # token -> its row of the table
+        self._table = np.empty((0, dim))
         self._lock = threading.Lock()  # one batch at a time adds its unseen tokens
 
-    def _token_vectors(self, tokens: Iterable[str]) -> list[np.ndarray]:
-        """Each token's direction, seeded by its 8-byte blake2b digest read
-        as a little-endian integer."""
+    def _token_vectors(self, tokens: Iterable[str], out: np.ndarray) -> None:
+        """Write each token's direction into its row of ``out``, seeded by the
+        token's 8-byte blake2b digest read as a little-endian integer."""
         digests = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=8,
                                            salt=self._salt).digest() for t in tokens)
-        return seeded_normals(np.frombuffer(digests, dtype="<u8"), self.dim)
+        seeded_normals(np.frombuffer(digests, dtype="<u8"), out)
+
+    def _add_tokens(self, tokens: dict[str, None]) -> None:
+        start = len(self._rows)
+        stop = start + len(tokens)
+        if stop > len(self._table):
+            grown = _anonymous_table(max(stop, 2 * len(self._table),
+                                         _TABLE_BYTES // (8 * self.dim)), self.dim)
+            grown[:start] = self._table[:start]
+            self._table = grown
+        self._token_vectors(tokens, self._table[start:stop])
+        self._rows.update(zip(tokens, range(start, stop)))
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        vectors = self._token_cache
+        rows = self._rows
         with self._lock:
             unseen = dict.fromkeys(t for text in texts for t in text.split() or ("",)
-                                   if t not in vectors)
+                                   if t not in rows)
             if unseen:  # the array pass has a fixed cost of ~0.1 ms; a warm batch skips it
-                vectors.update(zip(unseen, self._token_vectors(unseen)))
+                self._add_tokens(unseen)
+            table = self._table  # every row this batch reads is written
         out = np.empty((len(texts), self.dim))
-        for row, text in zip(out, texts):
-            # initial=0.0: the running sum starts from +0.0, as ``zeros + v`` does
-            np.add.reduce([vectors[t] for t in text.split() or ("",)], axis=0,
-                          out=row, initial=0.0)
+        # every token of the batch has its row by now, and no row is rewritten,
+        # so the sum needs no lock
+        position_sums([[rows[t] for t in text.split() or ("",)] for text in texts], table, out)
         return out
 
 

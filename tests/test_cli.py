@@ -540,11 +540,20 @@ def hashed_tree(**fields) -> str:
     (["match", "--source-tree", "bad.json"], {"bad.json": hashed_tree(params=[])}, "bad.json"),
     (["match", "--source-tree", "bad.json"], {"bad.json": hashed_tree(relations=[1])}, "bad.json"),
     (["match", "--source-tree", "bad.json"], {"bad.json": hashed_tree(nodes=[])}, "bad.json"),
+    (["match", "--queries", "q.json"], {"q.json": "[1]"}, "q.json"),
+    (["match", "--queries", "q.json"], {"q.json": '{"a": 1}'}, "q.json"),
+    (["match", "--queries", "q.json"], {"q.json": '[{"source": "C1", "shortlist": 7}]'},
+     "q.json"),
+    (["match", "--queries", "q.json"], {"q.json": '[{"source": ["C1"]}]'}, "q.json"),
+    (["bench", "run", "--bench", "q.json"], {"q.json": "[1]"}, "q.json"),
+    (["bench", "run", "--bench", "q.json"], {"q.json": '{"a": 1}'}, "q.json"),
 ], ids=["missing-graph", "missing-tree", "graph-not-json", "graph-without-columns",
         "graph-group-past-its-columns", "missing-queries", "query-without-source",
         "missing-bench", "string-k", "string-window", "config-array", "config-string",
         "graph-array", "tree-array", "graph-column-number", "graph-columns-number",
-        "tree-params-array", "tree-relation-number", "tree-nodes-array"])
+        "tree-params-array", "tree-relation-number", "tree-nodes-array",
+        "queries-number-row", "queries-object", "queries-shortlist-number",
+        "queries-source-array", "bench-number-row", "bench-object"])
 def test_unreadable_file_or_mistyped_config_value_is_user_error(
         tmp_path, monkeypatch, capsys, argv, files, named):
     bench_setup(tmp_path)
@@ -558,6 +567,43 @@ def test_unreadable_file_or_mistyped_config_value_is_user_error(
     err = capsys.readouterr().err
     assert rc == 1
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fields,named", [
+    ({"verified_matches": [["income_main", "wage_amount"]]}, "'verified_matches'"),
+    ({"verified_matches": {"income_main": 3}}, "'verified_matches'"),
+    ({"pair_similarity_tau": "abc"}, "'pair_similarity_tau'"),
+    ({"pair_similarity_tau": None}, "'pair_similarity_tau'"),
+    ({"pair_similarity_tau": True}, "'pair_similarity_tau'"),
+    ({"min_separation": "two"}, "'min_separation'"),
+    ({"min_separation": 2.5}, "'min_separation'"),
+    ({"source_catalog": 5}, "'source_catalog'"),
+    ({"target_catalog": None}, "'target_catalog'"),
+    ({"mask_source": "yes"}, "'mask_source'"),
+    ({"min_separation": None, "pair_similarity_tau": None}, "'pair_similarity_tau'"),
+], ids=["matches-array", "match-number", "tau-string", "tau-null", "tau-bool",
+        "separation-string", "separation-float", "source-catalog-number", "target-catalog-null",
+        "mask-string", "first-bad-key"])
+def test_malformed_bench_spec_is_user_error(tmp_path, capsys, fields, named):
+    source, target, script, benchspec = bench_setup(tmp_path)
+    write_json(benchspec, {**json.loads(benchspec.read_text()), **fields})
+    rc = main(["bench", "generate", "--benchspec", str(benchspec),
+               "--out", str(tmp_path / "bench.json"), "--backend", f"scripted:{script}"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert str(benchspec) in err and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [[{"source_catalog": "source.json"}], "spec", 5, None],
+                         ids=["array", "string", "number", "null"])
+def test_bench_spec_that_is_no_object_is_user_error(tmp_path, capsys, doc):
+    source, target, script, benchspec = bench_setup(tmp_path)
+    write_json(benchspec, doc)
+    rc = main(["bench", "generate", "--benchspec", str(benchspec),
+               "--out", str(tmp_path / "bench.json"), "--backend", f"scripted:{script}"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{benchspec} must hold a JSON object" in err and "missing" not in err
 
 
 def test_bad_config_key_rejected(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import contextvars
 import hashlib
 import json
+import os
 import sys
 import threading
 import time
@@ -10,6 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from construm import gateway
 from construm.gateway import (
     MAX_ATTEMPTS,
     MAX_EMBED_INPUTS,
@@ -511,14 +513,86 @@ def test_batch_normalisation_equals_the_per_row_one(dim):
     assert all(same_bytes(g.values, reference_from_raw(w)) for g, w in zip(got, want))
 
 
+def test_mixed_batch_across_calls_equals_the_running_sum():
+    # 1-300-token texts and empty ones, more than MAX_EMBED_INPUTS of them,
+    # so the gateway makes two calls
+    rng = np.random.default_rng(11)
+    vocabulary = VOCABULARY + [f"w{i}" for i in range(300)]
+    texts = random_batch(rng, MAX_EMBED_INPUTS + 100, vocabulary)
+    texts[5:5] = ["", "", " "]
+    backend = HashEmbeddingBackend()
+    assert len(texts) > MAX_EMBED_INPUTS
+    want = reference_embed(texts)
+    raw = backend.embed(texts)
+    assert raw.shape == (len(texts), 64)
+    assert all(same_bytes(r, w) for r, w in zip(raw, want))
+    gw = ModelGateway(embed_backend=HashEmbeddingBackend())
+    got = gw.embed_batch(texts)
+    assert gw.accounting.snapshot().embed_calls == 2
+    assert all(same_bytes(g.values, reference_from_raw(w)) for g, w in zip(got, want))
+
+
+def test_embedding_no_text_gives_an_empty_matrix():
+    for dim in (64, 3):
+        got = HashEmbeddingBackend(dim=dim).embed([])
+        assert got.shape == (0, dim) and got.dtype == np.float64
+
+
+class CraftedEmbedder(HashEmbeddingBackend):
+    """Directions chosen by the test, so the sum's start and order show."""
+
+    def __init__(self, directions):
+        super().__init__(dim=2)
+        self.directions = directions
+
+    def _token_vectors(self, tokens, out):
+        for row, token in zip(out, tokens):
+            row[:] = self.directions[token]
+
+
+def test_sum_starts_at_positive_zero_and_adds_in_token_order():
+    # -0.0 alone sums to +0.0 from a +0.0 start; 1e16 + 1 rounds back to
+    # 1e16, so the order of "big one minus" decides the result
+    directions = {"neg": [-0.0, -0.0], "big": [1e16, 1.0], "one": [1.0, 1e16],
+                  "minus": [-1e16, -1e16], "": [0.5, -0.0]}
+    texts = ["neg", "neg neg", "big one minus", "one big minus", "minus big one",
+             "big minus one neg", "", "neg big one minus neg"]
+    want = [sum((np.array(directions[t]) for t in text.split() or [""]), np.zeros(2))
+            for text in texts]
+    backend = CraftedEmbedder(directions)
+    got = backend.embed(texts)
+    alone = [backend.embed([text])[0] for text in texts]
+    for rows in (got, alone):
+        assert all(same_bytes(g, w) for g, w in zip(rows, want))
+        assert not np.signbit(rows[:2]).any()  # +0.0 + -0.0 is +0.0
+
+
+def test_a_taken_table_keeps_its_bytes_while_another_batch_grows_it(monkeypatch):
+    monkeypatch.setattr(gateway, "_TABLE_BYTES", 16 * 8 * 64)  # a 16-row first table
+    backend = HashEmbeddingBackend()
+    backend.embed(["id name amount"])
+    taken = backend._table  # what a batch summing now reads
+    rows = len(backend._rows)
+    before = taken[:rows].copy()
+    capacity = len(taken)
+    assert capacity == 16
+    # enough new tokens that the table must grow
+    backend.embed([f"t{i} u{i}" for i in range(capacity)])
+    assert len(backend._table) > capacity and backend._table is not taken
+    assert same_bytes(taken[:rows], before)
+    assert same_bytes(backend._table[:rows], before)
+    assert all(same_bytes(g, w) for g, w in zip(backend.embed(["id name amount", "t7 u7"]),
+                                                reference_embed(["id name amount", "t7 u7"])))
+
+
 class CountingEmbedder(HashEmbeddingBackend):
     def __init__(self):
         super().__init__()
         self.created = []  # list.extend is atomic, so no lock of its own
 
-    def _token_vectors(self, tokens):
+    def _token_vectors(self, tokens, out):
         self.created.extend(tokens)
-        return super()._token_vectors(tokens)
+        super()._token_vectors(tokens, out)
 
 
 def test_concurrent_batches_give_the_bytes_of_serial_ones():
@@ -542,6 +616,34 @@ def test_concurrent_batches_give_the_bytes_of_serial_ones():
     # every token's direction was made once, however the batches interleaved
     assert sorted(backend.created) == sorted({t for b in batches for text in b
                                               for t in text.split() or [""]})
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_never_writes_its_parents_rows():
+    backend = HashEmbeddingBackend()
+    backend.embed(["a b c"])
+    go_read, go_write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: once the parent has its new rows, add its own at the same indices
+        status = 1
+        try:
+            os.read(go_read, 1)
+            backend.embed(["x y z"])
+            status = 0
+        finally:
+            os._exit(status)
+    backend.embed(["p q r"])
+    os.write(go_write, b"1")
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    os.close(go_read)
+    os.close(go_write)
+    assert same_bytes(backend.embed(["p q r"])[0], reference_embed(["p q r"])[0])
+
+
+def test_concurrent_batches_that_grow_the_table_give_the_bytes_of_serial_ones(monkeypatch):
+    # a 16-row first table, so batches copy it into larger ones while others sum
+    monkeypatch.setattr(gateway, "_TABLE_BYTES", 16 * 8 * 64)
+    test_concurrent_batches_give_the_bytes_of_serial_ones()
 
 
 # -- new token directions, seeded as numpy's default_rng seeds them ----------
@@ -572,8 +674,8 @@ def test_seeded_normals_equal_default_rng(dim):
     seeds = random_seeds(100_000, dim)
     for start in range(0, len(seeds), 2000):  # a chunk at 1536-d is 25 MB
         chunk = seeds[start:start + 2000]
-        got = seeded_normals(chunk, dim)
-        assert len(got) == len(chunk)
+        got = np.empty((len(chunk), dim))
+        seeded_normals(chunk, got)
         assert all(same_bytes(g, np.random.default_rng(int(s)).standard_normal(dim))
                    for g, s in zip(got, chunk))
 
