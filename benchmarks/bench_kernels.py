@@ -20,10 +20,10 @@ query over a few queries. Then it times ``ModelGateway.embed_batch`` over
 new one, as each graph build starts with) and on a warm one (every token
 seen), prints texts/s and µs per text of both, the share of the cold time
 spent creating token directions and that creation's µs per new token, and
-checks a sample of
-rows byte for byte against a per-token running sum whose directions come
-from numpy's ``default_rng``, one token at a time. No part makes an LLM
-call. The first line states the thread count numpy's OpenBLAS runs the
+checks a sample of rows byte for byte against a per-token running sum whose
+directions are made one token at a time in Python integers: the sign bits
+of a splitmix64 stream over the token's blake2b digest. No part makes an
+LLM call. The first line states the thread count numpy's OpenBLAS runs the
 products on: one, as importing construm sets it, unless
 ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set.
 
@@ -55,6 +55,7 @@ EMBED_TEXTS = (2000, 20000)  # column texts the embedding batch is timed at
 DESCRIPTION_WORDS = 14  # words per synthetic column description
 WORDS = 3000  # distinct description words
 SAMPLE = 50  # rows checked against the per-token running sum
+MASK64 = (1 << 64) - 1
 
 
 def best_of(repeat, fn, *args):
@@ -79,17 +80,30 @@ def column_texts(n, rng):
             enumerate(picks)]
 
 
+def token_direction(token, dim=64, seed=0):
+    """A token's direction as the hash embedder defines it: coordinate ``i``
+    is ``1 - 2 * bit``, bit ``i % 64`` (lowest first) of splitmix64 word
+    ``i // 64`` over the token's 8-byte blake2b digest."""
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8,
+                             salt=str(seed).encode()).digest()
+    state, entries = int.from_bytes(digest, "little"), []
+    for k in range(-(-dim // 64)):
+        z = (state + (k + 1) * 0x9E3779B97F4A7C15) & MASK64
+        z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ z >> 27) * 0x94D049BB133111EB) & MASK64
+        z ^= z >> 31
+        entries.extend(1.0 - 2.0 * (z >> bit & 1) for bit in range(64))
+    return np.array(entries[:dim])
+
+
 def per_token_reference(texts, dim=64, seed=0):
     """Each text's running sum of its token directions, divided by its norm,
-    with each direction made on its own by numpy's ``default_rng``, as the
-    hash embedder's seeding is defined."""
+    each direction made on its own by ``token_direction``."""
     rows = []
     for text in texts:
         acc = np.zeros(dim)
         for token in text.split() or [""]:
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8,
-                                     salt=str(seed).encode()).digest()
-            acc += np.random.default_rng(int.from_bytes(digest, "little")).standard_normal(dim)
+            acc += token_direction(token, dim, seed)
         rows.append(acc / float(np.linalg.norm(acc)))
     return rows
 

@@ -20,15 +20,15 @@ or a reply that is not JSON is retried once, after the wait a 429 or 503
 asks for in ``Retry-After`` (at most ``MAX_RETRY_AFTER`` seconds); any
 other HTTP error fails at once.
 
-The deterministic embedder maps each whitespace token to a seeded random
-direction and sums them, so token overlap between two texts translates
-into cosine similarity without any model in the loop. A direction is
-``np.random.default_rng(seed).standard_normal(dim)`` byte for byte, but a
-batch's new tokens run numpy's ``SeedSequence`` hash as one array pass
-(``seed_sequence_states``) and seed each ``PCG64`` from its result. The
-directions are rows of one table, and a batch is summed token position by
-token position over it (``position_sums``), each text's additions in
-token order from +0.0, so every vector has the bytes of a running sum.
+The deterministic embedder maps each whitespace token to a seeded direction
+and sums them, so token overlap between two texts translates into cosine
+similarity without any model in the loop. A direction's entries are +1.0
+and -1.0, read from the bits of a splitmix64 stream over the token's
+blake2b digest (``sign_directions``), all of a batch's new tokens in one
+array pass. The directions are rows of one table, and a batch is summed
+token position by token position over it (``position_sums``). Every
+partial sum of +-1 entries is an integer, so a vector's bytes do not
+depend on the order of its additions.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 logger = logging.getLogger(__name__)
 
@@ -405,99 +404,32 @@ class HttpChatBackend:
 # -- embedding backends ------------------------------------------------------
 
 
-# numpy's SeedSequence hash (``numpy/random/bit_generator.pyx``), a port of
-# O'Neill's seed_seq_fe from the PCG paper (O'Neill 2014, HMC-CS-2014-0905);
-# the names are numpy's. It works on uint32 words, so every product wraps.
-POOL_SIZE = 4  # SeedSequence's default pool size, in uint32 words
-STATE_WORDS = 4  # uint64 words PCG64 asks its seed sequence for
-INIT_A = 0x43B0D7E5
-MULT_A = 0x931E8875
-INIT_B = 0x8B51F9DD
-MULT_B = 0x58F38DED
-MIX_MULT_L = 0xCA01F9DD
-MIX_MULT_R = 0x4973F715
-XSHIFT = 16  # half of a uint32's bits
-MASK32 = 0xFFFFFFFF
+# splitmix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014): a counter stream over a 64-bit seed whose k-th
+# word (from 0) is Stafford's Mix13 finaliser of seed + (k + 1) * GAMMA.
+# Every sum and product wraps mod 2**64.
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
+MIX_A = np.uint64(0xBF58476D1CE4E5B9)
+MIX_B = np.uint64(0x94D049BB133111EB)
 
 
-def _hash_constants(init: int, mult: int, n: int) -> list[tuple[int, int]]:
-    """The first ``n`` (xor, multiplier) pairs of a hash whose constant starts
-    at ``init`` and is multiplied by ``mult`` before each use. They do not
-    depend on the data, so every seed of a batch uses the same ones."""
-    pairs = []
-    for _ in range(n):
-        nxt = init * mult & MASK32
-        pairs.append((init, nxt))
-        init = nxt
-    return pairs
+def sign_directions(seeds: np.ndarray, out: np.ndarray) -> None:
+    """Write each seed's direction, entries of +1.0 and -1.0, into its row of
+    ``out``, a C-contiguous ``(len(seeds), dim)`` float64 array.
 
-
-# mix_entropy hashes 4 pool words, then 12 more in its all-pairs mix;
-# generate_state(4, np.uint64) hashes 8 uint32 output words
-_HASHMIX = _hash_constants(INIT_A, MULT_A, POOL_SIZE * POOL_SIZE)
-_OUTPUT = _hash_constants(INIT_B, MULT_B, 2 * STATE_WORDS)
-
-
-def _hashmix(value: np.ndarray, xor: int, mult: int) -> np.ndarray:
-    # numpy's hashmix, with its running constant taken from a precomputed pair;
-    # generate_state hashes each output word the same way
-    value = (value ^ xor) * np.uint32(mult)
-    return value ^ value >> XSHIFT
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
-    return result ^ result >> XSHIFT
-
-
-def seed_sequence_states(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` for each seed ``s`` of
-    a uint64 array, as an ``(n, 4)`` uint64 array, all seeds at once.
-
-    numpy's entropy for a seed is its uint32 words, low first: one word
-    below 2**32, else two. The pool hashes zero words past the entropy, so
-    every 64-bit seed hashes as its low word, its high word and two zeros.
+    Word ``k`` of a seed ``s`` is ``splitmix64(s + (k + 1) * GAMMA)``, for
+    ``k < ceil(dim / 64)``. Coordinate ``i`` reads bit ``i % 64`` of word
+    ``i // 64``, least significant bit first, as ``1 - 2 * bit``.
     """
-    zero = np.zeros(len(seeds), dtype=np.uint32)
-    entropy = ((seeds & MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero)
-    constants = iter(_HASHMIX)
-    pool = [_hashmix(word, *next(constants)) for word in entropy]
-    # mix_entropy: every pool word into every other, so late bits reach early ones
-    for src in range(POOL_SIZE):
-        for dst in range(POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(constants)))
-    words = np.empty((len(seeds), 2 * STATE_WORDS), dtype="<u4")
-    for i, (xor, mult) in enumerate(_OUTPUT):
-        words[:, i] = _hashmix(pool[i % POOL_SIZE], xor, mult)
-    # word pairs read as little-endian uint64, as generate_state does
-    return words.view("<u8").astype(np.uint64)
-
-
-class _SeedState(ISeedSequence):
-    """Hands ``PCG64`` the state words ``seed_sequence_states`` derived for
-    one seed, where numpy would derive them with ``SeedSequence``."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != STATE_WORDS or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"only {STATE_WORDS} uint64 words were derived, "
-                             f"not {n_words} of {np.dtype(dtype)}")
-        return self.words
-
-
-def seeded_normals(seeds: np.ndarray, out: np.ndarray) -> None:
-    """Write ``np.random.default_rng(s).standard_normal(dim)`` for each seed
-    ``s`` of a uint64 array, byte for byte, into the rows of ``out``, a
-    C-contiguous ``(len(seeds), dim)`` float64 array. ``SeedSequence``'s
-    hash runs for all seeds at once; numpy's ``PCG64`` and ``Generator`` do
-    the rest, each writing straight into its row."""
-    for row, words in zip(out, seed_sequence_states(seeds)):
-        np.random.Generator(np.random.PCG64(_SeedState(words))).standard_normal(out=row)
+    words = -(-out.shape[1] // 64)
+    z = seeds[:, None] + np.arange(1, words + 1, dtype=np.uint64) * GAMMA
+    z = (z ^ z >> np.uint64(30)) * MIX_A
+    z = (z ^ z >> np.uint64(27)) * MIX_B
+    z ^= z >> np.uint64(31)
+    # a little-endian word's bytes hold its bits low first; so do the bytes' bits
+    bits = np.unpackbits(z.astype("<u8").view(np.uint8), axis=1, count=out.shape[1],
+                         bitorder="little")
+    np.subtract(1.0, 2.0 * bits, out=out)
 
 
 # Address space a new backend's direction table takes: 32,768 rows at 64-d.
@@ -526,7 +458,8 @@ def position_sums(token_rows: Sequence[Sequence[int]], table: np.ndarray,
 
     Texts go longest first (a stable sort), so the texts that have a
     ``j``-th row are a prefix of that order, and position ``j`` is one
-    gather and one addition for that prefix."""
+    gather and one addition for that prefix. On the hash embedder's +-1 rows
+    every partial sum is an integer, so any order would give the same bytes."""
     order = sorted(range(len(token_rows)), key=lambda i: len(token_rows[i]), reverse=True)
     lengths = np.array([len(token_rows[i]) for i in order], dtype=np.intp)
     held = np.arange(lengths.max(initial=0)) < lengths[:, None]  # text by position
@@ -546,33 +479,28 @@ class HashEmbeddingBackend:
     direction; a text embeds as the sum of its token directions. Texts
     sharing more tokens therefore get a higher cosine, which is enough to
     exercise similarity thresholds end to end. The seed salts the token
-    hash, so its decimal form must fit blake2b's 16-byte salt.
+    hash, so its decimal form must fit blake2b's 16-byte salt. Directions
+    are +-1 sign vectors (``sign_directions``), which keep the Gaussian ones'
+    Johnson-Lindenstrauss bound (Achlioptas, JCSS 2003).
 
-    Directions live in one float64 table, one row per token, with a dict
-    from token to row. Under the lock, a batch scans its texts for tokens
-    no earlier batch has seen, ``_token_vectors`` writes their directions
-    into new rows, and the batch takes the table as it then stands. A
-    table that must grow is copied into a new one twice its size, so a row
-    once written is never rewritten and a batch summing from an older
-    table reads the same bytes.
-
-    The sum runs outside the lock, over the batch's texts ordered by token
-    count, longest first. At token position ``j`` one gathered addition
-    adds the ``j``-th direction of every text that still has one. Each
-    text's row thus starts at +0.0 and takes its directions in token
-    order, the same additions as a per-token running sum, so it has the
-    same bytes.
+    Directions are kept as rows of one float64 table, with a dict from
+    token to row, so a warm batch hashes nothing. Under the lock, a batch
+    splits each text once and maps its tokens to rows, an unseen token
+    taking the next row, then writes the new rows and takes the table. A
+    table that must grow is copied into one twice its size, so a row once
+    written is never rewritten, and the sum runs outside the lock.
     """
 
     def __init__(self, dim: int = 64, seed: int = 0):
-        self._salt = str(seed).encode()
-        if len(self._salt) > 16:
+        salt = str(seed).encode()
+        if len(salt) > 16:
             # a longer seed would share its directions with every seed of the
             # same first 16 characters
             raise ValueError(f"seed {seed} is longer than 16 characters")
         self.dim = dim
         self.seed = seed
-        self.backend_id = f"hash{dim}:{seed}"
+        self.backend_id = f"hashsign{dim}:{seed}"
+        self._hasher = hashlib.blake2b(digest_size=8, salt=salt)  # copied for each token
         self._rows: dict[str, int] = {}  # token -> its row of the table
         self._table = np.empty((0, dim))
         self._lock = threading.Lock()  # one batch at a time adds its unseen tokens
@@ -580,33 +508,35 @@ class HashEmbeddingBackend:
     def _token_vectors(self, tokens: Iterable[str], out: np.ndarray) -> None:
         """Write each token's direction into its row of ``out``, seeded by the
         token's 8-byte blake2b digest read as a little-endian integer."""
-        digests = b"".join(hashlib.blake2b(t.encode("utf-8"), digest_size=8,
-                                           salt=self._salt).digest() for t in tokens)
-        seeded_normals(np.frombuffer(digests, dtype="<u8"), out)
+        digests = []
+        for token in tokens:
+            hasher = self._hasher.copy()
+            hasher.update(token.encode("utf-8"))
+            digests.append(hasher.digest())
+        sign_directions(np.frombuffer(b"".join(digests), dtype="<u8"), out)
 
-    def _add_tokens(self, tokens: dict[str, None]) -> None:
+    def _add_tokens(self, unseen: dict[str, int]) -> None:
         start = len(self._rows)
-        stop = start + len(tokens)
+        stop = start + len(unseen)
         if stop > len(self._table):
             grown = _anonymous_table(max(stop, 2 * len(self._table),
                                          _TABLE_BYTES // (8 * self.dim)), self.dim)
             grown[:start] = self._table[:start]
             self._table = grown
-        self._token_vectors(tokens, self._table[start:stop])
-        self._rows.update(zip(tokens, range(start, stop)))
+        self._token_vectors(unseen, self._table[start:stop])
+        self._rows.update(unseen)  # only now: a failed hash leaves no token rowless
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         rows = self._rows
         with self._lock:
-            unseen = dict.fromkeys(t for text in texts for t in text.split() or ("",)
-                                   if t not in rows)
-            if unseen:  # the array pass has a fixed cost of ~0.1 ms; a warm batch skips it
+            unseen: dict[str, int] = {}  # token -> the next free row, in order of first use
+            token_rows = [[rows[t] if t in rows else unseen.setdefault(t, len(rows) + len(unseen))
+                           for t in text.split() or ("",)] for text in texts]
+            if unseen:  # a warm batch has no new rows to write
                 self._add_tokens(unseen)
             table = self._table  # every row this batch reads is written
         out = np.empty((len(texts), self.dim))
-        # every token of the batch has its row by now, and no row is rewritten,
-        # so the sum needs no lock
-        position_sums([[rows[t] for t in text.split() or ("",)] for text in texts], table, out)
+        position_sums(token_rows, table, out)  # no row is ever rewritten, so no lock
         return out
 
 

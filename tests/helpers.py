@@ -97,6 +97,16 @@ def vectors_with_cosines(gram: np.ndarray, dim: int = 8) -> list[np.ndarray]:
     return out
 
 
+def stated_cosines_embedder(gram, sizes) -> PositionalEmbeddingBackend:
+    """An embedder that answers batches of ``sizes`` texts, in order, with
+    unit vectors whose cosines are ``gram``'s: the batches take its rows in
+    turn, so vectors of different batches have stated cosines too."""
+    assert sum(sizes) == len(gram)
+    vectors = vectors_with_cosines(np.asarray(gram, dtype=np.float64), len(gram))
+    starts = np.cumsum([0, *sizes])
+    return PositionalEmbeddingBackend([vectors[a:b] for a, b in zip(starts, starts[1:])])
+
+
 # -- scripted chat bots --------------------------------------------------------
 
 

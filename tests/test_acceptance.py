@@ -29,6 +29,7 @@ from helpers import (
     leaf_coverage,
     make_gateway,
     random_catalog,
+    stated_cosines_embedder,
     table_doc,
     tree_bot,
     tree_gateway,
@@ -174,7 +175,17 @@ def planted_fixture():
         source_cols.append((f"q{i}_b", pair_words[i]))
     scat = build_catalog("source", [table_doc("Q", source_cols)])
 
-    gw_build = ModelGateway(embed_backend=HashEmbeddingBackend())
+    # stated cosines, source columns then target ones: 0.95 within a source
+    # pair, 0.9 within a target pair, 0.85 from a source pair to its target
+    # pair, and 0 between any other two columns
+    gram = np.eye(2 * n_pairs + tcat.column_count)
+    for i in range(n_pairs):
+        src, tgt = [2 * i, 2 * i + 1], [2 * n_pairs + 2 * i, 2 * n_pairs + 2 * i + 1]
+        gram[np.ix_(src, tgt)] = gram[np.ix_(tgt, src)] = 0.85
+        gram[src[0], src[1]] = gram[src[1], src[0]] = 0.95
+        gram[tgt[0], tgt[1]] = gram[tgt[1], tgt[0]] = 0.9
+    gw_build = ModelGateway(embed_backend=stated_cosines_embedder(
+        gram, [2 * n_pairs, tcat.column_count]))
     artifacts = Artifacts(
         scat, tcat,
         source_graph=build_hypergraph(scat, gw_build, tau=0.8),
@@ -286,9 +297,13 @@ def test_benchmark_determinism_and_exhaustive_oracle():
     n = 200
     pair_positions = [(3, 40), (10, 90), (25, 120), (55, 170), (80, 195),
                       (100, 150), (15, 18), (60, 61)]  # last two are too close
-    cols = [(f"s{i:03d}", f"u{i}a u{i}b u{i}c u{i}d") for i in range(n)]
+    # a planted pair shares 34 of its 36 tokens (cosine 0.94 expected under the
+    # hash embedder, >= 0.87 over its seeds 0-199); any other two texts share
+    # at most 5 tokens, two fillers 4 of 16 (<= 0.71 over those seeds), so
+    # tau 0.8 parts them
+    cols = [(f"s{i:03d}", " ".join(f"u{i}{c}" for c in "abcdefghijkl")) for i in range(n)]
     for pi, (a, b) in enumerate(pair_positions):
-        words = " ".join(f"set{pi}w{k}" for k in range(9))
+        words = " ".join(f"set{pi}w{k}" for k in range(30))
         cols[a] = (f"s{a:03d}", f"{words} first")
         cols[b] = (f"s{b:03d}", f"{words} second")
     source = build_catalog("source", [table_doc("J", cols)])

@@ -155,7 +155,10 @@ def bench_setup(tmp_path):
     benchspec = write_json(tmp_path / "benchspec.json", {
         "source_catalog": "source.json",
         "target_catalog": "target.json",
-        "pair_similarity_tau": 0.8,
+        # income_main and income_side share 12 of their 14 and 15 tokens: a
+        # cosine of 12 / sqrt(14 * 15) = 0.83 expected under the hash
+        # embedder, 0.66-0.93 over its seeds 0-1999, so 0.5 clears by 0.16
+        "pair_similarity_tau": 0.5,
         "min_separation": 2,
         "verified_matches": {"income_main": "wage_amount",
                              "income_side": "wage_amount"},

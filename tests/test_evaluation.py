@@ -33,6 +33,7 @@ from helpers import (
     first_candidate_decision_bot,
     make_gateway,
     random_catalog,
+    stated_cosines_embedder,
     table_doc,
     tree_bot,
 )
@@ -270,7 +271,17 @@ def test_suite_carries_every_non_mode_field_into_every_mode(monkeypatch):
 def test_concurrent_query_traces_equal_serial_and_sum_to_totals():
     scat = random_catalog(31, "source", n=20, table_id="S", tokens_per_desc=5)
     tcat = random_catalog(32, "target", n=25, table_id="T", tokens_per_desc=5)
-    gw_build = hash_gw()
+    # stated cosines in five clusters: source column c is in cluster (c // 2) % 5
+    # and target column t in t // 5; within a cluster sources are 0.8 apart,
+    # targets 0.9 and a source and a target 0.85, and clusters are orthogonal.
+    # So each query shortlists its cluster's five targets and makes three
+    # calls: one source block, one candidate block and the decision
+    cluster = [(c // 2) % 5 for c in range(20)] + [t // 5 for t in range(25)]
+    gram = np.eye(45)
+    for a, b in zip(*np.nonzero(np.equal.outer(cluster, cluster))):
+        if a != b:
+            gram[a, b] = 0.8 if max(a, b) < 20 else 0.9 if min(a, b) >= 20 else 0.85
+    gw_build = make_gateway(embed_backend=stated_cosines_embedder(gram, [20, 25]))
     artifacts = Artifacts(scat, tcat, source_graph=build_hypergraph(scat, gw_build, tau=0.5),
                           target_graph=build_hypergraph(tcat, gw_build, tau=0.5))
     queries = [MatchQuery(source=s) for s in list(scat.refs())[:16]]

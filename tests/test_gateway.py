@@ -2,11 +2,12 @@ import contextvars
 import hashlib
 import json
 import os
+import random
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -27,10 +28,8 @@ from construm.gateway import (
     ScriptError,
     ScriptRule,
     TransportError,
-    _SeedState,
     cache_key,
-    seed_sequence_states,
-    seeded_normals,
+    sign_directions,
 )
 
 from helpers import RecordingChatBackend, RunningCount
@@ -420,14 +419,32 @@ def test_zero_vector_is_an_error():
 # -- the batch pass against the per-token running sum ------------------------
 #
 # The reference below is the hash embedder as a per-token loop: each token's
-# direction made on its own, added to a running sum that starts at zeros, and
-# each sum divided by its own norm. The batch pass must give the same bytes.
+# direction made on its own in Python integers, added to a running sum that
+# starts at zeros, and each sum divided by its own norm. The batch pass must
+# give the same bytes.
+
+MASK64 = (1 << 64) - 1
 
 
+def reference_direction(seed, dim):
+    """Words k < ceil(dim / 64) of splitmix64's stream over ``seed``, each the
+    Mix13 finaliser of seed + (k + 1) * gamma, read bit by bit from the least
+    significant, as 1 - 2 * bit."""
+    entries = []
+    for k in range(-(-dim // 64)):
+        z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & MASK64
+        z = ((z ^ z >> 30) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ z >> 27) * 0x94D049BB133111EB) & MASK64
+        z ^= z >> 31
+        entries.extend(1.0 - 2.0 * (z >> bit & 1) for bit in range(64))
+    return np.array(entries[:dim])
+
+
+@cache  # a token's direction is read, never written
 def reference_token_vector(token, dim=64, seed=0):
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8,
                              salt=str(seed).encode()[:16]).digest()
-    return np.random.default_rng(int.from_bytes(digest, "little")).standard_normal(dim)
+    return reference_direction(int.from_bytes(digest, "little"), dim)
 
 
 def reference_embed(texts, dim=64, seed=0):
@@ -646,12 +663,43 @@ def test_concurrent_batches_that_grow_the_table_give_the_bytes_of_serial_ones(mo
     test_concurrent_batches_give_the_bytes_of_serial_ones()
 
 
-# -- new token directions, seeded as numpy's default_rng seeds them ----------
-#
-# The oracle is the per-token form: np.random.default_rng(seed), with numpy's
-# own SeedSequence, then standard_normal(dim).
+# -- new token directions, against the Python-integer reference --------------
 
 EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+ALPHABET = "abcxyz_019 éïñßÅ€₹日付金额😀\u3000\u200b"
+
+
+def random_tokens(n, seed):
+    rng = random.Random(seed)
+    tokens = [""]
+    while len(tokens) < n:
+        # a few characters of the alphabet, or any code point but a surrogate
+        chars = [rng.choice(ALPHABET) if rng.random() < 0.8 else
+                 chr(rng.choice([rng.randrange(0xD800), rng.randrange(0xE000, 0x110000)]))
+                 for _ in range(rng.randrange(1, 13))]
+        tokens.append("".join(chars))
+    return tokens
+
+
+@pytest.mark.parametrize("dim", [1, 16, 63, 64, 65, 130])
+def test_token_vectors_equal_the_reference_and_are_signs(dim):
+    tokens = random_tokens(10_000, dim)
+    got = np.empty((len(tokens), dim))
+    HashEmbeddingBackend(dim=dim)._token_vectors(tokens, got)
+    assert np.isin(got, (1.0, -1.0)).all()
+    assert all(same_bytes(g, reference_token_vector(t, dim)) for g, t in zip(got, tokens))
+    got = np.empty((len(EDGE_SEEDS), dim))  # seeds whose counter words wrap
+    sign_directions(np.array(EDGE_SEEDS, dtype=np.uint64), got)
+    assert all(same_bytes(g, reference_direction(s, dim)) for g, s in zip(got, EDGE_SEEDS))
+
+
+# -- sign directions against the seeded normals they replace -----------------
+#
+# Until the sign rule, a token's direction was
+# np.random.default_rng(seed).standard_normal(dim). Random +-1 directions keep
+# the Gaussian ones' Johnson-Lindenstrauss bound (Achlioptas, JCSS 2003): under
+# either rule the cosine of two independent directions has mean 0 and
+# variance 1/dim, so thresholds on cosines mean what they meant before.
 
 
 def random_seeds(n, seed):
@@ -660,38 +708,33 @@ def random_seeds(n, seed):
     return np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), drawn])
 
 
-def test_seed_sequence_states_equal_numpys():
-    seeds = random_seeds(10_000, 1)
-    want = np.array([np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
-                     for s in seeds])
-    got = seed_sequence_states(seeds)
-    assert got.dtype == want.dtype and got.shape == (len(seeds), 4)
-    assert np.array_equal(got, want)
+def pairwise_cosines(directions):
+    unit = directions / np.linalg.norm(directions, axis=1, keepdims=True)
+    return (unit @ unit.T)[np.triu_indices(len(unit), k=1)]
 
 
 @pytest.mark.parametrize("dim", [1, 16, 64, 1536])
 def test_seeded_normals_equal_default_rng(dim):
-    seeds = random_seeds(100_000, dim)
-    for start in range(0, len(seeds), 2000):  # a chunk at 1536-d is 25 MB
-        chunk = seeds[start:start + 2000]
-        got = np.empty((len(chunk), dim))
-        seeded_normals(chunk, got)
-        assert all(same_bytes(g, np.random.default_rng(int(s)).standard_normal(dim))
-                   for g, s in zip(got, chunk))
+    # equal in distribution: the sign directions' cosines have the mean and
+    # variance of the cosines of default_rng's seeded normals over the same seeds
+    seeds = random_seeds(600, dim)
+    signs = np.empty((len(seeds), dim))
+    sign_directions(seeds, signs)
+    normals = np.array([np.random.default_rng(int(s)).standard_normal(dim) for s in seeds])
+    for directions in (signs, normals):
+        cosines = pairwise_cosines(directions)
+        assert abs(cosines.mean()) < 0.05 / np.sqrt(dim)
+        assert abs(np.mean(cosines ** 2) * dim - 1) < 0.05
 
 
-@pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
-                                           (3, np.uint64), (5, np.uint64), (4, np.int64),
-                                           (4, np.float64)])
-def test_seed_state_refuses_anything_but_four_uint64_words(n_words, dtype):
-    words = seed_sequence_states(np.array([7], dtype=np.uint64))[0]
-    stub = _SeedState(words)
-    assert stub.generate_state(4, np.uint64) is words
-    assert stub.generate_state(4, "u8") is words
-    with pytest.raises(ValueError, match="only 4 uint64 words"):
-        stub.generate_state(n_words, dtype)
-    with pytest.raises(ValueError, match="only 4 uint64 words"):
-        stub.generate_state(n_words)  # SeedSequence's default dtype is uint32
+def test_a_batch_that_fails_to_hash_keeps_none_of_its_tokens():
+    backend = HashEmbeddingBackend()
+    backend.embed(["id name"])
+    with pytest.raises(UnicodeEncodeError):  # a lone surrogate has no UTF-8 form
+        backend.embed(["amount \ud800 date"])
+    assert list(backend._rows) == ["id", "name"]
+    texts = ["amount date", "id name amount"]
+    assert all(same_bytes(g, w) for g, w in zip(backend.embed(texts), reference_embed(texts)))
 
 
 def test_seed_longer_than_the_salt_is_refused():

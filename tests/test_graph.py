@@ -21,6 +21,7 @@ from helpers import (
     build_catalog,
     dfs_components,
     random_catalog,
+    stated_cosines_embedder,
     table_doc,
     unit,
     vectors_with_cosines,
@@ -236,7 +237,10 @@ def test_source_confusable_set_charttime_storetime_pair():
                       "input or manually validated by a member of the clinical staff"),
         ("VALUE", "the value measured"),
     ])])
-    hg = build_hypergraph(cat, hash_gateway(), tau=0.65)
+    # the time pair clears tau 0.65 by 0.15; VALUE stays 0.35 under it
+    gram = [[1.0, 0.8, 0.3], [0.8, 1.0, 0.3], [0.3, 0.3, 1.0]]
+    hg = build_hypergraph(cat, ModelGateway(embed_backend=stated_cosines_embedder(gram, [3])),
+                          tau=0.65)
     charttime, storetime, value = cat.refs()
     group = source_confusable_set(charttime, hg)
     assert group.members == frozenset({charttime, storetime})

@@ -32,6 +32,7 @@ from helpers import (
     first_candidate_decision_bot,
     make_gateway,
     random_catalog,
+    stated_cosines_embedder,
     table_doc,
     tree_bot,
     tree_gateway,
@@ -210,6 +211,17 @@ def test_embed_top1_answers_shortlist_head_with_zero_llm():
     assert result.trace.spent.llm_calls == 0 and result.trace.spent.total_tokens == 0
 
 
+# cosines of CHARTTIME and STORETIME (source), then observation_time,
+# recorded_time and site_code (target): each side's time pair clears its tau
+# by 0.15, each source time column is nearest its like target, and site_code
+# is far from all
+TIME_COSINES = [[1.00, 0.80, 0.70, 0.55, 0.10],
+                [0.80, 1.00, 0.55, 0.70, 0.10],
+                [0.70, 0.55, 1.00, 0.75, 0.10],
+                [0.55, 0.70, 0.75, 1.00, 0.10],
+                [0.10, 0.10, 0.10, 0.10, 1.00]]
+
+
 def time_fixture():
     scat = build_catalog("source", [table_doc("CHARTEVENTS", [
         ("CHARTTIME", "records the time at which an observation was made"),
@@ -221,7 +233,7 @@ def time_fixture():
         ("recorded_time", "time the observation was recorded or entered"),
         ("site_code", "facility identifier"),
     ])])
-    gw = hash_gw()
+    gw = hash_gw(embed_backend=stated_cosines_embedder(TIME_COSINES, [2, 3]))
     sg = build_hypergraph(scat, gw, tau=0.65)
     tg = build_hypergraph(tcat, gw, tau=0.60)
     artifacts = Artifacts(scat, tcat, source_graph=sg, target_graph=tg)
@@ -343,7 +355,17 @@ def four_groups_fixture():
     scat = build_catalog("source", [table_doc("S", [
         ("q", "measure note order unit first"), ("q2", "measure note order unit second"),
         ("other", "wave total value")])])
-    gw_build = hash_gw()
+    # stated cosines, source columns then target ones: 0.9 within q's pair and
+    # within each target group, 0.1 between any other two columns of a side,
+    # and from q and q2 0.5 to g2_one, 0.6 to g2_two and 0.2 to the rest
+    gram = np.full((11, 11), 0.1)
+    np.fill_diagonal(gram, 1.0)
+    for a in (0, 3, 5, 7, 9):
+        gram[a, a + 1] = gram[a + 1, a] = 0.9
+    near = [0.2, 0.2, 0.2, 0.2, 0.5, 0.6, 0.2, 0.2]
+    gram[:2, 3:] = near
+    gram[3:, :2] = np.transpose([near, near])
+    gw_build = hash_gw(embed_backend=stated_cosines_embedder(gram, [3, 8]))
     artifacts = Artifacts(scat, tcat, source_graph=build_hypergraph(scat, gw_build, tau=0.7),
                           target_graph=build_hypergraph(tcat, gw_build, tau=0.7))
     q = MatchQuery(source=scat.resolve("q"), shortlist=tuple(tcat.refs()))
