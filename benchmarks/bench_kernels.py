@@ -228,7 +228,7 @@ def main():
             warm.append(t2 - t1)
         sample = rng.choice(n, size=SAMPLE, replace=False)
         want = per_token_reference([texts[i] for i in sample])
-        assert all(rows[i].values.tobytes() == w.tobytes() for i, w in zip(sample, want))
+        assert all(rows[i].tobytes() == w.tobytes() for i, w in zip(sample, want))
         print(f"{n:>6} | {len(tokens):>8} | {min(cold) * 1e3:7.1f}ms | {n / min(cold):8.0f} | "
               f"{min(warm) * 1e3:7.1f}ms | {n / min(warm):8.0f} | {min(warm) / n * 1e6:12.2f} | "
               f"{min(create) / min(cold):14.1%} | {min(create) / len(tokens) * 1e6:12.2f}")

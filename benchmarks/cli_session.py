@@ -45,16 +45,23 @@ MODES = ("embed_top1", "llm_local", "full", "no_tree", "no_diff")
 TREE_FLAGS = ["--window", "4", "--leaf-budget", "3", "--min-group", "2", "--fanout", "2",
               "--relations"]
 
+# each bench pair shares enough words that its cosine clears the bench
+# spec's pair_similarity_tau of 0.8 under every hash-embedder seed 0-199
+INCOME = ("main job wage income amount for the reference year before income tax and social"
+          " contributions in local currency units")
+HOURS = ("usual weekly hours worked in the main job counted as paid working time including"
+         " paid overtime and excluding breaks")
+
 SOURCE = {"tables": [
     {"table_id": "person", "name": "person", "ordered": True,
      "description": "one row per survey respondent", "columns": [
-         {"name": "income_main", "description": "main job wage income amount for the reference year"},
+         {"name": "income_main", "description": INCOME},
          {"name": "city", "description": "city of residence"},
          {"name": "start_year", "description": "year the main job started"},
-         {"name": "hours_main", "description": "usual weekly hours worked in the main job"},
+         {"name": "hours_main", "description": HOURS},
          {"name": "employer_size", "description": "number of employees at the main employer"},
-         {"name": "income_side", "description": "main job wage income amount for the reference year extra"},
-         {"name": "hours_side", "description": "usual weekly hours worked in the main job extra"},
+         {"name": "income_side", "description": INCOME + " extra"},
+         {"name": "hours_side", "description": HOURS + " extra"},
          {"name": "birth_year", "description": "year the respondent was born"},
      ]},
     {"table_id": "household", "name": "household",

@@ -17,7 +17,7 @@ from construm.catalog import (
     load_catalog,
     mask_catalog,
 )
-from construm.gateway import ChatCall, ChatReply, EmbeddingVector, ModelGateway
+from construm.gateway import ChatCall, ChatReply, ModelGateway
 from construm.graph import Hypergraph, SimilarityGroup, SimilarityLink, build_hypergraph
 from construm.pipeline import Artifacts, MatchResult, MatchTrace, PipelineConfig, run_match
 from construm.tree import ContextPack, ContextTree, TreeParams, build_context_tree
@@ -32,7 +32,6 @@ __all__ = [
     "ColumnRef",
     "ContextPack",
     "ContextTree",
-    "EmbeddingVector",
     "Hypergraph",
     "MatchQuery",
     "MatchResult",

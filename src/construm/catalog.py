@@ -286,6 +286,19 @@ def mask_catalog(catalog: SchemaCatalog) -> SchemaCatalog:
     return SchemaCatalog(catalog.side, tables, metas, masked=True)
 
 
+def masking_mismatch(doc: dict, catalog: SchemaCatalog) -> str | None:
+    """Why an artifact file's ``doc`` does not fit ``catalog``'s masking state,
+    or None when it does. A file that records no state never fits."""
+    recorded = doc.get("masked")
+    if recorded is catalog.masked:
+        return None
+    state = {True: "masked", False: "unmasked"}
+    built = (f"was built from the {state[recorded]} catalog" if isinstance(recorded, bool)
+             else "records no masking state")
+    return (f"{built}, but this run's {catalog.side.value} catalog is {state[catalog.masked]}; "
+            f"rebuild it from that catalog")
+
+
 def scan_for_raw_identifiers(catalog: SchemaCatalog, texts: Iterable[str]) -> list[str]:
     """Raw identifiers of ``catalog`` found in ``texts`` (word-boundary match).
 

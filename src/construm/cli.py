@@ -166,7 +166,7 @@ def cmd_build_tree(args) -> int:
     tree = tree_mod.build_context_tree(catalog, params, gateway,
                                        annotate_relations=cfg["relations"])
     out.parent.mkdir(parents=True, exist_ok=True)
-    tree_mod.save_tree(tree, out)
+    tree_mod.save_tree(tree, catalog, out)
     write_run_config(cfg, out.parent)
     print(f"tree written to {out} ({len(tree.nodes)} nodes, "
           f"{len(tree.leaves())} leaves)")

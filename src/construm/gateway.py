@@ -129,19 +129,6 @@ class ChatReply:
     cache_hit: bool = False
 
 
-@dataclass
-class EmbeddingVector:
-    """One unit-normalized float64 embedding, as ``embed_batch`` returns it.
-
-    A ``Hypergraph`` stacks these rows into its single embedding matrix.
-    """
-
-    values: np.ndarray
-
-    def tolist(self) -> list[float]:
-        return self.values.tolist()
-
-
 def estimate_tokens(text: str) -> int:
     # ~4 chars per token; only used by backends that report no usage
     return (len(text) + 3) // 4
@@ -757,9 +744,9 @@ class ModelGateway:
             )
         return raw
 
-    def embed_batch(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        """One unit vector per text, in order, from calls of at most
-        ``MAX_EMBED_INPUTS`` texts. The batch is normalised as one matrix."""
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """A C-contiguous float64 ``(len(texts), dim)`` matrix of unit rows, in
+        order, from calls of at most ``MAX_EMBED_INPUTS`` texts."""
         if self.embed_backend is None:
             raise GatewayError("no embedding backend configured")
         if not texts:
@@ -780,4 +767,4 @@ class ModelGateway:
         if not norms.all():
             raise GatewayError("cannot normalize a zero embedding vector")
         matrix /= norms[:, None]
-        return [EmbeddingVector(row) for row in matrix]
+        return matrix

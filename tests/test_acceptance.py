@@ -17,7 +17,7 @@ from construm.evaluation import (
     weighted_average,
 )
 from construm.gateway import HashEmbeddingBackend, ModelGateway
-from construm.graph import SimilarityLink, build_hypergraph, embedding_text, extract_groups
+from construm.graph import build_hypergraph, embedding_text, extract_groups
 from construm.pipeline import Artifacts, PipelineConfig, run_match, shortlist
 from construm.tree import TreeParams, build_context_tree, lineage
 from helpers import (
@@ -50,16 +50,14 @@ def grouping_catalogs(count=100, max_n=300):
         cat = random_catalog(seed=10_000 + i, side="target", n=n,
                              tokens_per_desc=int(rng.integers(2, 7)))
         refs = list(cat.refs())
-        vectors = gateway.embed_batch([embedding_text(cat, r) for r in refs])
-        matrix = np.ascontiguousarray(np.stack([v.values for v in vectors]))
+        matrix = gateway.embed_batch([embedding_text(cat, r) for r in refs])
         out.append((cat, refs, matrix))
     return out
 
 
 def production_groups(refs, matrix, tau):
-    raw = kernels.threshold_links(matrix, tau)
-    links = [SimilarityLink(refs[i], refs[j], c) for i, j, c in raw]
-    return links, extract_groups(links, refs)
+    pairs = kernels.threshold_links(matrix, tau)
+    return pairs, extract_groups(pairs, refs)
 
 
 def test_component_oracle_equivalence_100_catalogs():
@@ -86,8 +84,8 @@ def test_tau_monotonicity_zero_violations():
     for cat, refs, matrix in catalogs:
         per_tau = {}
         for tau in TAU_GRID:
-            links, groups = production_groups(refs, matrix, tau)
-            per_tau[tau] = ({(l.a, l.b) for l in links},
+            pairs, groups = production_groups(refs, matrix, tau)
+            per_tau[tau] = ({(i, j) for i, j, _ in pairs},
                             [g.members for g in groups])
         for lo, hi in zip(TAU_GRID, TAU_GRID[1:]):
             lo_links, lo_groups = per_tau[lo]
@@ -324,8 +322,7 @@ def test_benchmark_determinism_and_exhaustive_oracle():
 
     # exhaustive oracle over all column pairs
     refs = list(source.refs())
-    vectors = gw.embed_batch([embedding_text(source, r) for r in refs])
-    m = np.stack([v.values for v in vectors])
+    m = gw.embed_batch([embedding_text(source, r) for r in refs])
     expected = set()
     for i in range(n):
         for j in range(i + 1, n):

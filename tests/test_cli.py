@@ -278,6 +278,40 @@ def test_masked_build_is_reproducible_from_its_run_config(tmp_path):
     assert "raw name" not in (tmp_path / "build-tree" / "first" / "tree.json").read_text()
 
 
+@pytest.mark.parametrize("recorded", ["unmasked", "no-flag"])
+@pytest.mark.parametrize("kind", ["graph", "tree"])
+def test_masked_match_refuses_an_artifact_built_unmasked(tmp_path, capsys, kind, recorded):
+    source, target, script = fixture_files(tmp_path)
+    backend = f"scripted:{script}"
+    masked_cfg = write_json(tmp_path / "masked.json", {"mask_source": True, "mask_target": True})
+    paths = {}
+    for name, flags in (("masked", ["--mask"]), ("plain", [])):
+        paths[name] = tmp_path / name / f"{kind}.json"
+        assert main([f"build-{kind}", "--catalog", str(target), "--side", "target", *flags,
+                     "--out", str(paths[name]), "--backend", backend]) == 0
+    if recorded == "no-flag":  # as every file written before artifacts recorded masking
+        doc = json.loads(paths["plain"].read_text())
+        del doc["masked"]
+        if kind == "tree":
+            del doc["content_hash"]
+            paths["plain"].write_text(hashed_tree(**doc))
+        else:
+            write_json(paths["plain"], doc)
+    capsys.readouterr()
+
+    def match(path):
+        return main(["match", "--source-catalog", str(source), "--target-catalog", str(target),
+                     f"--target-{kind}", str(path), "--source", "C1", "--mode", "full",
+                     "--k", "2", "--config", str(masked_cfg), "--out", str(tmp_path / "run"),
+                     "--backend", backend])
+
+    assert match(paths["masked"]) == 0
+    assert match(paths["plain"]) == 1
+    err = capsys.readouterr().err
+    assert str(paths["plain"]) in err and "rebuild it" in err, err
+    assert ("records no masking state" if recorded == "no-flag" else "the unmasked catalog") in err
+
+
 def test_bench_run_records_the_masking_its_spec_applies(tmp_path):
     source, target, script, benchspec = bench_setup(tmp_path)
     spec = json.loads(benchspec.read_text())

@@ -357,20 +357,20 @@ def test_invalid_timeout_rejected():
 def test_identical_texts_embed_identically():
     _, gw = scripted()
     a, b = gw.embed_batch(["a", "a"])
-    assert np.array_equal(a.values, b.values)
-    assert float(np.dot(a.values, b.values)) == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(a, b)
+    assert float(np.dot(a, b)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vectors_are_unit_normalized():
     _, gw = scripted()
     for vec in gw.embed_batch(["alpha beta", "gamma", "alpha beta gamma delta"]):
-        assert abs(np.linalg.norm(vec.values) - 1.0) < 1e-6
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-6
 
 
 def test_cosine_matches_independent_dot_oracle():
     _, gw = scripted()
     a, b = gw.embed_batch(["a", "b"])
-    reported = float(np.dot(a.values, b.values))
+    reported = float(np.dot(a, b))
     oracle = sum(x * y for x, y in zip(a.tolist(), b.tolist()))
     assert abs(reported - oracle) < 1e-9
 
@@ -399,8 +399,8 @@ def test_hash_embedder_overlap_monotone():
     base = "one two three four five six seven eight"
     near, far = gw.embed_batch([base + " nine", "totally different words here now"])
     (full,) = gw.embed_batch([base])
-    cos_near = float(np.dot(full.values, near.values))
-    cos_far = float(np.dot(full.values, far.values))
+    cos_near = float(np.dot(full, near))
+    cos_far = float(np.dot(full, far))
     assert cos_near > 0.85 > cos_far
 
 
@@ -501,7 +501,7 @@ def test_batch_pass_equals_the_per_token_running_sum(dim, seed):
         assert len(raw) == len(texts)
         assert all(same_bytes(r, w) for r, w in zip(raw, want))
         got = gw.embed_batch(texts)
-        assert all(same_bytes(g.values, reference_from_raw(w)) for g, w in zip(got, want))
+        assert all(same_bytes(g, reference_from_raw(w)) for g, w in zip(got, want))
 
 
 def test_batch_over_several_calls_equals_the_per_row_normalisation():
@@ -509,8 +509,10 @@ def test_batch_over_several_calls_equals_the_per_row_normalisation():
     gw = ModelGateway(embed_backend=HashEmbeddingBackend())
     got = gw.embed_batch(texts)
     assert gw.accounting.snapshot().embed_calls == 2
+    assert got.shape == (len(texts), 64) and got.dtype == np.float64
+    assert got.flags.c_contiguous
     want = reference_embed(texts)
-    assert all(same_bytes(g.values, reference_from_raw(w)) for g, w in zip(got, want))
+    assert all(same_bytes(g, reference_from_raw(w)) for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize("dim", [1, 3, 64, 1536])
@@ -527,7 +529,7 @@ def test_batch_normalisation_equals_the_per_row_one(dim):
 
     got = ModelGateway(embed_backend=Fixed()).embed_batch([str(i) for i in range(50)])
     want = Fixed().embed([str(i) for i in range(50)])
-    assert all(same_bytes(g.values, reference_from_raw(w)) for g, w in zip(got, want))
+    assert all(same_bytes(g, reference_from_raw(w)) for g, w in zip(got, want))
 
 
 def test_mixed_batch_across_calls_equals_the_running_sum():
@@ -546,7 +548,7 @@ def test_mixed_batch_across_calls_equals_the_running_sum():
     gw = ModelGateway(embed_backend=HashEmbeddingBackend())
     got = gw.embed_batch(texts)
     assert gw.accounting.snapshot().embed_calls == 2
-    assert all(same_bytes(g.values, reference_from_raw(w)) for g, w in zip(got, want))
+    assert all(same_bytes(g, reference_from_raw(w)) for g, w in zip(got, want))
 
 
 def test_embedding_no_text_gives_an_empty_matrix():
@@ -629,7 +631,7 @@ def test_concurrent_batches_give_the_bytes_of_serial_ones():
     finally:
         sys.setswitchinterval(interval)
     for got, want in zip(concurrent, serial):
-        assert all(same_bytes(g.values, w.values) for g, w in zip(got, want))
+        assert all(same_bytes(g, w) for g, w in zip(got, want))
     # every token's direction was made once, however the batches interleaved
     assert sorted(backend.created) == sorted({t for b in batches for text in b
                                               for t in text.split() or [""]})

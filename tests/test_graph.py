@@ -7,7 +7,6 @@ from construm.catalog import ColumnRef, Side
 from construm.gateway import HashEmbeddingBackend, ModelGateway
 from construm.graph import (
     Hypergraph,
-    SimilarityLink,
     build_hypergraph,
     expand_candidates,
     extract_groups,
@@ -87,9 +86,7 @@ def test_extract_groups_no_links_all_singletons():
 def test_extract_groups_chain_is_one_group():
     cat = random_catalog(2, "target", n=4)
     a, b, c, d = cat.refs()
-    links = [SimilarityLink(a, b, 0.95), SimilarityLink(b, c, 0.95),
-             SimilarityLink(c, d, 0.95)]
-    groups = extract_groups(links, [a, b, c, d])
+    groups = extract_groups([(0, 1, 0.95), (1, 2, 0.95), (2, 3, 0.95)], [a, b, c, d])
     assert [g.members for g in groups] == [frozenset({a, b, c, d})]
 
 
@@ -104,9 +101,9 @@ def test_extract_groups_random_vs_dfs_oracle():
         while len(idx_pairs) < n_links:
             i, j = sorted(rng.choice(n, size=2, replace=False))
             idx_pairs.add((int(i), int(j)))
-        links = [SimilarityLink(refs[i], refs[j], 0.99) for i, j in sorted(idx_pairs)]
+        pairs = [(i, j, 0.99) for i, j in sorted(idx_pairs)]
         got = {frozenset(refs.index(r) for r in g.members)
-               for g in extract_groups(links, refs)}
+               for g in extract_groups(pairs, refs)}
         assert got == set(dfs_components(n, sorted(idx_pairs)))
 
 
@@ -169,6 +166,14 @@ def test_ranked_matches_sort_oracle_with_ties_and_unsorted_tables():
         among = hg.columns[1::2] + hg.columns[:1]
         assert hg.ranked(scores, among=among) == [r for r in oracle if r in among]
         assert hg.ranked(scores, among=[]) == []
+
+
+def test_graph_freezes_its_own_copy_of_the_rows():
+    cat = random_catalog(3, "target", n=6)
+    rows = hash_gateway().embed_batch([f"text {i}" for i in range(6)])
+    hg = Hypergraph(Side.TARGET, 0.9, list(cat.refs()), rows, (), ())
+    assert np.array_equal(hg.matrix, rows) and hg.matrix is not rows
+    assert not hg.matrix.flags.writeable and rows.flags.writeable
 
 
 def test_top_k_ranking_matches_the_full_ranking_cut_at_k():

@@ -178,7 +178,7 @@ def test_embedding_server_error_then_success_goes_through_one_retry(loopback, wa
     loopback.reply({"error": "overloaded"}, status=500)
     loopback.reply(embed_doc([[1.0, 0.0], [0.0, 1.0]]))
     a, b = gw.embed_batch(["a", "b"])
-    np.testing.assert_array_equal(np.stack([a.values, b.values]), np.eye(2))
+    np.testing.assert_array_equal(np.stack([a, b]), np.eye(2))
     assert len(loopback.requests) == 2
     assert gw.accounting.snapshot().embed_calls == 1
     assert waits == []  # no Retry-After: the retry is immediate
@@ -230,7 +230,7 @@ def test_embedding_batch_over_the_cap_is_split_in_order(loopback):
     vectors = gw.embed_batch(texts)
     assert [body["input"] for _, _, body in loopback.requests] == \
         [texts[:MAX_EMBED_INPUTS], texts[MAX_EMBED_INPUTS:]]
-    np.testing.assert_allclose(np.stack([v.values for v in vectors]), rows, atol=1e-12)
+    np.testing.assert_allclose(vectors, rows, atol=1e-12)
     snap = gw.accounting.snapshot()
     assert (snap.embed_calls, snap.embed_texts) == (2, len(texts))
 

@@ -73,7 +73,7 @@ def test_shortlist_top1_matches_argmax_oracle():
     hg = artifacts.target_graph
     from construm.graph import embedding_text
 
-    s_vec = gw.embed_batch([embedding_text(artifacts.source_catalog, s)])[0].values
+    s_vec = gw.embed_batch([embedding_text(artifacts.source_catalog, s)])[0]
     sims = [float(np.dot(hg.vector(r), s_vec)) for r in hg.columns]
     assert got == [hg.columns[int(np.argmax(sims))]]
 
@@ -86,7 +86,7 @@ def test_shortlist_descending_with_deterministic_ties():
     hg = artifacts.target_graph
     from construm.graph import embedding_text
 
-    s_vec = gw.embed_batch([embedding_text(artifacts.source_catalog, s)])[0].values
+    s_vec = gw.embed_batch([embedding_text(artifacts.source_catalog, s)])[0]
     sims = [float(np.dot(hg.vector(r), s_vec)) for r in got]
     assert sims == sorted(sims, reverse=True)
     assert len(set(got)) == 15
@@ -641,7 +641,7 @@ def test_loader_rejects_an_artifact_built_before_its_catalog_changed(tmp_path, k
         save_hypergraph(build_hypergraph(built, gw, tau=0.9), built, path)
         load, error = load_hypergraph, ValueError
     else:
-        save_tree(build_context_tree(built, PARAMS, gw), path)
+        save_tree(build_context_tree(built, PARAMS, gw), built, path)
         load, error = load_tree, TreeError
     load(path, built)  # the catalog it was built from
     with pytest.raises(error, match="rebuild") as info:

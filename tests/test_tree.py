@@ -745,7 +745,7 @@ def test_build_is_deterministic_and_serializable(tmp_path):
     assert json.dumps(tree_to_dict(t1), sort_keys=True) == \
         json.dumps(tree_to_dict(t2), sort_keys=True)
     path = tmp_path / "tree.json"
-    save_tree(t1, path)
+    save_tree(t1, cat, path)
     loaded = load_tree(path, cat)
     assert tree_to_dict(loaded) == tree_to_dict(t1)
     check_tree_invariants(loaded, cat, PARAMS)
@@ -755,7 +755,7 @@ def test_load_tree_rejects_an_edited_summary(tmp_path):
     cat = multi_table_catalog([12, 5], seed=2)
     tree = build_context_tree(cat, PARAMS, tree_gateway())
     path = tmp_path / "tree.json"
-    save_tree(tree, path)
+    save_tree(tree, cat, path)
     assert tree_to_dict(load_tree(path, cat)) == tree_to_dict(tree)
     doc = json.loads(path.read_text())
     doc["nodes"]["tbl:t0"]["summary"] += " (edited)"
