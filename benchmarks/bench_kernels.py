@@ -10,7 +10,7 @@ embeddings with a cutoff every pair is within, so each run makes n - 1
 merges. Last, on tied roots (each table takes one of a few random
 directions, as tables with equal summaries do), it times
 ``tree.plan_merges`` and ``tree.collapse_tied_merges``, which turns tied
-merges into n-ary clusters, and prints the clusters kept and the
+merges into n-ary clusters from the plan's heights, and prints the clusters kept and the
 collapse's share of the planning time. Last, at 5k and 20k target
 columns with planted near-duplicates, it times one query's shortlist
 (``Hypergraph.ranked`` with a top-k, as ``pipeline.shortlist`` calls it,
@@ -150,7 +150,7 @@ def main():
         m = rng.standard_normal((n, args.dim))
         m /= np.linalg.norm(m, axis=1, keepdims=True)
         dist = 1.0 - m @ m.T
-        elapsed, (merges, survivors) = best_of(args.repeat, plan_merges, dist, FULL_MERGE)
+        elapsed, (merges, _, survivors) = best_of(args.repeat, plan_merges, dist, FULL_MERGE)
         print(f"{n:>6} | {elapsed * 1e3:8.1f}ms | {len(merges):>10} | {len(survivors)}")
 
     print(f"\ntied roots ({DIRECTIONS} directions), cluster cutoff {FULL_MERGE}, "
@@ -164,8 +164,8 @@ def main():
         base /= np.linalg.norm(base, axis=1, keepdims=True)
         m = base[rng.integers(DIRECTIONS, size=n)]
         dist = 1.0 - m @ m.T
-        plan_s, (merges, _) = best_of(args.repeat, plan_merges, dist, FULL_MERGE)
-        collapse_s, kept = best_of(args.repeat, collapse_tied_merges, dist, merges)
+        plan_s, (merges, heights, _) = best_of(args.repeat, plan_merges, dist, FULL_MERGE)
+        collapse_s, kept = best_of(args.repeat, collapse_tied_merges, n, merges, heights)
         print(f"{n:>6} | {plan_s * 1e3:8.1f}ms | {collapse_s * 1e3:8.1f}ms | "
               f"{collapse_s / plan_s:6.1%} | {len(kept)}")
 

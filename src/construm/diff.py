@@ -37,17 +37,19 @@ class DifferentiationBlock:
     members_in_prompt: tuple[ColumnRef, ...]
 
 
-def select_groups(groups: Sequence[SimilarityGroup], query_vec: np.ndarray | None,
+def select_groups(groups: Sequence[SimilarityGroup], sims: np.ndarray | None,
                   hypergraph: Hypergraph) -> list[tuple[SimilarityGroup, tuple[ColumnRef, ...]]]:
     """Keep the ``MAX_GROUPS`` most confusable non-singleton groups, members ranked.
 
-    Priority is the maximum member cosine to the query embedding (closest
-    first), ties broken by larger group then smallest member id. Oversize
-    groups are truncated to their ``MAX_GROUP_MEMBERS`` highest-cosine members.
+    ``sims`` holds the query embedding's cosine to every column of
+    ``hypergraph``, in ``columns`` order, or is None without an embedding.
+    Priority is the maximum member cosine to the query (closest first),
+    ties broken by larger group then smallest member id. Oversize groups
+    are truncated to their ``MAX_GROUP_MEMBERS`` highest-cosine members.
+    Without ``sims``, members go in ``sort_key`` order at equal priority.
     Returns (group, ordered members) pairs; empty when no group has two or
     more members.
     """
-    sims = None if query_vec is None else hypergraph.matrix @ query_vec
     scored = []
     for g in groups:
         if len(g) < 2:

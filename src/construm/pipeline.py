@@ -271,10 +271,10 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     if config.use_expansion and tg is not None:
         candidates = expand_candidates(candidates, tg)
 
-    s_vec = None
+    sims = None  # the query's cosine to every target column
     if tg is not None:
         try:
-            s_vec = _source_vector(s, artifacts, gateway)
+            sims = tg.matrix @ _source_vector(s, artifacts, gateway)
         except GatewayError as exc:
             logger.warning("query embedding failed for %s; candidate groups and "
                            "ranking fall back to prompt order: %s", s, exc)
@@ -300,7 +300,7 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
                     logger.warning("context pack unavailable for %s: %s", ref, exc)
                     packs[ref] = None
 
-    chosen_groups = (select_groups(groups_within(candidates, tg), s_vec, tg)
+    chosen_groups = (select_groups(groups_within(candidates, tg), sims, tg)
                      if config.use_diff and tg is not None else [])
 
     query_meta = f"{scat.display_name(s)}: {scat.meta(s).description}"
@@ -361,6 +361,6 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     # chosen first; the rest by cosine when the query has an embedding, else
     # in prompt order (no target graph, or the query embedding failed)
     rest = [c for c in candidates if c != chosen]
-    if s_vec is not None:
-        rest = tg.ranked(tg.matrix @ s_vec, among=rest)
+    if sims is not None:
+        rest = tg.ranked(sims, among=rest)
     return chosen, [chosen] + rest, prompt

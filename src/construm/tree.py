@@ -152,9 +152,6 @@ class ContextTree:
         return [n for n in self.nodes.values()
                 if n.kind is NodeKind.GROUP_LEAF]
 
-    def with_relations(self, relations: Sequence[RelationSnippet]) -> "ContextTree":
-        return ContextTree(self.side, self.root, self.nodes, self.params, tuple(relations))
-
 
 def lineage(tree: ContextTree, column: ColumnRef) -> list[TreeNode]:
     """Leaf-to-root path of nodes for one column (parent links only)."""
@@ -614,7 +611,8 @@ def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParam
 UNIFORM_READ_MIN = 4096  # block entries below which reading beats a uniform lookup
 
 
-def plan_merges(dist: np.ndarray, threshold: float) -> tuple[list[tuple[int, int]], list[int]]:
+def plan_merges(dist: np.ndarray, threshold: float,
+                ) -> tuple[list[tuple[int, int]], list[float], list[int]]:
     """Average-linkage merge plan over a cosine-distance matrix.
 
     Clusters are numbered as they appear: ``0..n-1`` are the inputs and
@@ -625,8 +623,9 @@ def plan_merges(dist: np.ndarray, threshold: float) -> tuple[list[tuple[int, int
     in input order and appends each merged cluster at its end. A pair's
     distance is the mean of its block of ``dist`` with the earlier-listed
     cluster's items as rows, in listing order, so every distance is
-    bit-for-bit that one ``mean`` call. Returns the merges and the
-    surviving clusters, ordered by their smallest member.
+    bit-for-bit that one ``mean`` call. Returns the merges, the distance
+    each merged at (its height), and the surviving clusters, ordered by
+    their smallest member.
 
     Besides its block means, a merge costs O(n): it reads one row to find
     the pair, and rescans a row only once no column holds its minimum. A
@@ -654,6 +653,7 @@ def plan_merges(dist: np.ndarray, threshold: float) -> tuple[list[tuple[int, int
     # the live clusters of each size: their slots, and their members as rows
     by_size = {1: (np.arange(n), np.arange(n)[:, None])}
     merges: list[tuple[int, int]] = []
+    heights: list[float] = []
 
     def unlist(slot: int):
         slots, members = by_size.pop(len(items[slot]))
@@ -692,6 +692,7 @@ def plan_merges(dist: np.ndarray, threshold: float) -> tuple[list[tuple[int, int
         t = cols[np.argmin(rank[cols])]
         a, b = sorted((int(s), int(t)), key=lambda slot: listed[slot])
         merges.append((int(cluster[a]), int(cluster[b])))
+        heights.append(float(d))
         cluster[a] = n + len(merges) - 1
         listed[a] = n + len(merges)
         rank[a] = min(rank[a], rank[b])
@@ -736,38 +737,33 @@ def plan_merges(dist: np.ndarray, threshold: float) -> tuple[list[tuple[int, int
         else:
             by_size[len(merged)] = (np.array([a]), merged[None, :])
     survivors = sorted(items, key=lambda slot: rank[slot])
-    return merges, [int(cluster[slot]) for slot in survivors]
+    return merges, heights, [int(cluster[slot]) for slot in survivors]
 
 
 TIE_TOLERANCE = 1e-9  # merge heights this close are one height (float noise)
 
 
-def collapse_tied_merges(dist: np.ndarray, merges: Sequence[tuple[int, int]],
+def collapse_tied_merges(n: int, merges: Sequence[tuple[int, int]], heights: Sequence[float],
                          ) -> list[tuple[int, tuple[int, ...]]]:
     """The multidendrogram of a merge plan: tied merges make one n-ary cluster.
 
-    ``merges`` is :func:`plan_merges`' plan over ``dist``. A merge's height
-    is the average-linkage distance between its two clusters. When a merge
-    is within ``TIE_TOLERANCE`` of a child cluster's height, it takes in
-    that child's children, and the child is not kept (Fernández and Gómez,
-    "Solving non-uniqueness in agglomerative hierarchical clustering using
-    multidendrograms", 2008). A tolerance, not equality: the heights of
-    identical rows differ in the last bits. Returns the kept clusters in
-    merge order, each with its children, all in the plan's numbering.
+    ``merges`` and ``heights`` are :func:`plan_merges`' plan over ``n``
+    inputs; a merge's height is the average-linkage distance between its
+    two clusters. When a merge is within ``TIE_TOLERANCE`` of a child
+    cluster's height, it takes in that child's children, and the child is
+    not kept (Fernández and Gómez, "Solving non-uniqueness in agglomerative
+    hierarchical clustering using multidendrograms", 2008). A tolerance,
+    not equality: the heights of identical rows differ in the last bits.
+    Returns the kept clusters in merge order, each with its children, all
+    in the plan's numbering.
     """
-    n = len(dist)
-    members = {i: np.array([i]) for i in range(n)}
-    height: dict[int, float] = {}
     children: dict[int, list[int]] = {}  # kept clusters only
-    for k, (a, b) in enumerate(merges):
-        rows, cols = members.pop(a), members.pop(b)
-        c = n + k
-        members[c] = np.concatenate((rows, cols))
-        height[c] = h = dist[rows[:, None], cols].sum() / (len(rows) * len(cols))
+    for c, (a, b) in enumerate(merges, start=n):
+        h = heights[c - n]
         kids, todo = [], [a, b]
         while todo:
             child = todo.pop()
-            if child in children and abs(h - height[child]) <= TIE_TOLERANCE:
+            if child in children and abs(h - heights[child - n]) <= TIE_TOLERANCE:
                 todo.extend(children.pop(child))
             else:
                 kids.append(child)
@@ -797,60 +793,50 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
     highest child's, and its prompt lists every child's summary. When
     ``relations`` is not None, each cluster's and the database root's
     sibling-relation call goes beside its own summary
-    (:func:`_summarize_parents`). The returned tree holds no relations.
+    (:func:`_summarize_parents`). Each subtree lists its root last, as
+    :func:`build_table_tree` does. The returned tree holds every snippet in
+    ``relations``, the table builds' too, in parent-id order.
     """
     if not table_trees:
         raise TreeError("no table trees to cluster")
-
-    def subtree_root(sub: dict[str, TreeNode]) -> str:
-        children = {c for n in sub.values() for c in n.children}
-        top = [nid for nid in sub if nid not in children]
-        if len(top) != 1:
-            raise TreeError(f"subtree has {len(top)} roots")
-        return top[0]
-
     nodes: dict[str, TreeNode] = {}
-    roots = []
     for sub in table_trees:
-        roots.append(subtree_root(sub))
         nodes.update(sub)
-    roots.sort()
-    if len(roots) == 1:
-        return ContextTree(side, roots[0], nodes, params)
-
-    vectors = gateway.embed_batch([nodes[r].summary for r in roots])
-    dist = 1.0 - vectors @ vectors.T
-    merges, survivors = plan_merges(dist, params.cluster_threshold)
-    ids = dict(enumerate(roots))
-    levels = dict.fromkeys(range(len(roots)), 0)
-    kids: dict[str, tuple[str, ...]] = {}
-    for k, (c, children) in enumerate(collapse_tied_merges(dist, merges), start=1):
-        ids[c] = f"grp:{k}"
-        levels[c] = 1 + max(levels[child] for child in children)
-        kids[ids[c]] = tuple(sorted(ids[child] for child in children))
-    summaries = {r: nodes[r].summary for r in roots}
-    for level in range(1, max(levels.values()) + 1):
-        batch = [ids[c] for c, lv in levels.items() if lv == level]
-        texts = _summarize_parents([
-            (g, "cluster-summary", "", [(child, summaries[child]) for child in kids[g]])
-            for g in batch
-        ], gateway, relations)
-        summaries.update(zip(batch, texts))
-    for g, children in kids.items():
-        nodes[g] = TreeNode(node_id=g, kind=NodeKind.CLUSTER, summary=summaries[g],
-                            children=children)
-
-    if len(survivors) == 1:
-        return ContextTree(side, ids[survivors[0]], nodes, params)
-    root_id = "db:root"
-    children = [(ids[c], summaries[ids[c]]) for c in survivors]
-    [summary] = _summarize_parents([(root_id, "node-summary", "", children)],
-                                   gateway, relations)
-    nodes[root_id] = TreeNode(
-        node_id=root_id, kind=NodeKind.DB_ROOT, summary=summary,
-        children=tuple(cid for cid, _ in children),
-    )
-    return ContextTree(side, root_id, nodes, params)
+    roots = sorted(next(reversed(sub)) for sub in table_trees)
+    root = roots[0]
+    if len(roots) > 1:
+        vectors = gateway.embed_batch([nodes[r].summary for r in roots])
+        dist = 1.0 - vectors @ vectors.T
+        merges, heights, survivors = plan_merges(dist, params.cluster_threshold)
+        ids = dict(enumerate(roots))
+        levels = dict.fromkeys(range(len(roots)), 0)
+        kids: dict[str, tuple[str, ...]] = {}
+        for k, (c, children) in enumerate(collapse_tied_merges(len(roots), merges, heights),
+                                          start=1):
+            ids[c] = f"grp:{k}"
+            levels[c] = 1 + max(levels[child] for child in children)
+            kids[ids[c]] = tuple(sorted(ids[child] for child in children))
+        summaries = {r: nodes[r].summary for r in roots}
+        for level in range(1, max(levels.values()) + 1):
+            batch = [ids[c] for c, lv in levels.items() if lv == level]
+            texts = _summarize_parents([
+                (g, "cluster-summary", "", [(child, summaries[child]) for child in kids[g]])
+                for g in batch
+            ], gateway, relations)
+            summaries.update(zip(batch, texts))
+        for g, children in kids.items():
+            nodes[g] = TreeNode(node_id=g, kind=NodeKind.CLUSTER, summary=summaries[g],
+                                children=children)
+        root = ids[survivors[0]]
+        if len(survivors) > 1:
+            root = "db:root"
+            children = [(ids[c], summaries[ids[c]]) for c in survivors]
+            [summary] = _summarize_parents([(root, "node-summary", "", children)],
+                                           gateway, relations)
+            nodes[root] = TreeNode(node_id=root, kind=NodeKind.DB_ROOT, summary=summary,
+                                   children=tuple(cid for cid, _ in children))
+    snippets = [r for parent in sorted(relations or ()) for r in relations[parent]]
+    return ContextTree(side, root, nodes, params, snippets)
 
 
 # -- sibling relation annotation ----------------------------------------------
@@ -956,10 +942,7 @@ def build_context_tree(catalog: SchemaCatalog, params: TreeParams, gateway: Mode
     subtrees = gateway.concurrently([
         partial(build_table_tree, catalog, t, params, gateway, relations)
         for t in catalog.tables])
-    tree = cluster_tables(subtrees, params, gateway, catalog.side, relations)
-    if relations is None:
-        return tree
-    return tree.with_relations([r for parent in sorted(relations) for r in relations[parent]])
+    return cluster_tables(subtrees, params, gateway, catalog.side, relations)
 
 
 # -- context packs ------------------------------------------------------------

@@ -41,13 +41,13 @@ def planted_graph(group_sims):
 def test_select_groups_drops_singletons():
     cat, hg, query = planted_graph([0.9])
     singles = [g for g in hg.groups if len(g) == 1]
-    assert select_groups(singles, query, hg) == []
+    assert select_groups(singles, hg.matrix @ query, hg) == []
 
 
 def test_select_groups_priority_matches_sort_oracle():
     sims = [0.30, 0.95, 0.10, 0.80, 0.55, 0.70, 0.20, 0.60]
     cat, hg, query = planted_graph(sims)
-    chosen = select_groups(list(hg.groups), query, hg)
+    chosen = select_groups(list(hg.groups), hg.matrix @ query, hg)
     assert len(chosen) == 6
 
     # oracle: sort groups by max member cosine to the query, descending
@@ -69,7 +69,7 @@ def test_select_groups_truncates_oversize_group_by_cosine():
     gw = ModelGateway(embed_backend=PositionalEmbeddingBackend([vectors]))
     hg = build_hypergraph(cat, gw, tau=0.9)
     big = [g for g in hg.groups if len(g) == 30][0]
-    chosen = select_groups([big], e[0], hg)
+    chosen = select_groups([big], hg.matrix @ e[0], hg)
     (group, members), = chosen
     assert len(members) == 24
     assert [m.ordinal for m in members] == list(range(24))  # highest cosine first

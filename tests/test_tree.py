@@ -582,7 +582,8 @@ def test_near_tied_heights_make_one_cluster():
     rows = np.stack([unit(base + 1e-13 * rng.standard_normal(16)) for _ in range(k)])
     dist = 1.0 - rows @ rows.T
     assert len(np.unique(dist[np.triu_indices(k, 1)])) > 1  # not an exact tie
-    [(c, kids)] = collapse_tied_merges(dist, plan_merges(dist, 1.999)[0])
+    merges, heights, _ = plan_merges(dist, 1.999)
+    [(c, kids)] = collapse_tied_merges(k, merges, heights)
     assert c == 2 * k - 2 and sorted(kids) == list(range(k))
 
 
@@ -609,13 +610,16 @@ def test_collapse_keeps_member_sets_and_separates_heights():
     for _ in range(200):
         n = int(np.exp(rng.uniform(np.log(2), np.log(121))))
         dist = random_distances(rng, n)
-        merges, survivors = plan_merges(dist, float(rng.choice([0.3, 0.5, 1.0, 1.999])))
+        merges, heights, survivors = plan_merges(
+            dist, float(rng.choice([0.3, 0.5, 1.0, 1.999])))
         members = [frozenset([i]) for i in range(n)]
         height = {}
         for c, (a, b) in enumerate(merges, start=n):
             members.append(members[a] | members[b])
             height[c] = float(dist[np.ix_(sorted(members[a]), sorted(members[b]))].mean())
-        kept = collapse_tied_merges(dist, merges)
+            # the plan's height is its merge's block mean, up to summation order
+            assert abs(heights[c - n] - height[c]) <= 1e-12
+        kept = collapse_tied_merges(n, merges, heights)
         assert [c for c, _ in kept] == sorted(c for c, _ in kept)
         children = dict(kept)
         for c, kids in kept:
@@ -933,9 +937,9 @@ def test_plan_merges_matches_reference_loop_bit_for_bit():
         n = int(np.exp(rng.uniform(np.log(2), np.log(161))))  # log-uniform in 2..160
         dist = random_distances(rng, n)
         threshold = float(rng.choice([0.3, 0.5, 1.0, 1.999]))
-        plan = plan_merges(dist, threshold)
-        assert plan == reference_loop_plan(dist, threshold)
-        merges, survivors = plan
+        merges, heights, survivors = plan_merges(dist, threshold)
+        assert (merges, survivors) == reference_loop_plan(dist, threshold)
+        assert len(heights) == len(merges)
         assert sorted(survivors + [c for m in merges for c in m]) == list(range(n + len(merges)))
         upper = dist[np.triu_indices(n, 1)]
         tied += len(np.unique(upper)) < len(upper)
@@ -1167,11 +1171,15 @@ def test_cluster_and_root_summaries_are_in_flight_beside_their_relation_calls():
     task_of = {"TASK: cluster-summary": "grp:1", "TASK: node-summary": "db:root"}
     relations = {}
     tree = cluster(paired_bot(pairs, lambda p: task_of.get(p.split("\n", 1)[0])), relations)
-    assert tree_to_dict(tree) == tree_to_dict(cluster())
+    plain = cluster()
+    assert (tree.root, tree.nodes) == (plain.root, plain.nodes) and plain.relations == ()
     assert tree.node("db:root").children == ("grp:1", "tbl:t2")
     assert {p: [(r.from_node, r.to_node) for r in snippets]
             for p, snippets in relations.items()} == {
         "grp:1": [("tbl:t0", "tbl:t1")], "db:root": [("grp:1", "tbl:t2")]}
+    # the tree holds the snippets in parent-id order
+    assert [(r.from_node, r.to_node) for r in tree.relations] == [
+        ("grp:1", "tbl:t2"), ("tbl:t0", "tbl:t1")]
     assert not any(barrier.broken for barrier in pairs.values())
 
 
