@@ -157,9 +157,6 @@ class SchemaCatalog:
     def column_count(self) -> int:
         return len(self._by_ref)
 
-    def __len__(self) -> int:
-        return len(self._by_ref)
-
 
 # -- loading ---------------------------------------------------------------
 

@@ -50,9 +50,6 @@ class SimilarityGroup:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, ref: ColumnRef) -> bool:
-        return ref in self.members
-
     def sorted_members(self) -> list[ColumnRef]:
         return sorted(self.members, key=lambda r: r.sort_key)
 

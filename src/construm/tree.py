@@ -319,7 +319,8 @@ def repair_plan(groups: list[PlanGroup], min_group: int, max_groups: int,
 
     Ordered tables: a scan merges each undersized group into its smaller
     adjacent neighbor (left on ties), restarting until stable. Unordered
-    tables merge into the nearest-centroid group. Finally adjacent (or
+    tables merge into the nearest-centroid group, so they need
+    ``centroids`` when a group is undersized. Finally adjacent (or
     smallest) pairs merge until at most ``max_groups`` remain.
     """
     groups = list(groups)
@@ -347,15 +348,12 @@ def repair_plan(groups: list[PlanGroup], min_group: int, max_groups: int,
                 neighbors = [j for j in (i - 1, i + 1) if 0 <= j < len(groups)]
                 target = min(neighbors, key=lambda j: (len(groups[j].columns), j))
             else:
+                def _cos(j):
+                    a, b = centroids[i], centroids[j]
+                    denom = float(np.linalg.norm(a) * np.linalg.norm(b)) or 1.0
+                    return float(np.dot(a, b)) / denom
                 others = [j for j in range(len(groups)) if j != i]
-                if centroids is not None:
-                    def _cos(j):
-                        a, b = centroids[i], centroids[j]
-                        denom = float(np.linalg.norm(a) * np.linalg.norm(b)) or 1.0
-                        return float(np.dot(a, b)) / denom
-                    target = max(others, key=lambda j: (_cos(j), -j))
-                else:
-                    target = min(others, key=lambda j: (len(groups[j].columns), j))
+                target = max(others, key=lambda j: (_cos(j), -j))
             merge(i, target)
             changed = True
             break

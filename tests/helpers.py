@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import re
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -181,6 +182,16 @@ def first_candidate_decision_bot(prompt: str) -> str | None:
         return None
     cids = _CANDIDATE_CID_RE.findall(prompt)
     return f"thinking...\nANSWER: {cids[0]}" if cids else "ANSWER: C0"
+
+
+def jittered(responder, seed: int):
+    """``responder`` behind a sleep of 0-2 ms per call, keyed by crc32 of
+    ``seed`` and the prompt: the replies stay the same, and only the order
+    in which concurrent calls complete changes with ``seed``."""
+    def bot(prompt: str) -> str | None:
+        time.sleep(zlib.crc32(f"{seed}\x00{prompt}".encode()) % 2001 / 1e6)
+        return responder(prompt)
+    return bot
 
 
 def chain_bots(*bots):

@@ -2,8 +2,12 @@
 independent oracle and a stated tolerance or exact expectation, with
 runtime ceilings where the criterion names one."""
 
+import dataclasses
+import json
 import re
 import time
+import zlib
+from collections import Counter
 
 import numpy as np
 
@@ -13,19 +17,21 @@ from construm.evaluation import (
     BenchmarkSpec,
     generate_benchmark,
     run_ablation_suite,
+    run_queries,
     save_benchmark,
     weighted_average,
 )
 from construm.gateway import HashEmbeddingBackend, ModelGateway
-from construm.graph import build_hypergraph, embedding_text, extract_groups
-from construm.pipeline import Artifacts, PipelineConfig, run_match, shortlist
-from construm.tree import TreeParams, build_context_tree, lineage
+from construm.graph import build_hypergraph, embedding_text, extract_groups, save_hypergraph
+from construm.pipeline import MODES, Artifacts, PipelineConfig, run_match, shortlist
+from construm.tree import TreeParams, build_context_tree, lineage, save_tree
 from helpers import (
     build_catalog,
     chain_bots,
     diff_echo_bot,
     dfs_components,
     first_candidate_decision_bot,
+    jittered,
     leaf_coverage,
     make_gateway,
     random_catalog,
@@ -499,3 +505,106 @@ def test_prompt_packs_read_back_to_their_evidence_masked_and_unmasked(monkeypatc
     responder = chain_bots(diff_echo_bot, first_candidate_decision_bot, tree_bot)
     shared, packs = run_and_check_prompt_packs(masked_queries, masked, responder, monkeypatch)
     assert shared > 0 and packs > len(masked_queries)
+
+
+# -- schedule perturbation: no interleaving changes an output ---------------------
+
+SCHEDULE_SEEDS = (1, 2, 3, 4, 5)
+
+
+def clustered_catalog():
+    """Three wide tables and four pairs of narrow ones; each pair shares a
+    description, so the pairs make four clusters on one dendrogram level."""
+    sizes = [(60, ""), (3, "payments"), (130, ""), (4, "visits"), (5, "payments"),
+             (3, "visits"), (2, "claims"), (3, "claims"), (55, ""), (2, "wards"), (4, "wards")]
+    return build_catalog("source", [
+        table_doc(f"t{i}", [(f"t{i}_c{j}", f"col {j} of table {i}") for j in range(n)],
+                  description=about)
+        for i, (n, about) in enumerate(sizes)])
+
+
+def tagged_relations(prompt):
+    # snippets whose text depends on the siblings listed
+    if "TASK: sibling-relations" not in prompt:
+        return None
+    tag = zlib.crc32(prompt.encode())
+    return "\n".join(f"{a} -> {b}: {a} leads to {b} ({tag})" for a, b in ("AB", "BC", "CA"))
+
+
+def counters(spent):
+    return Counter({k: v for k, v in dataclasses.asdict(spent).items() if k != "latency"})
+
+
+def scheduled_run(out_dir, max_in_flight, seed=None):
+    """What one end-to-end run of the acceptance fixtures outputs: graph
+    and tree files, every chat prompt, and each query's outcome in every
+    mode, with every ``spent`` counter but latency. With ``seed``, each
+    chat call first sleeps a seeded 0-2 ms (``jittered``)."""
+    def gateway(*bots):
+        responder = chain_bots(*bots)
+        return make_gateway(responder=responder if seed is None else jittered(responder, seed),
+                            max_in_flight=max_in_flight)
+
+    out_dir.mkdir()
+    prompts, outcomes = Counter(), {}
+    queries, planted, planted_bot = planted_fixture()
+    _, _, masked = masked_fixture()
+    masked_queries = [MatchQuery(source=s) for s in list(masked.source_catalog.refs())[:5]]
+    for name, artifacts, qs, bot, params in (
+            ("planted", planted, queries, planted_bot,
+             TreeParams(leaf_budget=6, min_group=3, window=12)),
+            ("masked", masked, masked_queries,
+             chain_bots(diff_echo_bot, first_candidate_decision_bot),
+             TreeParams(leaf_budget=20, min_group=4, window=50))):
+        build = gateway(relation_bot, tree_bot)
+        for side in ("source", "target"):
+            catalog = getattr(artifacts, f"{side}_catalog")
+            tree = build_context_tree(catalog, params, build, True)
+            setattr(artifacts, f"{side}_tree", tree)
+            save_tree(tree, catalog, out_dir / f"{name}_{side}_tree.json")
+            save_hypergraph(getattr(artifacts, f"{side}_graph"), catalog,
+                            out_dir / f"{name}_{side}_graph.json")
+        ask = gateway(bot, tree_bot)
+        spent = Counter()
+        for mode in MODES:
+            results = run_queries(qs, PipelineConfig.from_mode(mode), artifacts, ask)
+            for i, (result, failure) in enumerate(results):
+                if result is None:
+                    record = (failure.message, counters(failure.spent))
+                else:
+                    record = (result.chosen, result.ranked, result.trace.prompt_snapshot,
+                              counters(result.trace.spent))
+                outcomes[name, mode, i] = record
+                spent += record[-1]
+        # every call a query made is booked to that query and no other
+        assert spent == counters(ask.accounting.snapshot())
+        prompts.update(build.chat_backend.call_log + ask.chat_backend.call_log)
+    build = gateway(tagged_relations, tree_bot)
+    tree = build_context_tree(clustered_catalog(), TreeParams(), build, True)
+    save_tree(tree, clustered_catalog(), out_dir / "clustered_tree.json")
+    prompts.update(build.chat_backend.call_log)
+    files = {p.name: p.read_text(encoding="utf-8") for p in out_dir.iterdir()}
+    return files, prompts, outcomes
+
+
+def test_schedule_perturbation_changes_no_output(tmp_path):
+    t0 = time.monotonic()
+    reference = scheduled_run(tmp_path / "serial", max_in_flight=1)
+    files, prompts, outcomes = reference
+    # the clustered tree's first level is four pairs, whose relation calls
+    # go out in one fan-out
+    clustered = json.loads(files["clustered_tree.json"])
+    pairs = [frozenset(node["children"]) for n, node in clustered["nodes"].items()
+             if n.startswith("grp:")]
+    assert len(pairs) == 4 and all(len(pair) == 2 for pair in pairs)
+    assert set(pairs) <= {frozenset(r[:2]) for r in clustered["relations"]}
+    # full-mode prompts hold packs and both sections of differentiation blocks
+    full = [o[2] for (name, mode, _), o in outcomes.items() if mode == "full" and len(o) == 4]
+    assert any("Group #2" in p and "Source diff" in p and "path to root" in p for p in full)
+    for seed in SCHEDULE_SEEDS:
+        run = scheduled_run(tmp_path / f"seed{seed}", max_in_flight=16, seed=seed)
+        assert run[0] == files, seed
+        assert run[1] == prompts, seed
+        assert run[2] == outcomes, seed
+    elapsed = time.monotonic() - t0
+    assert elapsed < 5.0, f"took {elapsed:.1f}s"

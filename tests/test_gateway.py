@@ -1,6 +1,7 @@
 import contextvars
 import hashlib
 import json
+import logging
 import os
 import random
 import sys
@@ -346,6 +347,20 @@ def test_cache_record_is_valid_json_on_disk(tmp_path):
     assert record["text"] == "r"
 
 
+def test_a_corrupt_cache_record_is_discarded_and_written_again(tmp_path, caplog):
+    backend, gw = scripted(rules=[ScriptRule("q", "r")], cache=DiskCache(tmp_path))
+    record = tmp_path / f"{cache_key(backend.backend_id, 'relation', 'q')}.json"
+    record.write_text('{"text": "torn', encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="construm.gateway"):
+        reply = gw.complete(ChatCall("relation", "q"))
+    assert reply.text == "r" and not reply.cache_hit
+    assert len(backend.call_log) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"discarding corrupt cache record {record}"]
+    assert json.loads(record.read_text(encoding="utf-8"))["text"] == "r"
+    assert gw.complete(ChatCall("relation", "q")).cache_hit
+
+
 def test_invalid_timeout_rejected():
     with pytest.raises(ValueError):
         ChatCall("decision", "x", timeout=0)
@@ -391,6 +406,23 @@ def test_dimension_mismatch_detected():
     gw = ModelGateway(embed_backend=Ragged())
     with pytest.raises(GatewayError, match="dimension mismatch"):
         gw.embed_batch(["a", "b"])
+
+
+def test_an_embedding_reply_one_row_short_is_retried_then_fails():
+    class OneShort:
+        backend_id = "one-short"
+        calls = 0
+
+        def embed(self, texts):
+            self.calls += 1
+            return [np.ones(4)] * (len(texts) - 1)
+
+    backend = OneShort()
+    gw = ModelGateway(embed_backend=backend)
+    with pytest.raises(TransportError, match="returned 2 vectors for 3 texts"):
+        gw.embed_batch(["a", "b", "c"])
+    assert backend.calls == MAX_ATTEMPTS == 2
+    assert gw.accounting.snapshot().embed_calls == 0
 
 
 def test_hash_embedder_overlap_monotone():

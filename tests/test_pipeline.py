@@ -592,6 +592,25 @@ def test_full_query_builds_each_context_pack_once(monkeypatch):
     assert set(built.values()) == {1}, built
 
 
+def test_a_pack_budget_below_every_minimum_still_answers_without_packs(caplog):
+    artifacts, responder = time_fixture()
+    scat, tcat = artifacts.source_catalog, artifacts.target_catalog
+    artifacts = dataclasses.replace(
+        artifacts, source_tree=build_context_tree(scat, PARAMS, tree_gateway()),
+        target_tree=build_context_tree(tcat, PARAMS, tree_gateway()))
+    packed = [scat.resolve("CHARTTIME"), scat.resolve("STORETIME"),
+              tcat.resolve("observation_time"), tcat.resolve("recorded_time")]
+    q = MatchQuery(source=packed[0], shortlist=tuple(packed[2:]))
+    config = PipelineConfig.from_mode("full", pack_budget=1)
+    with caplog.at_level(logging.WARNING):
+        result = run_match(q, config, artifacts, hash_gw(responder=responder))
+    assert result.chosen == tcat.resolve("observation_time")  # the source block still decides
+    assert "path to root" not in result.trace.prompt_snapshot.lower()
+    unavailable = [r.args[0] for r in caplog.records
+                   if r.getMessage().startswith("context pack unavailable for ")]
+    assert Counter(unavailable) == Counter(packed)
+
+
 class FailsOnText:
     """The hash embedder, except that one text raises a non-retried error."""
 
