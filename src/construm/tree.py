@@ -348,11 +348,12 @@ def repair_plan(groups: list[PlanGroup], min_group: int, max_groups: int,
                 neighbors = [j for j in (i - 1, i + 1) if 0 <= j < len(groups)]
                 target = min(neighbors, key=lambda j: (len(groups[j].columns), j))
             else:
+                others = [j for j in range(len(groups)) if j != i]
+
                 def _cos(j):
                     a, b = centroids[i], centroids[j]
                     denom = float(np.linalg.norm(a) * np.linalg.norm(b)) or 1.0
                     return float(np.dot(a, b)) / denom
-                others = [j for j in range(len(groups)) if j != i]
                 target = max(others, key=lambda j: (_cos(j), -j))
             merge(i, target)
             changed = True
@@ -756,8 +757,7 @@ def collapse_tied_merges(n: int, merges: Sequence[tuple[int, int]], heights: Seq
     in the plan's numbering.
     """
     children: dict[int, list[int]] = {}  # kept clusters only
-    for c, (a, b) in enumerate(merges, start=n):
-        h = heights[c - n]
+    for c, ((a, b), h) in enumerate(zip(merges, heights), start=n):
         kids, todo = [], [a, b]
         while todo:
             child = todo.pop()

@@ -579,9 +579,9 @@ def scheduled_run(out_dir, max_in_flight, seed=None):
         # every call a query made is booked to that query and no other
         assert spent == counters(ask.accounting.snapshot())
         prompts.update(build.chat_backend.call_log + ask.chat_backend.call_log)
-    build = gateway(tagged_relations, tree_bot)
-    tree = build_context_tree(clustered_catalog(), TreeParams(), build, True)
-    save_tree(tree, clustered_catalog(), out_dir / "clustered_tree.json")
+    build, catalog = gateway(tagged_relations, tree_bot), clustered_catalog()
+    save_tree(build_context_tree(catalog, TreeParams(), build, True), catalog,
+              out_dir / "clustered_tree.json")
     prompts.update(build.chat_backend.call_log)
     files = {p.name: p.read_text(encoding="utf-8") for p in out_dir.iterdir()}
     return files, prompts, outcomes
@@ -589,8 +589,7 @@ def scheduled_run(out_dir, max_in_flight, seed=None):
 
 def test_schedule_perturbation_changes_no_output(tmp_path):
     t0 = time.monotonic()
-    reference = scheduled_run(tmp_path / "serial", max_in_flight=1)
-    files, prompts, outcomes = reference
+    files, prompts, outcomes = scheduled_run(tmp_path / "serial", max_in_flight=1)
     # the clustered tree's first level is four pairs, whose relation calls
     # go out in one fan-out
     clustered = json.loads(files["clustered_tree.json"])
@@ -599,7 +598,7 @@ def test_schedule_perturbation_changes_no_output(tmp_path):
     assert len(pairs) == 4 and all(len(pair) == 2 for pair in pairs)
     assert set(pairs) <= {frozenset(r[:2]) for r in clustered["relations"]}
     # full-mode prompts hold packs and both sections of differentiation blocks
-    full = [o[2] for (name, mode, _), o in outcomes.items() if mode == "full" and len(o) == 4]
+    full = [o[2] for (_, mode, _), o in outcomes.items() if mode == "full" and len(o) == 4]
     assert any("Group #2" in p and "Source diff" in p and "path to root" in p for p in full)
     for seed in SCHEDULE_SEEDS:
         run = scheduled_run(tmp_path / f"seed{seed}", max_in_flight=16, seed=seed)
