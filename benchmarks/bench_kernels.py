@@ -39,7 +39,7 @@ import numpy as np
 from construm import kernels
 from construm.catalog import ColumnRef, Side
 from construm.gateway import HashEmbeddingBackend, ModelGateway, openblas_function
-from construm.graph import DEFAULT_TAU, Hypergraph, expand_candidates
+from construm.graph import DEFAULT_TAU, Hypergraph, expand_candidates, extract_groups
 from construm.tree import collapse_tied_merges, plan_merges
 
 
@@ -184,7 +184,7 @@ def main():
         m += JITTER * rng.standard_normal((n, args.dim))
         m /= np.linalg.norm(m, axis=1, keepdims=True)
         columns = [ColumnRef(Side.TARGET, f"t{i // 100:04d}", i % 100) for i in range(n)]
-        hg = Hypergraph(Side.TARGET, DEFAULT_TAU, columns, m, (), ())
+        hg = Hypergraph(Side.TARGET, DEFAULT_TAU, columns, m, (), extract_groups((), columns))
         queries = base[rng.integers(len(base), size=QUERIES)]
 
         def top_k():

@@ -9,6 +9,8 @@ every path in the outputs is relative:
 * ``match`` in all five modes over a query file in which two queries
   fail: one's shortlist leaves out the scripted answer, and the script
   answers no decision for the other;
+* ``match`` in ``llm_local`` and ``no_diff`` mode with the target graph
+  but no ``--source-graph``, so the source graph is built at start;
 * a masked leg: ``build-graph --mask`` and ``build-tree --mask`` for the
   target side, then a ``full`` ``match`` on those artifacts with both mask
   keys set through ``--config``, under a script keyed on masked names;
@@ -165,6 +167,15 @@ def commands() -> list[tuple[str, list[str], bool]]:
             "--target-tree", "artifacts/target_tree.json",
             "--queries", "queries.json", "--mode", mode, "--k", "3", "--tau", "0.8",
             "--cache", "match_cache", "--out", f"match/{mode}",
+            "--backend", "scripted:answers.json"], True))
+    for mode in ("llm_local", "no_diff"):
+        cmds.append((f"match_{mode}_target_graph_only", [
+            "match", "--source-catalog", "source.json", "--target-catalog", "target.json",
+            "--target-graph", "artifacts/target_graph.json",
+            "--source-tree", "artifacts/source_tree.json",
+            "--target-tree", "artifacts/target_tree.json",
+            "--queries", "queries.json", "--mode", mode, "--k", "3", "--tau", "0.8",
+            "--out", f"match_target_graph_only/{mode}",
             "--backend", "scripted:answers.json"], True))
     masked_backend = ["--backend", "scripted:masked.json"]
     cmds.append(("build_graph_target_masked", [

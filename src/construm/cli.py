@@ -190,8 +190,7 @@ def cmd_build_graph(args) -> int:
 
 def _build_artifacts(cfg: dict, source_catalog: SchemaCatalog,
                      target_catalog: SchemaCatalog, gateway: ModelGateway,
-                     need_tree: bool, need_diff: bool,
-                     paths: dict | None = None) -> Artifacts:
+                     need_tree: bool, paths: dict | None = None) -> Artifacts:
     paths = paths or {}
 
     def load_or(name, loader, catalog, builder):
@@ -211,13 +210,11 @@ def _build_artifacts(cfg: dict, source_catalog: SchemaCatalog,
         graph_mod.load_hypergraph, target_catalog,
         lambda: graph_mod.build_hypergraph(target_catalog, gateway, cfg["tau"]),
     )
-    source_graph = None
-    if need_diff or paths.get("source_graph"):
-        source_graph = load_or(
-            "source_graph",
-            graph_mod.load_hypergraph, source_catalog,
-            lambda: graph_mod.build_hypergraph(source_catalog, gateway, cfg["tau"]),
-        )
+    source_graph = load_or(
+        "source_graph",
+        graph_mod.load_hypergraph, source_catalog,
+        lambda: graph_mod.build_hypergraph(source_catalog, gateway, cfg["tau"]),
+    )
     source_tree = target_tree = None
     if need_tree or paths.get("source_tree") or paths.get("target_tree"):
         source_tree = load_or(
@@ -278,8 +275,7 @@ def cmd_match(args) -> int:
         "source_graph": args.source_graph, "target_graph": args.target_graph,
     }
     artifacts = _build_artifacts(cfg, source_catalog, target_catalog, gateway,
-                                 need_tree=pcfg.use_tree, need_diff=pcfg.use_diff,
-                                 paths=paths)
+                                 need_tree=pcfg.use_tree, paths=paths)
     if args.queries:
         queries = read_json(args.queries, "query file",
                             lambda text: ev.load_benchmark(text, source_catalog, target_catalog))
@@ -382,9 +378,7 @@ def cmd_bench_run(args) -> int:
             raise UsageError(f"--bench query {i} (source {source.meta(q.source).cid}) has no "
                              f"\"truth\"; bench run scores every query against its truth")
     need_tree = any(PipelineConfig.from_mode(m).use_tree for m in modes)
-    need_diff = any(PipelineConfig.from_mode(m).use_diff for m in modes)
-    artifacts = _build_artifacts(cfg, source, target, gateway,
-                                 need_tree=need_tree, need_diff=need_diff)
+    artifacts = _build_artifacts(cfg, source, target, gateway, need_tree=need_tree)
     base = pipeline_config({**cfg, "mode": modes[0]})
     suite = ev.run_ablation_suite(queries, modes, artifacts, gateway, base_config=base,
                                   slice_name=args.slice)

@@ -37,28 +37,23 @@ class DifferentiationBlock:
     members_in_prompt: tuple[ColumnRef, ...]
 
 
-def select_groups(groups: Sequence[SimilarityGroup], sims: np.ndarray | None,
+def select_groups(groups: Sequence[SimilarityGroup], sims: np.ndarray,
                   hypergraph: Hypergraph) -> list[tuple[SimilarityGroup, tuple[ColumnRef, ...]]]:
     """Keep the ``MAX_GROUPS`` most confusable non-singleton groups, members ranked.
 
-    ``sims`` holds the query embedding's cosine to every column of
-    ``hypergraph``, in ``columns`` order, or is None without an embedding.
-    Priority is the maximum member cosine to the query (closest first),
-    ties broken by larger group then smallest member id. Oversize groups
-    are truncated to their ``MAX_GROUP_MEMBERS`` highest-cosine members.
-    Without ``sims``, members go in ``sort_key`` order at equal priority.
-    Returns (group, ordered members) pairs; empty when no group has two or
-    more members.
+    ``sims`` holds the query's cosine to every column of ``hypergraph``, in
+    ``columns`` order. Priority is the maximum member cosine to the query
+    (closest first), ties broken by larger group then smallest member id.
+    Oversize groups are truncated to their ``MAX_GROUP_MEMBERS``
+    highest-cosine members. Returns (group, ordered members) pairs; empty
+    when no group has two or more members.
     """
     scored = []
     for g in groups:
         if len(g) < 2:
             continue
-        if sims is None:
-            members, priority = g.sorted_members(), 0.0
-        else:
-            members = hypergraph.ranked(sims, among=g.members)
-            priority = float(sims[hypergraph.index_of(members[0])])
+        members = hypergraph.ranked(sims, among=g.members)
+        priority = float(sims[hypergraph.index_of(members[0])])
         smallest = min(g.members, key=lambda r: r.sort_key)
         scored.append(((-priority, -len(g), smallest.sort_key), g, members[:MAX_GROUP_MEMBERS]))
     scored.sort(key=lambda item: item[0])

@@ -99,7 +99,10 @@ class Hypergraph:
         self._group_of: dict[ColumnRef, SimilarityGroup] = {}
         for g in self.groups:
             for ref in g.members:
-                self._group_of[ref] = g
+                if self._group_of.setdefault(ref, g) is not g:
+                    raise ValueError(f"column {ref} is in two groups")
+        if self._group_of.keys() != self._index.keys():
+            raise ValueError(f"the groups do not partition the graph's {len(self.columns)} columns")
 
     def index_of(self, ref: ColumnRef) -> int:
         return self._index[ref]

@@ -8,10 +8,12 @@ source-side and candidate-side differentiation blocks (the source block
 is sent beside the candidate blocks), and makes exactly one forced-choice
 LLM call whose reply must end with ``ANSWER: <cid>``.
 The artifacts must cover their catalogs (the loaders reject stored ones
-that do not). Auxiliary failures (the query embedding, packs,
-differentiation) degrade the prompt with a logged warning; only an
-unparseable decision reply aborts, after one stricter retry. Every cosine
-order is ``Hypergraph.ranked`` over a full ``matrix @ vec`` product.
+that do not). Both similarity graphs are required: a query reads its
+vector from the source graph and makes no embedding call. Auxiliary
+failures (packs, differentiation) degrade the prompt with a logged
+warning; only an unparseable decision reply aborts, after one stricter
+retry. Every cosine order is ``Hypergraph.ranked`` over a full
+``matrix @ vec`` product.
 
 The mode is the only switch for the evidence: ``full`` uses everything,
 ``no_tree`` drops context packs, ``no_diff`` drops differentiation,
@@ -26,8 +28,6 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from construm.catalog import ColumnRef, MatchQuery, SchemaCatalog
 from construm.diff import (
     MAX_GROUP_MEMBERS,
@@ -38,13 +38,7 @@ from construm.diff import (
     select_groups,
 )
 from construm.gateway import AccountingSnapshot, ChatCall, GatewayError, ModelGateway
-from construm.graph import (
-    Hypergraph,
-    embed_columns,
-    expand_candidates,
-    groups_within,
-    source_confusable_set,
-)
+from construm.graph import Hypergraph, expand_candidates, groups_within, source_confusable_set
 from construm.tree import (
     ContextPack,
     ContextTree,
@@ -122,14 +116,18 @@ class MatchResult:
 
 @dataclass
 class Artifacts:
-    """Read-only bundle of offline-built structures one run shares."""
+    """Read-only bundle of offline-built structures one run shares.
+
+    Both graphs are required; a tree may be None when no mode of the run
+    packs context.
+    """
 
     source_catalog: SchemaCatalog
     target_catalog: SchemaCatalog
-    source_tree: ContextTree | None = None
-    target_tree: ContextTree | None = None
-    source_graph: Hypergraph | None = None
-    target_graph: Hypergraph | None = None
+    source_tree: ContextTree | None
+    target_tree: ContextTree | None
+    source_graph: Hypergraph
+    target_graph: Hypergraph
 
 
 # -- shortlist ----------------------------------------------------------------
@@ -137,22 +135,14 @@ class Artifacts:
 
 def shortlist(s: ColumnRef, artifacts: Artifacts, k: int,
               gateway: ModelGateway) -> list[ColumnRef]:
-    """Top-k targets by embedding cosine to the source column's text.
+    """Top-k targets by embedding cosine to the source column.
 
+    Both vectors come from the artifacts' graphs, so ``gateway`` is unused.
     Ties break toward the smaller (table_id, ordinal); k is clamped to the
-    target count. Requires the target hypergraph (it stores the target
-    embeddings).
+    target count.
     """
-    if artifacts.target_graph is None:
-        raise PipelineError("shortlist requires a target hypergraph")
     hg = artifacts.target_graph
-    return hg.ranked(hg.matrix @ _source_vector(s, artifacts, gateway), k=k)
-
-
-def _source_vector(s: ColumnRef, artifacts: Artifacts, gateway: ModelGateway) -> np.ndarray:
-    if artifacts.source_graph is not None:
-        return artifacts.source_graph.vector(s)
-    return embed_columns(artifacts.source_catalog, [s], gateway)[0]
+    return hg.ranked(hg.matrix @ artifacts.source_graph.vector(s), k=k)
 
 
 # -- prompt assembly ----------------------------------------------------------
@@ -268,19 +258,12 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     sg, tg = artifacts.source_graph, artifacts.target_graph
     s = query.source
     candidates = list(query.shortlist)
-    if config.use_expansion and tg is not None:
+    if config.use_expansion:
         candidates = expand_candidates(candidates, tg)
-
-    sims = None  # the query's cosine to every target column
-    if tg is not None:
-        try:
-            sims = tg.matrix @ _source_vector(s, artifacts, gateway)
-        except GatewayError as exc:
-            logger.warning("query embedding failed for %s; candidate groups and "
-                           "ranking fall back to prompt order: %s", s, exc)
+    sims = tg.matrix @ sg.vector(s)  # the query's cosine to every target column
 
     source_members: list[ColumnRef] = []
-    if config.use_diff and sg is not None:
+    if config.use_diff:
         group = source_confusable_set(s, sg)
         if len(group) >= 2:
             source_members = group.sorted_members()[:MAX_GROUP_MEMBERS]
@@ -301,7 +284,7 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
                     packs[ref] = None
 
     chosen_groups = (select_groups(groups_within(candidates, tg), sims, tg)
-                     if config.use_diff and tg is not None else [])
+                     if config.use_diff else [])
 
     query_meta = f"{scat.display_name(s)}: {scat.meta(s).description}"
 
@@ -358,9 +341,5 @@ def _decide(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
             prompt_snapshot=prompt,
         ) from exc
 
-    # chosen first; the rest by cosine when the query has an embedding, else
-    # in prompt order (no target graph, or the query embedding failed)
-    rest = [c for c in candidates if c != chosen]
-    if sims is not None:
-        rest = tg.ranked(sims, among=rest)
-    return chosen, [chosen] + rest, prompt
+    rest = tg.ranked(sims, among=[c for c in candidates if c != chosen])
+    return chosen, [chosen] + rest, prompt  # chosen first, the rest by cosine

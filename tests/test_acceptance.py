@@ -191,7 +191,7 @@ def planted_fixture():
     gw_build = ModelGateway(embed_backend=stated_cosines_embedder(
         gram, [2 * n_pairs, tcat.column_count]))
     artifacts = Artifacts(
-        scat, tcat,
+        scat, tcat, source_tree=None, target_tree=None,
         source_graph=build_hypergraph(scat, gw_build, tau=0.8),
         target_graph=build_hypergraph(tcat, gw_build, tau=0.8),
     )
@@ -267,7 +267,7 @@ def test_efficiency_accounting_exact_sums():
     tcat = random_catalog(32, "target", n=25, table_id="T", tokens_per_desc=5)
     gw_build = ModelGateway(embed_backend=HashEmbeddingBackend())
     artifacts = Artifacts(
-        scat, tcat,
+        scat, tcat, source_tree=None, target_tree=None,
         source_graph=build_hypergraph(scat, gw_build, tau=0.8),
         target_graph=build_hypergraph(tcat, gw_build, tau=0.8),
     )

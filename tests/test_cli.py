@@ -123,6 +123,26 @@ def test_match_rejects_an_edited_tree_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_match_rejects_a_graph_file_whose_groups_leave_out_a_column(tmp_path, capsys):
+    source, target, script = fixture_files(tmp_path)
+    backend = f"scripted:{script}"
+    graph_path = tmp_path / "sg.json"
+    assert main(["build-graph", "--catalog", str(source), "--side", "source",
+                 "--out", str(graph_path), "--backend", backend]) == 0
+    doc = json.loads(graph_path.read_text())
+    doc["groups"].pop(0)
+    graph_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["match", "--source-catalog", str(source), "--target-catalog", str(target),
+               "--source-graph", str(graph_path), "--source", "income_main",
+               "--mode", "llm_local", "--k", "3", "--out", str(tmp_path / "run"),
+               "--backend", backend])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(graph_path) in err and "do not partition" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("change", ["grew", "shrank"])
 @pytest.mark.parametrize("flag", ["--source-graph", "--target-graph",
                                   "--source-tree", "--target-tree"])
@@ -510,9 +530,10 @@ def test_delta_flag_sets_the_cluster_threshold(tmp_path):
     assert json.loads(out.read_text())["params"]["cluster_threshold"] == 0.25
 
 
-# the four LLM-mode matches and the masked match run query files that hold
-# failing queries; every other command of the session succeeds
-SESSION_FAILS = {5, 6, 7, 8, 11}
+# the four LLM-mode matches, the two without a source graph and the masked
+# match run query files that hold failing queries; every other command of
+# the session succeeds
+SESSION_FAILS = {5, 6, 7, 8, 9, 10, 13}
 
 
 def test_cli_session_outputs_do_not_depend_on_max_in_flight(tmp_path):
@@ -523,7 +544,7 @@ def test_cli_session_outputs_do_not_depend_on_max_in_flight(tmp_path):
         subprocess.run([sys.executable, str(session), str(outs[name]), *extra],
                        check=True, capture_output=True)
     commands = sorted((outs["default"] / "commands").iterdir())
-    assert len(commands) == 19
+    assert len(commands) == 21
     for i, path in enumerate(commands):
         head, stderr = path.read_text(encoding="utf-8").split("--- stderr\n")
         assert head.startswith(f"exit: {2 if i in SESSION_FAILS else 0}\n"), path.name

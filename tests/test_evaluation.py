@@ -211,7 +211,7 @@ def suite_fixture():
     spec = make_spec([(3, 33), (7, 47)], n=60)
     gw_build = hash_gw()
     artifacts = Artifacts(
-        spec.source_catalog, spec.target_catalog,
+        spec.source_catalog, spec.target_catalog, source_tree=None, target_tree=None,
         source_graph=build_hypergraph(spec.source_catalog, gw_build, tau=0.9),
         target_graph=build_hypergraph(spec.target_catalog, gw_build, tau=0.9),
     )
@@ -281,7 +281,8 @@ def test_concurrent_query_traces_equal_serial_and_sum_to_totals():
         if a != b:
             gram[a, b] = 0.8 if max(a, b) < 20 else 0.9 if min(a, b) >= 20 else 0.85
     gw_build = make_gateway(embed_backend=stated_cosines_embedder(gram, [20, 25]))
-    artifacts = Artifacts(scat, tcat, source_graph=build_hypergraph(scat, gw_build, tau=0.5),
+    artifacts = Artifacts(scat, tcat, source_tree=None, target_tree=None,
+                          source_graph=build_hypergraph(scat, gw_build, tau=0.5),
                           target_graph=build_hypergraph(tcat, gw_build, tau=0.5))
     queries = [MatchQuery(source=s) for s in list(scat.refs())[:16]]
     config = PipelineConfig.from_mode("no_tree", k=5)
@@ -309,7 +310,8 @@ def test_repeated_queries_split_calls_and_cache_hits_the_same_way_every_run(tmp_
     scat = random_catalog(31, "source", n=20, table_id="S", tokens_per_desc=5)
     tcat = random_catalog(32, "target", n=25, table_id="T", tokens_per_desc=5)
     gw_build = hash_gw()
-    artifacts = Artifacts(scat, tcat, source_graph=build_hypergraph(scat, gw_build, tau=0.5),
+    artifacts = Artifacts(scat, tcat, source_tree=None, target_tree=None,
+                          source_graph=build_hypergraph(scat, gw_build, tau=0.5),
                           target_graph=build_hypergraph(tcat, gw_build, tau=0.5))
     # four sources, each asked twice in a row: the copies share every prompt
     queries = [MatchQuery(source=s) for s in list(scat.refs())[:4] for _ in range(2)]
@@ -337,7 +339,7 @@ def test_failed_queries_count_their_calls_in_the_report():
     spec = make_spec([(3, 33), (7, 47), (11, 51)], n=60)
     gw_build = hash_gw()
     artifacts = Artifacts(
-        spec.source_catalog, spec.target_catalog,
+        spec.source_catalog, spec.target_catalog, source_tree=None, target_tree=None,
         source_graph=build_hypergraph(spec.source_catalog, gw_build, tau=0.9),
         target_graph=build_hypergraph(spec.target_catalog, gw_build, tau=0.9),
     )

@@ -7,6 +7,7 @@ from construm.catalog import ColumnRef, Side
 from construm.gateway import HashEmbeddingBackend, ModelGateway
 from construm.graph import (
     Hypergraph,
+    SimilarityGroup,
     build_hypergraph,
     expand_candidates,
     extract_groups,
@@ -171,7 +172,8 @@ def test_ranked_matches_sort_oracle_with_ties_and_unsorted_tables():
 def test_graph_freezes_its_own_copy_of_the_rows():
     cat = random_catalog(3, "target", n=6)
     rows = hash_gateway().embed_batch([f"text {i}" for i in range(6)])
-    hg = Hypergraph(Side.TARGET, 0.9, list(cat.refs()), rows, (), ())
+    refs = list(cat.refs())
+    hg = Hypergraph(Side.TARGET, 0.9, refs, rows, (), extract_groups((), refs))
     assert np.array_equal(hg.matrix, rows) and hg.matrix is not rows
     assert not hg.matrix.flags.writeable and rows.flags.writeable
 
@@ -183,7 +185,8 @@ def test_top_k_ranking_matches_the_full_ranking_cut_at_k():
         # tables out of table_id order, so catalog order is not sort_key order
         tables = rng.permutation(max(1, n // 7))
         columns = [ColumnRef(Side.TARGET, f"t{tables[i % len(tables)]}", i) for i in range(n)]
-        hg = Hypergraph(Side.TARGET, 0.9, columns, rng.standard_normal((n, 4)), (), ())
+        hg = Hypergraph(Side.TARGET, 0.9, columns, rng.standard_normal((n, 4)), (),
+                        extract_groups((), columns))
         # planted exact ties: most scores come from a few values, -0.0 among them
         scores = np.where(rng.random(n) < 0.7,
                           rng.choice([0.5, 0.25, 0.0, -0.0, -0.5], size=n),
@@ -285,9 +288,21 @@ def test_partition_property():
     assert len(seen) == len(set(seen)) == cat.column_count
 
 
-def test_save_load_roundtrip(tmp_path):
+def planted_groups_graph():
+    """25 columns at stated cosine 0.1, but 0.9 within {0, 1}, {5, 6, 7} and
+    {20, 24}: five links and three non-singleton groups at tau 0.8."""
     cat = random_catalog(6, "target", n=25, tokens_per_desc=4)
-    hg = build_hypergraph(cat, hash_gateway(), tau=0.8)
+    gram = np.full((25, 25), 0.1)
+    for group in ([0, 1], [5, 6, 7], [20, 24]):
+        gram[np.ix_(group, group)] = 0.9
+    np.fill_diagonal(gram, 1.0)
+    gw = ModelGateway(embed_backend=stated_cosines_embedder(gram, [25]))
+    return cat, build_hypergraph(cat, gw, tau=0.8)
+
+
+def test_save_load_roundtrip(tmp_path):
+    cat, hg = planted_groups_graph()
+    assert len(hg.links) == 5 and sum(len(g) > 1 for g in hg.groups) == 3
     path = tmp_path / "graph.json"
     save_hypergraph(hg, cat, path)
     loaded = load_hypergraph(path, cat)
@@ -309,3 +324,22 @@ def test_save_load_roundtrip(tmp_path):
     old.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="embedding rows"):
         load_hypergraph(old, cat)
+
+
+def test_groups_must_partition_the_columns(tmp_path):
+    cat, hg = planted_groups_graph()
+    path = tmp_path / "graph.json"
+    save_hypergraph(hg, cat, path)
+    doc = json.loads(path.read_text())
+    assert doc["groups"][:2] == [[0, 1], [2]]
+    for edit, error in ((lambda groups: groups.pop(0), "do not partition"),  # 0 and 1 in none
+                        (lambda groups: groups[1].append(0), "in two groups")):
+        edited = json.loads(json.dumps(doc))
+        edit(edited["groups"])
+        path.write_text(json.dumps(edited))
+        with pytest.raises(ValueError, match=error):
+            load_hypergraph(path, cat)
+    stranger = ColumnRef(Side.TARGET, "elsewhere", 0)
+    groups = [SimilarityGroup(hg.groups[0].members | {stranger}), *hg.groups[1:]]
+    with pytest.raises(ValueError, match="do not partition"):
+        Hypergraph(hg.side, hg.tau, hg.columns, hg.matrix, hg.links, groups)

@@ -10,8 +10,15 @@ import pytest
 
 from construm import pipeline
 from construm.catalog import MatchQuery, mask_catalog, scan_for_raw_identifiers
-from construm.gateway import GatewayError, HashEmbeddingBackend, TransportError, estimate_tokens
-from construm.graph import build_hypergraph, embedding_text, load_hypergraph, save_hypergraph
+from construm.evaluation import run_queries
+from construm.gateway import (
+    GatewayError,
+    ModelGateway,
+    ScriptedChatBackend,
+    TransportError,
+    estimate_tokens,
+)
+from construm.graph import build_hypergraph, load_hypergraph, save_hypergraph
 from construm.pipeline import (
     Artifacts,
     ChoiceParseError,
@@ -46,13 +53,13 @@ def hash_gw(responder=None, **kw):
     return make_gateway(responder=responder, **kw)
 
 
-def basic_artifacts(n_targets=12, tau=0.9, with_source_graph=True):
+def basic_artifacts(n_targets=12, tau=0.9):
     scat = build_catalog("source", [table_doc("s", [("query_col", "an interesting field")])])
     tcat = random_catalog(7, "target", n=n_targets, table_id="tt")
     gw = hash_gw()
-    tg = build_hypergraph(tcat, gw, tau=tau)
-    sg = build_hypergraph(scat, gw, tau=tau) if with_source_graph else None
-    return Artifacts(scat, tcat, source_graph=sg, target_graph=tg)
+    return Artifacts(scat, tcat, source_tree=None, target_tree=None,
+                     source_graph=build_hypergraph(scat, gw, tau=tau),
+                     target_graph=build_hypergraph(tcat, gw, tau=tau))
 
 
 # -- shortlist -------------------------------------------------------------------
@@ -236,7 +243,8 @@ def time_fixture():
     gw = hash_gw(embed_backend=stated_cosines_embedder(TIME_COSINES, [2, 3]))
     sg = build_hypergraph(scat, gw, tau=0.65)
     tg = build_hypergraph(tcat, gw, tau=0.60)
-    artifacts = Artifacts(scat, tcat, source_graph=sg, target_graph=tg)
+    artifacts = Artifacts(scat, tcat, source_tree=None, target_tree=None,
+                          source_graph=sg, target_graph=tg)
     obs_cid = tcat.meta(tcat.resolve("observation_time")).cid
     rec_cid = tcat.meta(tcat.resolve("recorded_time")).cid
 
@@ -308,7 +316,7 @@ def test_all_singleton_groups_mean_no_diff_sections_and_one_call():
         ("ccc", "third theme overall")])])
     gw_build = hash_gw()
     artifacts = Artifacts(
-        scat, tcat,
+        scat, tcat, source_tree=None, target_tree=None,
         source_graph=build_hypergraph(scat, gw_build, tau=0.95),
         target_graph=build_hypergraph(tcat, gw_build, tau=0.95),
     )
@@ -327,7 +335,8 @@ def test_blank_differentiation_replies_skip_blocks_not_the_query(caplog):
     scat = random_catalog(31, "source", n=20, table_id="S", tokens_per_desc=5)
     tcat = random_catalog(32, "target", n=25, table_id="T", tokens_per_desc=5)
     gw_build = hash_gw()
-    artifacts = Artifacts(scat, tcat, source_graph=build_hypergraph(scat, gw_build, tau=0.5),
+    artifacts = Artifacts(scat, tcat, source_tree=None, target_tree=None,
+                          source_graph=build_hypergraph(scat, gw_build, tau=0.5),
                           target_graph=build_hypergraph(tcat, gw_build, tau=0.5))
 
     def blank_diff(prompt):
@@ -366,7 +375,8 @@ def four_groups_fixture():
     gram[:2, 3:] = near
     gram[3:, :2] = np.transpose([near, near])
     gw_build = hash_gw(embed_backend=stated_cosines_embedder(gram, [3, 8]))
-    artifacts = Artifacts(scat, tcat, source_graph=build_hypergraph(scat, gw_build, tau=0.7),
+    artifacts = Artifacts(scat, tcat, source_tree=None, target_tree=None,
+                          source_graph=build_hypergraph(scat, gw_build, tau=0.7),
                           target_graph=build_hypergraph(tcat, gw_build, tau=0.7))
     q = MatchQuery(source=scat.resolve("q"), shortlist=tuple(tcat.refs()))
     return artifacts, q
@@ -463,7 +473,7 @@ def test_ablation_containment_of_sections():
 
 
 def test_unparseable_decision_retries_once_then_errors():
-    artifacts = basic_artifacts(with_source_graph=False)
+    artifacts = basic_artifacts()
     s = next(artifacts.source_catalog.refs())
     q = MatchQuery(source=s, shortlist=tuple(list(artifacts.target_catalog.refs())[:3]))
 
@@ -556,7 +566,8 @@ def test_expansion_appends_near_duplicates():
     ])])
     scat = build_catalog("source", [table_doc("s", [("q", desc)])])
     gw = hash_gw()
-    artifacts = Artifacts(scat, tcat,
+    artifacts = Artifacts(scat, tcat, source_tree=None, target_tree=None,
+                          source_graph=build_hypergraph(scat, gw, tau=0.85),
                           target_graph=build_hypergraph(tcat, gw, tau=0.85))
     s = scat.resolve("q")
     q = MatchQuery(source=s, shortlist=(tcat.resolve("pair_a"),))
@@ -611,38 +622,21 @@ def test_a_pack_budget_below_every_minimum_still_answers_without_packs(caplog):
     assert Counter(unavailable) == Counter(packed)
 
 
-class FailsOnText:
-    """The hash embedder, except that one text raises a non-retried error."""
-
-    def __init__(self, text):
-        self.backend_id = "hash-failing"
-        self.text = text
-        self.inner = HashEmbeddingBackend()
-
-    def embed(self, texts):
-        if self.text in texts:
-            raise GatewayError("embedder rejected the query text")
-        return self.inner.embed(texts)
-
-
-def test_failed_query_embedding_warns_once_and_keeps_prompt_order(caplog):
+def test_queries_make_no_embedding_call_in_any_mode():
     artifacts, q = four_groups_fixture()
-    artifacts = dataclasses.replace(artifacts, source_graph=None)  # the query must embed
     scat, tcat = artifacts.source_catalog, artifacts.target_catalog
-    gw = hash_gw(responder=chain_bots(diff_echo_bot, first_candidate_decision_bot),
-                 embed_backend=FailsOnText(embedding_text(scat, q.source)))
-    with caplog.at_level(logging.WARNING):
-        result = run_match(q, PipelineConfig.from_mode("full"), artifacts, gw)
-    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
-    assert len(warnings) == 1 and "query embedding failed" in warnings[0].getMessage()
-    prompt = result.trace.prompt_snapshot
-    # every group at priority 0: equal sizes, so smallest member first, and
-    # members in sort_key order (a working embedder puts "C6 vs C5" first)
-    assert re.findall(r"^Group #\d+ \(([^)]*)\)", prompt, re.M) == [
-        "C1 vs C2", "C3 vs C4", "C5 vs C6", "C7 vs C8"]
-    in_prompt = [tcat.by_cid(c) for c in re.findall(r"^- (C\d+): name:", prompt, re.M)]
-    assert result.chosen == in_prompt[0]  # the query still answers
-    assert list(result.ranked) == in_prompt
+    artifacts = dataclasses.replace(
+        artifacts, source_tree=build_context_tree(scat, PARAMS, tree_gateway()),
+        target_tree=build_context_tree(tcat, PARAMS, tree_gateway()))
+    chat = ScriptedChatBackend(responder=chain_bots(diff_echo_bot, first_candidate_decision_bot))
+    gw = ModelGateway(chat_backend=chat, embed_backend=None)  # any embed_batch raises
+    with pytest.raises(GatewayError):
+        gw.embed_batch(["text"])
+    queries = [q, MatchQuery(source=q.source)]  # with a shortlist and without
+    for mode in pipeline.MODES:
+        outcomes = run_queries(queries, PipelineConfig.from_mode(mode, k=5), artifacts, gw)
+        assert [failure for _, failure in outcomes] == [None, None], mode
+    assert gw.accounting.snapshot().embed_calls == 0
 
 
 @pytest.mark.parametrize("change", ["grew", "shrank"])

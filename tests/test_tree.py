@@ -373,6 +373,17 @@ def test_stage4_discards_move_violating_min_group():
     assert sum(sizes) == 250
 
 
+def test_stage4_move_from_a_non_boundary_spends_no_budget():
+    cat = ordered_catalog(250)
+    plan = plan_for(cat, [(0, 119), (120, 249)])
+    # 60 starts no group: that move is discarded, and the one budgeted move is
+    # still there for the next line
+    gw = make_gateway(responder=chain_bots(
+        move_bot(["MOVE 60 -> 61\nMOVE 120 -> 118"]), tree_bot))
+    out = stage4_refine_boundaries(cat, cat.tables[0], plan, TreeParams(switch_budget=1), gw)
+    assert spans_of(out) == [(0, 117), (118, 249)]
+
+
 # -- per-table build -------------------------------------------------------------
 
 
