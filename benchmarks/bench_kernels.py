@@ -32,15 +32,19 @@ Usage: python benchmarks/bench_kernels.py [--dim 64] [--tau 0.5] [--repeat 3]
 
 import argparse
 import hashlib
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from construm import kernels
-from construm.catalog import ColumnRef, Side
-from construm.gateway import HashEmbeddingBackend, ModelGateway, openblas_function
-from construm.graph import DEFAULT_TAU, Hypergraph, expand_candidates, extract_groups
-from construm.tree import collapse_tied_merges, plan_merges
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from construm import kernels  # noqa: E402
+from construm.catalog import ColumnRef, Side  # noqa: E402
+from construm.gateway import HashEmbeddingBackend, ModelGateway, openblas_function  # noqa: E402
+from construm.graph import DEFAULT_TAU, Hypergraph, expand_candidates, extract_groups  # noqa: E402
+from construm.tree import collapse_tied_merges, plan_merges  # noqa: E402
 
 
 FULL_MERGE = 1.999  # a cosine-distance cutoff every pair of tables is within

@@ -6,9 +6,13 @@ and cross-table cluster nodes to a single root. Wide tables are built in
 four stages -- windowed batch summaries, a sampled global theme, an
 LLM-proposed grouping plan (validated and repaired), and optional boundary
 refinement for ordered tables -- recursing on any group still above the
-leaf budget. Per-table trees are then merged bottom-up by agglomerative
-clustering over root-summary embeddings; merges tied at one height form
-one n-ary cluster.
+leaf budget. Per-table trees are merged bottom-up by agglomerative
+clustering over the embeddings of each table's first-round text (a narrow
+table's root summary, a wide table's theme); merges tied at one height
+form one n-ary cluster. The clustering and its cluster summaries run
+beside the wide tables' remaining calls, so with a real model a wide
+table is clustered on a theme drawn from a column sample, not on a
+summary over all of its blocks.
 
 A built tree is immutable. It answers two queries: the column-to-root
 ``lineage`` of summaries, and a budgeted ``ContextPack`` combining that
@@ -534,9 +538,24 @@ def _summarize_node(task: str, context: str, child_summaries: Sequence[str],
     return gateway.complete(ChatCall("tree_summary", prompt)).text.strip()
 
 
+FirstRound = tuple[list[tuple[tuple[int, int], str]], str]  # window summaries, theme
+
+
+def block_first_round(catalog: SchemaCatalog, table: TableMeta, params: TreeParams,
+                      gateway: ModelGateway) -> FirstRound:
+    """A wide block's first round: its window summaries beside its theme."""
+    windows, theme = gateway.concurrently([
+        partial(stage1_window_summaries, catalog, table, params.window, gateway,
+                params.min_group),
+        partial(stage2_global_theme, catalog, table,
+                min(len(table.columns), params.sample_count), gateway),
+    ])
+    return windows, theme
+
+
 def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParams,
-                     gateway: ModelGateway,
-                     relations: Relations | None = None) -> dict[str, TreeNode]:
+                     gateway: ModelGateway, relations: Relations | None = None,
+                     first: FirstRound | None = None) -> dict[str, TreeNode]:
     """Build one table's subtree; the root node id is ``tbl:<table_id>``.
 
     Tables at or under the leaf budget become a root plus a single group
@@ -544,12 +563,13 @@ def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParam
     stay comparable); wider tables go through the staged plan-and-recurse
     path. Every internal node carries an LLM summary.
 
-    Within a block, the window summaries go out beside the theme; the plan
-    and the boundary re-scan follow one call at a time; then the child
-    blocks build together, and the block's own summary comes last, with
-    the block's sibling-relation call beside it when ``relations`` is not
-    None (:func:`_summarize_parents`). Nodes are listed in post-order, as
-    a serial depth-first build lists them.
+    Within a block, the window summaries go out beside the theme
+    (:func:`block_first_round`; a wide table's root block reuses
+    ``first`` when given); the plan and the boundary re-scan follow one
+    call at a time; then the child blocks build together, and the block's
+    own summary comes last, with the block's sibling-relation call beside
+    it when ``relations`` is not None (:func:`_summarize_parents`). Nodes
+    are listed in post-order, as a serial depth-first build lists them.
     """
     root_id = f"tbl:{table.table_id}"
 
@@ -561,17 +581,13 @@ def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParam
             members=tuple(refs),
         )
 
-    def build_block(node_id: str, refs: Sequence[ColumnRef], kind: NodeKind) -> list[TreeNode]:
+    def build_block(node_id: str, refs: Sequence[ColumnRef], kind: NodeKind,
+                    first: FirstRound | None = None) -> list[TreeNode]:
         # the block's subtree in post-order: each child's subtree, then the block
         if len(refs) <= params.leaf_budget:
             return [make_leaf(node_id, refs)]
         view = replace(table, columns=tuple(refs))
-        windows, theme = gateway.concurrently([
-            partial(stage1_window_summaries, catalog, view, params.window, gateway,
-                    params.min_group),
-            partial(stage2_global_theme, catalog, view,
-                    min(len(refs), params.sample_count), gateway),
-        ])
+        windows, theme = first or block_first_round(catalog, view, params, gateway)
         plan = stage3_conceptual_map(catalog, view, windows, theme, params, gateway)
         if table.ordered:
             plan = stage4_refine_boundaries(catalog, view, plan, params, gateway)
@@ -593,7 +609,7 @@ def build_table_tree(catalog: SchemaCatalog, table: TableMeta, params: TreeParam
     n = len(table.columns)
     if n > params.leaf_budget:
         return {node.node_id: node for node in build_block(root_id, table.columns,
-                                                           NodeKind.TABLE_ROOT)}
+                                                           NodeKind.TABLE_ROOT, first)}
     leaf = make_leaf(f"{root_id}.0", table.columns)
     root = TreeNode(
         node_id=root_id, kind=NodeKind.TABLE_ROOT,
@@ -774,8 +790,15 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
                    relations: Relations | None = None) -> ContextTree:
     """Merge per-table subtrees into one connected tree.
 
+    Each subtree lists its root last, as :func:`build_table_tree` does,
+    and its root's summary is the text the table is clustered on and that
+    cluster prompts list. :func:`build_context_tree` passes a narrow
+    table's finished subtree and, for a wide table still being built, a
+    stand-in root that holds its theme, and puts the finished subtree in
+    its place afterwards.
+
     Average-linkage agglomerative merging on cosine distance between
-    root-summary embeddings (:func:`plan_merges`): the nearest pair merges
+    those texts' embeddings (:func:`plan_merges`): the nearest pair merges
     first (ties broken by the lexicographically smallest table-id pair)
     while the distance stays at or under the cutoff; whatever remains is
     joined under a final database root. A single table's root doubles as
@@ -784,16 +807,15 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
     Tied merges then collapse (:func:`collapse_tied_merges`): a merge
     whose height is within ``TIE_TOLERANCE`` (1e-9, float noise) of a
     child cluster's takes in that child's children, so tables with equal
-    root summaries sit under one n-ary cluster, not a chain of binary
-    ones. The kept clusters are ``grp:1..m`` in merge order. The plan
-    needs no summary, so the cluster summaries go out one level at a
-    time, each level's calls together; a cluster's level is one above its
-    highest child's, and its prompt lists every child's summary. When
-    ``relations`` is not None, each cluster's and the database root's
-    sibling-relation call goes beside its own summary
-    (:func:`_summarize_parents`). Each subtree lists its root last, as
-    :func:`build_table_tree` does. The returned tree holds every snippet in
-    ``relations``, the table builds' too, in parent-id order.
+    texts sit under one n-ary cluster, not a chain of binary ones. The
+    kept clusters are ``grp:1..m`` in merge order. The plan needs no
+    summary, so the cluster summaries go out one level at a time, each
+    level's calls together; a cluster's level is one above its highest
+    child's, and its prompt lists every child's text. When ``relations``
+    is not None, each cluster's and the database root's sibling-relation
+    call goes beside its own summary (:func:`_summarize_parents`). The
+    returned tree holds every snippet in ``relations`` when it returns,
+    in parent-id order.
     """
     if not table_trees:
         raise TreeError("no table trees to cluster")
@@ -833,8 +855,7 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
                                            gateway, relations)
             nodes[root] = TreeNode(node_id=root, kind=NodeKind.DB_ROOT, summary=summary,
                                    children=tuple(cid for cid, _ in children))
-    snippets = [r for parent in sorted(relations or ()) for r in relations[parent]]
-    return ContextTree(side, root, nodes, params, snippets)
+    return ContextTree(side, root, nodes, params, _in_parent_order(relations))
 
 
 # -- sibling relation annotation ----------------------------------------------
@@ -898,6 +919,10 @@ def annotate_sibling_relations(parent_id: str, children: Sequence[tuple[str, str
 Relations = dict[str, list[RelationSnippet]]  # parent id -> its sibling snippets
 
 
+def _in_parent_order(relations: Relations | None) -> list[RelationSnippet]:
+    return [r for parent in sorted(relations or ()) for r in relations[parent]]
+
+
 def _summarize_parents(parents: Sequence[tuple[str, str, str, Sequence[tuple[str, str]]]],
                        gateway: ModelGateway, relations: Relations | None) -> list[str]:
     """Each parent's summary, its sibling-relation call beside it.
@@ -926,21 +951,44 @@ def _summarize_parents(parents: Sequence[tuple[str, str, str, Sequence[tuple[str
 
 def build_context_tree(catalog: SchemaCatalog, params: TreeParams, gateway: ModelGateway,
                        annotate_relations: bool = False) -> ContextTree:
-    """Build the whole per-side tree: per-table subtrees, then clustering.
+    """Build the whole per-side tree: per-table subtrees and their clustering.
 
-    Table subtrees are independent and build concurrently. With
-    ``annotate_relations``, each parent with two or more children sends
-    its relation call beside its own summary, so no call follows the
+    Two fan-outs, in which no thunk waits on another. The first holds every
+    table's first round: a narrow table's whole subtree, whose root
+    summary is its description or its leaf summary, and a wide table's
+    root window summaries beside its theme. The second runs each wide
+    table's remaining chain (:func:`build_table_tree` reusing its first
+    round) beside the clustering chain (:func:`cluster_tables`), which
+    clusters and summarizes the tables on their first-round texts: a
+    narrow table's root summary and a wide table's theme. A wide table's
+    root keeps its own summary in the tree.
+
+    With ``annotate_relations``, each parent with two or more children
+    sends its relation call beside its own summary, so no call follows the
     clustering; the snippets are kept in parent-id order. A build keeps
     no state of its own between attempts: to resume an aborted build,
     rerun it through a gateway with a ``DiskCache``. It sends the same
     prompts, so every call that finished before the abort is a cache hit.
     """
     relations: Relations | None = {} if annotate_relations else None
-    subtrees = gateway.concurrently([
-        partial(build_table_tree, catalog, t, params, gateway, relations)
-        for t in catalog.tables])
-    return cluster_tables(subtrees, params, gateway, catalog.side, relations)
+    wide = [len(t.columns) > params.leaf_budget for t in catalog.tables]
+    firsts = gateway.concurrently([
+        partial(block_first_round if w else build_table_tree, catalog, t, params, gateway)
+        for t, w in zip(catalog.tables, wide)])
+    # what each table is clustered on; a wide table's stand-in root holds its theme
+    stand_ins = [{f"tbl:{t.table_id}": TreeNode(f"tbl:{t.table_id}", NodeKind.TABLE_ROOT,
+                                                 first[1])} if w else first
+                 for t, w, first in zip(catalog.tables, wide, firsts)]
+    *finished, clustered = gateway.concurrently([
+        partial(build_table_tree, catalog, t, params, gateway, relations, first)
+        for t, w, first in zip(catalog.tables, wide, firsts) if w
+    ] + [partial(cluster_tables, stand_ins, params, gateway, catalog.side, relations)])
+    finished = iter(finished)
+    nodes: dict[str, TreeNode] = {}
+    for w, sub in zip(wide, stand_ins):
+        nodes.update(next(finished) if w else sub)
+    nodes.update((n, node) for n, node in clustered.nodes.items() if n not in nodes)
+    return ContextTree(catalog.side, clustered.root, nodes, params, _in_parent_order(relations))
 
 
 # -- context packs ------------------------------------------------------------

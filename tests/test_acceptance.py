@@ -514,13 +514,22 @@ SCHEDULE_SEEDS = (1, 2, 3, 4, 5)
 
 def clustered_catalog():
     """Three wide tables and four pairs of narrow ones; each pair shares a
-    description, so the pairs make four clusters on one dendrogram level."""
+    description, so the pairs make four clusters on one dendrogram level.
+    The wide tables cluster on their themes, so the build answers each
+    theme distinctly (``distinct_themes``)."""
     sizes = [(60, ""), (3, "payments"), (130, ""), (4, "visits"), (5, "payments"),
              (3, "visits"), (2, "claims"), (3, "claims"), (55, ""), (2, "wards"), (4, "wards")]
     return build_catalog("source", [
         table_doc(f"t{i}", [(f"t{i}_c{j}", f"col {j} of table {i}") for j in range(n)],
                   description=about)
         for i, (n, about) in enumerate(sizes)])
+
+
+def distinct_themes(prompt):
+    # one token per table, as tree_bot gives node summaries
+    if "TASK: table-theme" not in prompt:
+        return None
+    return f"theme#{zlib.crc32(prompt.encode()) & 0xFFFF:04x}"
 
 
 def tagged_relations(prompt):
@@ -579,7 +588,7 @@ def scheduled_run(out_dir, max_in_flight, seed=None):
         # every call a query made is booked to that query and no other
         assert spent == counters(ask.accounting.snapshot())
         prompts.update(build.chat_backend.call_log + ask.chat_backend.call_log)
-    build, catalog = gateway(tagged_relations, tree_bot), clustered_catalog()
+    build, catalog = gateway(tagged_relations, distinct_themes, tree_bot), clustered_catalog()
     save_tree(build_context_tree(catalog, TreeParams(), build, True), catalog,
               out_dir / "clustered_tree.json")
     prompts.update(build.chat_backend.call_log)

@@ -1039,8 +1039,17 @@ def child_summaries(prompt):
     return frozenset(re.findall(r"^- (.*)$", prompt.split("CHILD SUMMARIES:\n", 1)[1], re.M))
 
 
+def cluster_text(tree, node_id):
+    """The text a cluster prompt lists for a child: a wide table root's
+    theme (tree_bot gives every table one), any other node's summary."""
+    node = tree.node(node_id)
+    if node.kind is NodeKind.TABLE_ROOT and len(node.children) > 1:
+        return tree_bot("TASK: table-theme")
+    return node.summary
+
+
 def child_summaries_of(tree, node_id):
-    return frozenset(tree.node(c).summary for c in tree.node(node_id).children)
+    return frozenset(cluster_text(tree, c) for c in tree.node(node_id).children)
 
 
 def test_each_dendrogram_level_is_in_flight_together():
@@ -1126,6 +1135,35 @@ def test_replies_completing_in_reverse_order_give_the_same_build():
         json.dumps(tree_to_dict(reference), sort_keys=True)
     assert list(tree.nodes) == list(reference.nodes)
     assert [n.node_id for n in tree.leaves()] == [n.node_id for n in reference.leaves()]
+
+
+def test_clustering_runs_beside_a_wide_tables_remaining_calls():
+    cat = described_tables([150, 2, 2])
+    params = TreeParams(cluster_threshold=1.999)
+    clustering = threading.Event()
+
+    def holds_leaves(prompt):
+        # the wide table's leaves reply once a cluster prompt has gone out
+        if "TASK: cluster-summary" in prompt:
+            clustering.set()
+        if "TASK: leaf-summary" in prompt and "(t0)" in prompt:
+            assert clustering.wait(timeout=10)
+        return None
+
+    tree = build_context_tree(cat, params, tree_gateway(holds_leaves))
+    plain = build_context_tree(cat, params, tree_gateway(max_in_flight=1))
+    assert json.dumps(tree_to_dict(tree), sort_keys=True) == \
+        json.dumps(tree_to_dict(plain), sort_keys=True)
+    assert len(tree.node("tbl:t0").children) > 1
+
+
+def test_wide_tables_cluster_on_their_themes():
+    # tree_bot gives both wide tables one theme, and each root its own summary
+    cat = described_tables([150, 150, 2])
+    tree = build_context_tree(cat, PARAMS, tree_gateway())
+    assert tree.node("tbl:t0").summary != tree.node("tbl:t1").summary
+    assert tree.node("grp:1").children == ("tbl:t0", "tbl:t1")
+    assert tree.node(tree.root).children == ("grp:1", "tbl:t2")
 
 
 # -- relation calls beside their parent's summary ---------------------------------
@@ -1215,10 +1253,11 @@ def test_relations_ride_beside_summaries_without_changing_the_tree():
     assert (on.root, on.nodes) == (off.root, off.nodes) and off.relations == ()
     parents = sorted(n for n, node in on.nodes.items() if len(node.children) >= 2)
     assert {on.node(p).kind for p in parents} >= {NodeKind.TABLE_ROOT, NodeKind.CLUSTER}
-    # the oracle: one relation call per parent over the finished tree, in parent-id order
+    # the oracle: one relation call per parent over the finished tree, in parent-id
+    # order, each listing the texts its parent's summary prompt lists
     gw = tree_gateway(relations)
     expected = [r for p in parents for r in annotate_sibling_relations(
-        p, [(c, on.node(c).summary) for c in on.node(p).children], gw)]
+        p, [(c, cluster_text(on, c)) for c in on.node(p).children], gw)]
     assert len(expected) > len(parents)
     assert list(on.relations) == expected
 
