@@ -120,12 +120,6 @@ class SchemaCatalog:
         except KeyError:
             raise CatalogError(f"unknown column {ref}") from None
 
-    def by_cid(self, cid: str) -> ColumnRef:
-        try:
-            return self._by_cid[cid]
-        except KeyError:
-            raise CatalogError(f"unknown cid {cid!r}") from None
-
     def table(self, table_id: str) -> TableMeta:
         try:
             return self._tables_by_id[table_id]

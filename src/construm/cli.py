@@ -117,7 +117,10 @@ def make_gateway(cfg: dict, cache_dir=None) -> ModelGateway:
         script_path = backend_spec.split(":", 1)[1]
         if not Path(script_path).exists():
             raise UsageError(f"scripted backend file not found: {script_path}")
-        chat = ScriptedChatBackend.from_file(script_path)
+        try:
+            chat = ScriptedChatBackend.from_file(script_path)
+        except ValueError as exc:
+            raise UsageError(f"cannot read scripted backend file {script_path}: {exc}") from exc
         embed = HashEmbeddingBackend()
     elif backend_spec == "live":
         chat = HttpChatBackend(cfg["base_url"], cfg["chat_model"], cfg["api_key"],
@@ -401,7 +404,7 @@ def cmd_report(args) -> int:
         csv_path = Path(run_dir) / "report.csv"
         if not csv_path.exists():
             raise UsageError(f"no report.csv under {run_dir}")
-        grid = ev.parse_report_csv(csv_path.read_text(encoding="utf-8"))
+        grid = read_json(csv_path, "report", ev.parse_report_csv)
         for slice_name, by_mode in grid.items():
             name = slice_name if len(args.runs) == 1 else Path(run_dir).name
             reports.setdefault(name, {}).update(by_mode)

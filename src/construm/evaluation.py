@@ -348,9 +348,20 @@ def render_report(reports: Mapping[str, Mapping[str, EvalReport]],
 
 
 def parse_report_csv(text: str) -> dict[str, dict[str, EvalReport]]:
-    """Inverse of the CSV rendering: the {slice: {mode: report}} grid."""
+    """Inverse of the CSV rendering: the {slice: {mode: report}} grid.
+
+    Raises ValueError unless the header is ``CSV_FIELDS`` and every row
+    has one field per name, each of which parses.
+    """
+    reader = csv.reader(io.StringIO(text))
+    if tuple(next(reader, ())) != CSV_FIELDS:
+        raise ValueError(f"the header is not {','.join(CSV_FIELDS)}")
     grid: dict[str, dict[str, EvalReport]] = {}
-    for row in csv.DictReader(io.StringIO(text)):
-        grid.setdefault(row["slice"], {})[row["mode"]] = EvalReport(
-            row["slice"], int(row["n"]), *(float(row[f]) for f in CSV_FIELDS[3:]))
+    for row in filter(None, reader):
+        if len(row) != len(CSV_FIELDS):
+            raise ValueError(f"line {reader.line_num} has {len(row)} fields, "
+                             f"not {len(CSV_FIELDS)}")
+        slice_name, mode, n, *values = row
+        grid.setdefault(slice_name, {})[mode] = EvalReport(slice_name, int(n),
+                                                           *map(float, values))
     return grid

@@ -262,9 +262,22 @@ class ScriptedChatBackend:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedChatBackend":
+        """Load a JSON object of ``rules`` (each with a ``contains`` and a
+        ``reply`` string), an optional ``default`` string and ``delay``
+        number; a file of any other shape raises ValueError."""
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        rules = [ScriptRule(r["contains"], r["reply"]) for r in doc.get("rules", [])]
+        if not isinstance(doc, dict):
+            raise ValueError(f"a script holds a JSON object, got {type(doc).__name__}")
+        try:
+            rules = [ScriptRule(r["contains"], r["reply"]) for r in doc.get("rules", [])]
+            delay = float(doc.get("delay", 0.0))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f'each rule needs "contains" and "reply", and "delay" is a '
+                             f'number: {exc!r}') from None
         default = doc.get("default")
+        if not all(isinstance(t, str) for r in rules for t in (r.contains, r.reply)) \
+                or not isinstance(default, (str, type(None))):
+            raise ValueError("rule texts and the default must be strings")
         script = canonical_json({
             "rules": [[r.contains, r.reply] for r in rules], "default": default,
         })
@@ -272,7 +285,7 @@ class ScriptedChatBackend:
         return cls(
             rules=rules,
             default=default,
-            delay=float(doc.get("delay", 0.0)),
+            delay=delay,
             backend_id=f"scripted:{Path(path).name}:{digest}",
         )
 

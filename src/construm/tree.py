@@ -7,12 +7,12 @@ four stages -- windowed batch summaries, a sampled global theme, an
 LLM-proposed grouping plan (validated and repaired), and optional boundary
 refinement for ordered tables -- recursing on any group still above the
 leaf budget. Per-table trees are merged bottom-up by agglomerative
-clustering over the embeddings of each table's first-round text (a narrow
-table's root summary, a wide table's theme); merges tied at one height
-form one n-ary cluster. The clustering and its cluster summaries run
-beside the wide tables' remaining calls, so with a real model a wide
-table is clustered on a theme drawn from a column sample, not on a
-summary over all of its blocks.
+clustering over the embeddings of each table's first-round text, which
+the full build picks (a narrow table's root summary, a wide table's
+theme); merges tied at one height form one n-ary cluster. The clustering
+and its cluster summaries run beside the wide tables' remaining calls,
+so with a real model a wide table is clustered on a theme drawn from a
+column sample, not on a summary over all of its blocks.
 
 A built tree is immutable. It answers two queries: the column-to-root
 ``lineage`` of summaries, and a budgeted ``ContextPack`` combining that
@@ -206,7 +206,7 @@ def window_partition(n: int, window: int, min_group: int) -> list[tuple[int, int
 
 def stage1_window_summaries(catalog: SchemaCatalog, table: TableMeta,
                             window: int, gateway: ModelGateway,
-                            min_group: int = 1) -> list[tuple[tuple[int, int], str]]:
+                            min_group: int) -> list[tuple[tuple[int, int], str]]:
     """One short LLM summary per scan window, the windows' calls together.
 
     Windows are contiguous ordinal ranges for ordered tables and
@@ -459,8 +459,8 @@ def stage4_refine_boundaries(catalog: SchemaCatalog, table: TableMeta,
     """Re-scan an ordered table and let the LLM nudge group boundaries.
 
     At most ``switch_budget`` moves apply per pass, in scan order; a move
-    that would break contiguity or the minimum group size is discarded
-    (logged) and the original boundary kept.
+    from no boundary, to its own column, or breaking contiguity or the
+    minimum group size is discarded (logged) without spending budget.
     """
     refs = table.columns
     lo, hi = _span_of(refs)
@@ -497,6 +497,9 @@ def stage4_refine_boundaries(catalog: SchemaCatalog, table: TableMeta,
                 continue
             if old not in boundaries:
                 logger.info("boundary move %d->%d discarded: not a boundary", old, new)
+                continue
+            if new == old:
+                logger.info("boundary move %d->%d discarded: no change", old, new)
                 continue
             i = boundaries.index(old)
             prev_start = boundaries[i - 1] if i > 0 else lo
@@ -785,24 +788,20 @@ def collapse_tied_merges(n: int, merges: Sequence[tuple[int, int]], heights: Seq
     return [(c, tuple(kids)) for c, kids in children.items()]
 
 
-def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParams,
-                   gateway: ModelGateway, side: Side,
-                   relations: Relations | None = None) -> ContextTree:
-    """Merge per-table subtrees into one connected tree.
+def cluster_tables(tables: Sequence[tuple[str, str]], params: TreeParams,
+                   gateway: ModelGateway, relations: Relations | None = None,
+                   ) -> tuple[str, dict[str, TreeNode]]:
+    """Cluster table roots on their texts into one connected tree.
 
-    Each subtree lists its root last, as :func:`build_table_tree` does,
-    and its root's summary is the text the table is clustered on and that
-    cluster prompts list. :func:`build_context_tree` passes a narrow
-    table's finished subtree and, for a wide table still being built, a
-    stand-in root that holds its theme, and puts the finished subtree in
-    its place afterwards.
+    ``tables`` holds each table root's ``(node id, text)``; the text, which
+    :func:`build_context_tree` picks, is what the table is clustered on
+    and what cluster prompts list.
 
     Average-linkage agglomerative merging on cosine distance between
     those texts' embeddings (:func:`plan_merges`): the nearest pair merges
     first (ties broken by the lexicographically smallest table-id pair)
     while the distance stays at or under the cutoff; whatever remains is
-    joined under a final database root. A single table's root doubles as
-    the database root.
+    joined under a final database root.
 
     Tied merges then collapse (:func:`collapse_tied_merges`): a merge
     whose height is within ``TIE_TOLERANCE`` (1e-9, float noise) of a
@@ -813,49 +812,47 @@ def cluster_tables(table_trees: Sequence[dict[str, TreeNode]], params: TreeParam
     level's calls together; a cluster's level is one above its highest
     child's, and its prompt lists every child's text. When ``relations``
     is not None, each cluster's and the database root's sibling-relation
-    call goes beside its own summary (:func:`_summarize_parents`). The
-    returned tree holds every snippet in ``relations`` when it returns,
-    in parent-id order.
+    call goes beside its own summary (:func:`_summarize_parents`).
+
+    Returns the root's id and the nodes this adds: the clusters, then
+    ``db:root`` if one is made. A single table's root doubles as the
+    database root, and nothing is added.
     """
-    if not table_trees:
-        raise TreeError("no table trees to cluster")
-    nodes: dict[str, TreeNode] = {}
-    for sub in table_trees:
-        nodes.update(sub)
-    roots = sorted(next(reversed(sub)) for sub in table_trees)
-    root = roots[0]
-    if len(roots) > 1:
-        vectors = gateway.embed_batch([nodes[r].summary for r in roots])
-        dist = 1.0 - vectors @ vectors.T
-        merges, heights, survivors = plan_merges(dist, params.cluster_threshold)
-        ids = dict(enumerate(roots))
-        levels = dict.fromkeys(range(len(roots)), 0)
-        kids: dict[str, tuple[str, ...]] = {}
-        for k, (c, children) in enumerate(collapse_tied_merges(len(roots), merges, heights),
-                                          start=1):
-            ids[c] = f"grp:{k}"
-            levels[c] = 1 + max(levels[child] for child in children)
-            kids[ids[c]] = tuple(sorted(ids[child] for child in children))
-        summaries = {r: nodes[r].summary for r in roots}
-        for level in range(1, max(levels.values()) + 1):
-            batch = [ids[c] for c, lv in levels.items() if lv == level]
-            texts = _summarize_parents([
-                (g, "cluster-summary", "", [(child, summaries[child]) for child in kids[g]])
-                for g in batch
-            ], gateway, relations)
-            summaries.update(zip(batch, texts))
-        for g, children in kids.items():
-            nodes[g] = TreeNode(node_id=g, kind=NodeKind.CLUSTER, summary=summaries[g],
-                                children=children)
-        root = ids[survivors[0]]
-        if len(survivors) > 1:
-            root = "db:root"
-            children = [(ids[c], summaries[ids[c]]) for c in survivors]
-            [summary] = _summarize_parents([(root, "node-summary", "", children)],
-                                           gateway, relations)
-            nodes[root] = TreeNode(node_id=root, kind=NodeKind.DB_ROOT, summary=summary,
-                                   children=tuple(cid for cid, _ in children))
-    return ContextTree(side, root, nodes, params, _in_parent_order(relations))
+    if not tables:
+        raise TreeError("no tables to cluster")
+    texts = dict(sorted(tables))
+    roots = list(texts)
+    if len(roots) == 1:
+        return roots[0], {}
+    vectors = gateway.embed_batch(list(texts.values()))
+    dist = 1.0 - vectors @ vectors.T
+    merges, heights, survivors = plan_merges(dist, params.cluster_threshold)
+    ids = dict(enumerate(roots))
+    levels = dict.fromkeys(range(len(roots)), 0)
+    kids: dict[str, tuple[str, ...]] = {}
+    for k, (c, children) in enumerate(collapse_tied_merges(len(roots), merges, heights),
+                                      start=1):
+        ids[c] = f"grp:{k}"
+        levels[c] = 1 + max(levels[child] for child in children)
+        kids[ids[c]] = tuple(sorted(ids[child] for child in children))
+    for level in range(1, max(levels.values()) + 1):
+        batch = [ids[c] for c, lv in levels.items() if lv == level]
+        summaries = _summarize_parents([
+            (g, "cluster-summary", "", [(child, texts[child]) for child in kids[g]])
+            for g in batch
+        ], gateway, relations)
+        texts.update(zip(batch, summaries))
+    nodes = {g: TreeNode(node_id=g, kind=NodeKind.CLUSTER, summary=texts[g], children=children)
+             for g, children in kids.items()}
+    root = ids[survivors[0]]
+    if len(survivors) > 1:
+        root = "db:root"
+        children = [(ids[c], texts[ids[c]]) for c in survivors]
+        [summary] = _summarize_parents([(root, "node-summary", "", children)],
+                                       gateway, relations)
+        nodes[root] = TreeNode(node_id=root, kind=NodeKind.DB_ROOT, summary=summary,
+                               children=tuple(cid for cid, _ in children))
+    return root, nodes
 
 
 # -- sibling relation annotation ----------------------------------------------
@@ -919,10 +916,6 @@ def annotate_sibling_relations(parent_id: str, children: Sequence[tuple[str, str
 Relations = dict[str, list[RelationSnippet]]  # parent id -> its sibling snippets
 
 
-def _in_parent_order(relations: Relations | None) -> list[RelationSnippet]:
-    return [r for parent in sorted(relations or ()) for r in relations[parent]]
-
-
 def _summarize_parents(parents: Sequence[tuple[str, str, str, Sequence[tuple[str, str]]]],
                        gateway: ModelGateway, relations: Relations | None) -> list[str]:
     """Each parent's summary, its sibling-relation call beside it.
@@ -959,9 +952,9 @@ def build_context_tree(catalog: SchemaCatalog, params: TreeParams, gateway: Mode
     root window summaries beside its theme. The second runs each wide
     table's remaining chain (:func:`build_table_tree` reusing its first
     round) beside the clustering chain (:func:`cluster_tables`), which
-    clusters and summarizes the tables on their first-round texts: a
-    narrow table's root summary and a wide table's theme. A wide table's
-    root keeps its own summary in the tree.
+    clusters the tables on the first-round texts picked here: a narrow
+    table's root summary, a wide table's theme. A wide table's root keeps
+    its own summary in the tree.
 
     With ``annotate_relations``, each parent with two or more children
     sends its relation call beside its own summary, so no call follows the
@@ -975,20 +968,20 @@ def build_context_tree(catalog: SchemaCatalog, params: TreeParams, gateway: Mode
     firsts = gateway.concurrently([
         partial(block_first_round if w else build_table_tree, catalog, t, params, gateway)
         for t, w in zip(catalog.tables, wide)])
-    # what each table is clustered on; a wide table's stand-in root holds its theme
-    stand_ins = [{f"tbl:{t.table_id}": TreeNode(f"tbl:{t.table_id}", NodeKind.TABLE_ROOT,
-                                                 first[1])} if w else first
-                 for t, w, first in zip(catalog.tables, wide, firsts)]
-    *finished, clustered = gateway.concurrently([
+    # what each table is clustered on: a wide table's theme, a narrow table's root summary
+    texts = [(f"tbl:{t.table_id}", first[1] if w else first[f"tbl:{t.table_id}"].summary)
+             for t, w, first in zip(catalog.tables, wide, firsts)]
+    *finished, (root, clusters) = gateway.concurrently([
         partial(build_table_tree, catalog, t, params, gateway, relations, first)
         for t, w, first in zip(catalog.tables, wide, firsts) if w
-    ] + [partial(cluster_tables, stand_ins, params, gateway, catalog.side, relations)])
+    ] + [partial(cluster_tables, texts, params, gateway, relations)])
     finished = iter(finished)
     nodes: dict[str, TreeNode] = {}
-    for w, sub in zip(wide, stand_ins):
-        nodes.update(next(finished) if w else sub)
-    nodes.update((n, node) for n, node in clustered.nodes.items() if n not in nodes)
-    return ContextTree(catalog.side, clustered.root, nodes, params, _in_parent_order(relations))
+    for w, first in zip(wide, firsts):
+        nodes.update(next(finished) if w else first)
+    nodes.update(clusters)
+    return ContextTree(catalog.side, root, nodes, params,
+                       [r for parent in sorted(relations or ()) for r in relations[parent]])
 
 
 # -- context packs ------------------------------------------------------------

@@ -476,12 +476,12 @@ def run_and_check_prompt_packs(queries, artifacts, responder, monkeypatch):
         for tag, prompt in gw.chat_backend.call_log:
             if tag == "decision":
                 def owner_pack(owner):
-                    return built[q.source if owner == "query" else tcat.by_cid(owner)]
+                    return built[q.source if owner == "query" else tcat.resolve(owner)]
             elif tag == "differentiation":
                 catalog = scat if "\nSIDE: source\n" in prompt else tcat
 
                 def owner_pack(owner, catalog=catalog):
-                    return built[catalog.by_cid(owner)]
+                    return built[catalog.resolve(owner)]
             else:
                 continue
             shared, packs = check_prompt_packs(prompt, owner_pack)

@@ -73,7 +73,7 @@ def test_cid_index_roundtrip_on_random_catalogs():
     for seed in range(5):
         cat = random_catalog(seed, "source", n=40)
         for ref in cat.refs():
-            assert cat.by_cid(cat.meta(ref).cid) == ref
+            assert cat.resolve(cat.meta(ref).cid) == ref
 
 
 def test_resolve_by_cid_and_unique_name():

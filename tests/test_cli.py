@@ -210,6 +210,37 @@ def test_bench_generate_run_report_cycle(tmp_path):
     assert main(["report", "--runs", str(out_dir), "--format", "csv"]) == 0
 
 
+HEADER = "slice,mode,n,acc1,acc3,acc5,llm_calls_per_query,tokens_per_query,latency_s"
+ROW = "all,full,2,1.0,1.0,1.0,2.0,100.0,0.5"
+
+
+@pytest.mark.parametrize("text", [
+    HEADER.replace("acc1,", "") + "\n" + ROW.replace("1.0,", "", 1) + "\n",
+    HEADER + "\n" + ROW.replace(",2,", ",x,") + "\n",
+    "garbage\n",
+    HEADER + "\n" + "all,full,2,1.0\n",
+], ids=["no-acc1-column", "n-not-a-number", "garbage-header", "short-row"])
+def test_malformed_report_csv_is_user_error(tmp_path, capsys, text):
+    (tmp_path / "report.csv").write_text(text)
+    assert main(["report", "--runs", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "report.csv") in err and "Traceback" not in err
+
+
+def test_malformed_script_is_user_error(tmp_path, capsys):
+    source, target, _ = fixture_files(tmp_path)
+    script = tmp_path / "script.json"
+    for text in ("{not json", '[{"contains": "x", "reply": "y"}]',
+                 '{"rules": [{"reply": "y"}]}', '{"rules": [{"contains": 5, "reply": "y"}]}',
+                 '{"default": 5}', '{"default": "y", "delay": []}'):
+        script.write_text(text)
+        rc = main(["build-graph", "--catalog", str(source), "--out", str(tmp_path / "g.json"),
+                   "--backend", f"scripted:{script}"])
+        err = capsys.readouterr().err
+        assert rc == 1, text
+        assert f"scripted backend file {script}" in err and "Traceback" not in err
+
+
 def test_bench_run_without_truth_is_user_error_before_any_query(tmp_path, capsys):
     source, target, script, benchspec = bench_setup(tmp_path)
     bench = write_json(tmp_path / "bench.json", [

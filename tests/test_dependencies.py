@@ -1,8 +1,9 @@
 """The package imports no third-party module that pyproject.toml does not declare,
 only the gateway reaches the standard library's thread-starting APIs, a handler
 that catches every exception sits only where the error is recorded or re-raised,
-importing the package sets numpy's OpenBLAS to one thread unless the environment
-sets its thread count, and the per-query modules take every cosine from one full
+only the full tree build and the tree loader construct a ContextTree, importing
+the package sets numpy's OpenBLAS to one thread unless the environment sets its
+thread count, and the per-query modules take every cosine from one full
 matrix-vector product."""
 
 import ast
@@ -62,9 +63,10 @@ def test_only_the_gateway_starts_threads():
     assert {name for name, found in starters.items() if found} == {"gateway.py"}
 
 
-def broad_handler_scopes(path: Path, module: str) -> set[str]:
-    """The dotted names of the functions in ``path`` that hold an ``except``
-    catching every exception: bare, ``Exception`` or ``BaseException``."""
+def package_scopes(holds) -> set[str]:
+    """The dotted names (``module.function``, or the module's at top level) of
+    the scopes in the package that hold an AST node for which ``holds`` is true."""
+    package = ROOT / "src" / "construm"
     found = set()
 
     def visit(node: ast.AST, scope: str):
@@ -72,15 +74,23 @@ def broad_handler_scopes(path: Path, module: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.ExceptHandler):
-                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
-                if any(t is None or isinstance(t, ast.Name)
-                       and t.id in ("Exception", "BaseException") for t in caught):
-                    found.add(scope)
+            if holds(child):
+                found.add(scope)
             visit(child, scope)
 
-    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), module)
+    for path in package.rglob("*.py"):
+        module = path.relative_to(package).with_suffix("").as_posix().replace("/", ".")
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), module)
     return found
+
+
+def catches_everything(node: ast.AST) -> bool:
+    """An ``except`` that is bare or catches ``Exception`` or ``BaseException``."""
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any(t is None or isinstance(t, ast.Name) and t.id in ("Exception", "BaseException")
+               for t in caught)
 
 
 def test_broad_exception_handlers_only_record_or_re_raise():
@@ -89,13 +99,24 @@ def test_broad_exception_handlers_only_record_or_re_raise():
                "evaluation.run_queries",  # records each query's failure
                "gateway.ModelGateway.concurrently",  # re-raises in the caller's thread
                "pipeline.run_match")  # re-raises with the query's spent calls
-    package = ROOT / "src" / "construm"
-    found = set().union(*(
-        broad_handler_scopes(p, p.relative_to(package).with_suffix("").as_posix()
-                             .replace("/", "."))
-        for p in package.rglob("*.py")))
+    found = package_scopes(catches_everything)
     assert found and {f for f in found
                       if not any(f == a or f.startswith(a + ".") for a in allowed)} == set()
+
+
+def constructs_context_tree(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "ContextTree"
+            or isinstance(func, ast.Attribute) and func.attr == "ContextTree")
+
+
+def test_only_the_build_and_the_loader_construct_a_context_tree():
+    # a side has one tree: the clustering adds nodes to the build's tree
+    # rather than making a tree of its own
+    assert package_scopes(constructs_context_tree) == {"tree.build_context_tree",
+                                                       "tree.load_tree"}
 
 
 # prints the thread count of numpy's OpenBLAS before and after ``import construm``,

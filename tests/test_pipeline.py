@@ -111,7 +111,7 @@ def test_parse_choice_takes_last_answer():
     refs = list(artifacts.target_catalog.refs())
     mapping = cid_map(artifacts.target_catalog, refs)
     chosen = parse_choice("maybe C12... ANSWER: C1\nANSWER: C3", mapping)
-    assert chosen == artifacts.target_catalog.by_cid("C3")
+    assert chosen == artifacts.target_catalog.resolve("C3")
 
 
 def test_parse_choice_requires_candidate_membership():

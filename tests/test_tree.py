@@ -373,13 +373,15 @@ def test_stage4_discards_move_violating_min_group():
     assert sum(sizes) == 250
 
 
-def test_stage4_move_from_a_non_boundary_spends_no_budget():
+@pytest.mark.parametrize("reply", ["MOVE 60 -> 61\nMOVE 120 -> 118",
+                                   "MOVE 120 -> 120\nMOVE 120 -> 118"],
+                         ids=["non-boundary", "no-op"])
+def test_stage4_move_from_a_non_boundary_spends_no_budget(reply):
     cat = ordered_catalog(250)
     plan = plan_for(cat, [(0, 119), (120, 249)])
-    # 60 starts no group: that move is discarded, and the one budgeted move is
-    # still there for the next line
-    gw = make_gateway(responder=chain_bots(
-        move_bot(["MOVE 60 -> 61\nMOVE 120 -> 118"]), tree_bot))
+    # 60 starts no group, and 120 -> 120 moves nothing: either move is
+    # discarded, and the one budgeted move is still there for the next line
+    gw = make_gateway(responder=chain_bots(move_bot([reply]), tree_bot))
     out = stage4_refine_boundaries(cat, cat.tables[0], plan, TreeParams(switch_budget=1), gw)
     assert spans_of(out) == [(0, 117), (118, 249)]
 
@@ -466,19 +468,29 @@ def test_single_table_root_is_db_root():
     assert len(path) == 2
 
 
+def table_texts(k):
+    return [(f"tbl:t{i}", f"table {i} about topic {i}") for i in range(k)]
+
+
 def test_three_tables_cluster_then_forced_join():
-    cat = multi_table_catalog([3, 3, 3])
-    subtrees = [build_table_tree(cat, t, PARAMS, tree_gateway()) for t in cat.tables]
     e = np.eye(4)
-    # root summaries embed as e1, e1, e3: d(T0,T1)=0 <= 0.5 merges first;
+    # the texts embed as e1, e1, e3: d(T0,T1)=0 <= 0.5 merges first;
     # d(cluster, T2)=1 > 0.5 forces the final db-root join
     gw = make_gateway(responder=tree_bot,
                       embed_backend=PositionalEmbeddingBackend([[e[0], e[0], e[2]]]))
-    tree = cluster_tables(subtrees, PARAMS, gw, Side.SOURCE)
-    root = tree.node(tree.root)
-    assert root.kind is NodeKind.DB_ROOT
-    assert set(root.children) == {"grp:1", "tbl:t2"}
-    assert set(tree.node("grp:1").children) == {"tbl:t0", "tbl:t1"}
+    root, added = cluster_tables(table_texts(3), PARAMS, gw)
+    assert list(added) == ["grp:1", "db:root"]
+    assert root == "db:root" and added[root].kind is NodeKind.DB_ROOT
+    assert set(added[root].children) == {"grp:1", "tbl:t2"}
+    assert set(added["grp:1"].children) == {"tbl:t0", "tbl:t1"}
+
+
+def test_a_single_table_is_its_own_root():
+    # one table needs no embedding: the gateway has no embedding batch to give
+    gw = make_gateway(responder=tree_bot, embed_backend=PositionalEmbeddingBackend([]))
+    assert cluster_tables(table_texts(1), PARAMS, gw) == ("tbl:t0", {})
+    with pytest.raises(TreeError, match="no tables"):
+        cluster_tables([], PARAMS, gw)
 
 
 def reference_agglomerative(dist, delta):
@@ -526,13 +538,14 @@ def planted_hierarchy_vectors(k=8):
 
 def test_full_merge_matches_reference_and_depth_bound():
     k = 8
-    cat = multi_table_catalog([2] * k)
-    subtrees = [build_table_tree(cat, t, PARAMS, tree_gateway()) for t in cat.tables]
     vectors = planted_hierarchy_vectors(k)
     params = TreeParams(cluster_threshold=1.999)  # accept everything
-    gw = make_gateway(responder=tree_bot,
-                      embed_backend=PositionalEmbeddingBackend([vectors]))
-    tree = cluster_tables(subtrees, params, gw, Side.SOURCE)
+
+    def gateway():
+        return make_gateway(responder=tree_bot,
+                            embed_backend=PositionalEmbeddingBackend([vectors]))
+
+    _, added = cluster_tables(table_texts(k), params, gateway())
 
     mat = np.stack(vectors)
     dist = (1.0 - mat @ mat.T).tolist()
@@ -540,21 +553,17 @@ def test_full_merge_matches_reference_and_depth_bound():
     assert len(merges) == k - 1  # fully merged by the reference as well
 
     # our cluster nodes, in creation order, merge the same member sets
-    def table_indices(node_id, tree):
-        out = set()
-        stack = [node_id]
-        while stack:
-            nid = stack.pop()
-            if nid.startswith("tbl:") and "." not in nid:
-                out.add(int(nid.split(":t")[1]))
-            stack.extend(tree.node(nid).children if nid in tree.nodes else [])
-        return frozenset(out)
+    def table_indices(node_id):
+        if node_id.startswith("tbl:"):
+            return frozenset([int(node_id.split(":t")[1])])
+        return frozenset().union(*map(table_indices, added[node_id].children))
 
     for idx, (a, b) in enumerate(merges, start=1):
-        node = tree.node(f"grp:{idx}")
-        got = {table_indices(c, tree) for c in node.children}
+        node = added[f"grp:{idx}"]
+        got = {table_indices(c) for c in node.children}
         assert got == {a, b}
 
+    tree = build_context_tree(multi_table_catalog([2] * k), params, gateway())
     depth = max(tree.depth(leaf.node_id) for leaf in tree.leaves())
     # balanced merge of 8 tables: ceil(log2 8) cluster levels above each
     # table root, whose leaf sits one below it
@@ -563,9 +572,7 @@ def test_full_merge_matches_reference_and_depth_bound():
 
 def test_exact_distance_ties_merge_in_key_order():
     k = 8
-    cat = described_tables([2] * k)
-    subtrees = [build_table_tree(cat, t, PARAMS, tree_gateway()) for t in cat.tables]
-    same = np.eye(1, 16)[0]  # identical one-hot summaries: every distance is 0.0
+    same = np.eye(1, 16)[0]  # identical one-hot texts: every distance is 0.0
     asked = []
 
     def record(prompt):
@@ -575,14 +582,14 @@ def test_exact_distance_ties_merge_in_key_order():
 
     gw = make_gateway(responder=chain_bots(record, tree_bot),
                       embed_backend=PositionalEmbeddingBackend([[same] * k]))
-    tree = cluster_tables(subtrees, TreeParams(cluster_threshold=1.999), gw, Side.SOURCE)
+    texts = table_texts(k)
+    root, added = cluster_tables(texts[::-1], TreeParams(cluster_threshold=1.999), gw)
 
     # the k - 1 tied merges make one cluster over every table, in key order
-    tables = tuple(f"tbl:t{i}" for i in range(k))
-    assert tree.root == "grp:1"
-    assert [n for n in tree.nodes if n.startswith("grp:")] == ["grp:1"]
-    assert tree.node("grp:1").children == tables
-    assert asked == [[tree.node(t).summary for t in tables]]
+    assert root == "grp:1"
+    assert list(added) == ["grp:1"]
+    assert added["grp:1"].children == tuple(t for t, _ in texts)
+    assert asked == [[text for _, text in texts]]
     assert len(set(asked[0])) == k
 
 
@@ -600,19 +607,17 @@ def test_near_tied_heights_make_one_cluster():
 
 def test_tied_blocks_at_distinct_heights_stay_apart():
     k = 8
-    cat = multi_table_catalog([2] * k)
-    subtrees = [build_table_tree(cat, t, PARAMS, tree_gateway()) for t in cat.tables]
     e = np.eye(16)
     # t0..t3 identical (height 0); t4..t7 pairwise cosine 0.9 (height 0.1);
     # the two blocks orthogonal (height 1)
     vectors = [e[0]] * 4 + [unit(3 * e[1] + e[2 + i]) for i in range(4)]
     gw = make_gateway(responder=tree_bot, embed_backend=PositionalEmbeddingBackend([vectors]))
-    tree = cluster_tables(subtrees, TreeParams(cluster_threshold=1.999), gw, Side.SOURCE)
+    root, added = cluster_tables(table_texts(k), TreeParams(cluster_threshold=1.999), gw)
 
-    assert tree.root == "grp:3"
-    assert tree.node("grp:3").children == ("grp:1", "grp:2")
-    assert tree.node("grp:1").children == tuple(f"tbl:t{i}" for i in range(4))
-    assert tree.node("grp:2").children == tuple(f"tbl:t{i}" for i in range(4, 8))
+    assert root == "grp:3"
+    assert added["grp:3"].children == ("grp:1", "grp:2")
+    assert added["grp:1"].children == tuple(f"tbl:t{i}" for i in range(4))
+    assert added["grp:2"].children == tuple(f"tbl:t{i}" for i in range(4, 8))
 
 
 def test_collapse_keeps_member_sets_and_separates_heights():
@@ -1027,11 +1032,11 @@ def described_tables(sizes):
     ])
 
 
-def merge_levels(tree):
+def merge_levels(nodes):
     """Each cluster node's dendrogram level, in merge order."""
     level = {}
-    for k in range(1, sum(n.startswith("grp:") for n in tree.nodes) + 1):
-        level[f"grp:{k}"] = 1 + max(level.get(c, 0) for c in tree.node(f"grp:{k}").children)
+    for k in range(1, sum(n.startswith("grp:") for n in nodes) + 1):
+        level[f"grp:{k}"] = 1 + max(level.get(c, 0) for c in nodes[f"grp:{k}"].children)
     return level
 
 
@@ -1054,20 +1059,21 @@ def child_summaries_of(tree, node_id):
 
 def test_each_dendrogram_level_is_in_flight_together():
     k = 8
-    cat = described_tables([2] * k)
-    subtrees = [build_table_tree(cat, t, PARAMS, tree_gateway()) for t in cat.tables]
+    tables = table_texts(k)
     params = TreeParams(cluster_threshold=1.999)
 
     def cluster(bot=None):
         gw = tree_gateway(bot, embed_backend=PositionalEmbeddingBackend(
             [planted_hierarchy_vectors(k)]))
-        return cluster_tables(subtrees, params, gw, Side.SOURCE)
+        return cluster_tables(tables, params, gw)
 
     reference = cluster()
-    level = merge_levels(reference)
+    _, added = reference
+    level = merge_levels(added)
     sizes = [list(level.values()).count(lv) for lv in (1, 2, 3)]
     assert sizes == [4, 2, 1]
-    level_of = {child_summaries_of(reference, n): lv for n, lv in level.items()}
+    text = {**dict(tables), **{n: node.summary for n, node in added.items()}}
+    level_of = {frozenset(text[c] for c in added[n].children): lv for n, lv in level.items()}
     barriers = {lv: threading.Barrier(size, timeout=10) for lv, size in zip((1, 2, 3), sizes)}
 
     def waits(prompt):
@@ -1075,7 +1081,7 @@ def test_each_dendrogram_level_is_in_flight_together():
             barriers[level_of[child_summaries(prompt)]].wait()
         return None
 
-    assert tree_to_dict(cluster(waits)) == tree_to_dict(reference)
+    assert cluster(waits) == reference
 
 
 def in_reverse(order, key_of):
@@ -1111,7 +1117,7 @@ def test_replies_completing_in_reverse_order_give_the_same_build():
         return build_context_tree(cat, params, gw)
 
     reference = build()
-    level = merge_levels(reference)
+    level = merge_levels(reference.nodes)
     merge_of = {child_summaries_of(reference, n): n for n in level}
 
     def key_of(prompt):
@@ -1207,29 +1213,33 @@ def test_block_summary_and_its_relation_call_are_in_flight_together():
 
 
 def test_cluster_and_root_summaries_are_in_flight_beside_their_relation_calls():
-    cat = multi_table_catalog([3, 3, 3])
-    subtrees = [build_table_tree(cat, t, PARAMS, tree_gateway()) for t in cat.tables]
     e = np.eye(4)
 
-    def cluster(bot=None, relations=None):
-        # root summaries embed as e1, e1, e3: t0 and t1 make grp:1, then db:root
-        gw = tree_gateway(bot, embed_backend=PositionalEmbeddingBackend([[e[0], e[0], e[2]]]))
-        return cluster_tables(subtrees, PARAMS, gw, Side.SOURCE, relations)
+    def gateway(bot=None):
+        # the texts embed as e1, e1, e3: t0 and t1 make grp:1, then db:root
+        return tree_gateway(bot, embed_backend=PositionalEmbeddingBackend([[e[0], e[0], e[2]]]))
 
     pairs = {parent: threading.Barrier(2, timeout=5) for parent in ("grp:1", "db:root")}
     task_of = {"TASK: cluster-summary": "grp:1", "TASK: node-summary": "db:root"}
     relations = {}
-    tree = cluster(paired_bot(pairs, lambda p: task_of.get(p.split("\n", 1)[0])), relations)
-    plain = cluster()
-    assert (tree.root, tree.nodes) == (plain.root, plain.nodes) and plain.relations == ()
-    assert tree.node("db:root").children == ("grp:1", "tbl:t2")
+    clustered = cluster_tables(
+        table_texts(3), PARAMS,
+        gateway(paired_bot(pairs, lambda p: task_of.get(p.split("\n", 1)[0]))), relations)
+    plain_gw = gateway()
+    plain = cluster_tables(table_texts(3), PARAMS, plain_gw)
+    assert clustered == plain
+    assert not any(tag == "relation" for tag, _ in plain_gw.chat_backend.call_log)
+    root, added = clustered
+    assert added[root].children == ("grp:1", "tbl:t2")
     assert {p: [(r.from_node, r.to_node) for r in snippets]
             for p, snippets in relations.items()} == {
         "grp:1": [("tbl:t0", "tbl:t1")], "db:root": [("grp:1", "tbl:t2")]}
-    # the tree holds the snippets in parent-id order
+    assert not any(barrier.broken for barrier in pairs.values())
+    # the built tree holds the snippets in parent-id order
+    tree = build_context_tree(multi_table_catalog([3, 3, 3]), PARAMS,
+                              gateway(paired_bot({}, lambda p: None)), annotate_relations=True)
     assert [(r.from_node, r.to_node) for r in tree.relations] == [
         ("grp:1", "tbl:t2"), ("tbl:t0", "tbl:t1")]
-    assert not any(barrier.broken for barrier in pairs.values())
 
 
 def test_relations_ride_beside_summaries_without_changing_the_tree():
