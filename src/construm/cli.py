@@ -115,11 +115,9 @@ def make_gateway(cfg: dict, cache_dir=None) -> ModelGateway:
     backend_spec = cfg["backend"]
     if backend_spec.startswith("scripted:"):
         script_path = backend_spec.split(":", 1)[1]
-        if not Path(script_path).exists():
-            raise UsageError(f"scripted backend file not found: {script_path}")
         try:
             chat = ScriptedChatBackend.from_file(script_path)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read scripted backend file {script_path}: {exc}") from exc
         embed = HashEmbeddingBackend()
     elif backend_spec == "live":
@@ -383,8 +381,7 @@ def cmd_bench_run(args) -> int:
     need_tree = any(PipelineConfig.from_mode(m).use_tree for m in modes)
     artifacts = _build_artifacts(cfg, source, target, gateway, need_tree=need_tree)
     base = pipeline_config({**cfg, "mode": modes[0]})
-    suite = ev.run_ablation_suite(queries, modes, artifacts, gateway, base_config=base,
-                                  slice_name=args.slice)
+    suite = ev.run_ablation_suite(queries, modes, artifacts, gateway, base)
     reports = {args.slice: {mode: report for mode, (report, _) in suite.items()}}
     (out_dir / "report.md").write_text(ev.render_report(reports, "markdown"),
                                        encoding="utf-8")
@@ -527,10 +524,8 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CatalogError as exc:
+    # OSError: a path the user named that is not what it must be
+    except (UsageError, CatalogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:  # noqa: BLE001 - anything else is an internal error

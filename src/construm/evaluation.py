@@ -148,7 +148,8 @@ Outcome = tuple[MatchResult | None, QueryFailure | None]
 
 @dataclass
 class EvalReport:
-    slice_name: str
+    """One slice's scores; the slice is the report's key in ``{slice: {mode: report}}``."""
+
     n: int
     acc1: float
     acc3: float
@@ -158,8 +159,7 @@ class EvalReport:
     mean_latency: float
 
 
-def evaluate(queries: Sequence[MatchQuery], outcomes: Sequence[Outcome],
-             slice_name: str = "all") -> EvalReport:
+def evaluate(queries: Sequence[MatchQuery], outcomes: Sequence[Outcome]) -> EvalReport:
     """Score one slice: accuracy@{1,3,5} plus mean efficiency counters.
 
     ``outcomes[i]`` is ``run_queries``' pair for ``queries[i]``. A failed
@@ -186,7 +186,7 @@ def evaluate(queries: Sequence[MatchQuery], outcomes: Sequence[Outcome],
         return total / n if n else 0.0
 
     return EvalReport(
-        slice_name=slice_name, n=n,
+        n=n,
         acc1=mean(hits[1]), acc3=mean(hits[3]), acc5=mean(hits[5]),
         mean_llm_calls=mean(sum(s.llm_calls for s in spent)),
         mean_tokens=mean(sum(s.total_tokens for s in spent)),
@@ -202,10 +202,9 @@ def weighted_average(pairs: Sequence[tuple[int, float]]) -> float:
     return sum(n * v for n, v in pairs) / total
 
 
-def weighted_total(reports: Sequence[EvalReport], slice_name: str = "Total") -> EvalReport:
+def weighted_total(reports: Sequence[EvalReport]) -> EvalReport:
     """The weighted "Total" row across benchmark slices."""
     return EvalReport(
-        slice_name=slice_name,
         n=sum(r.n for r in reports),
         acc1=weighted_average([(r.n, r.acc1) for r in reports]),
         acc3=weighted_average([(r.n, r.acc3) for r in reports]),
@@ -225,7 +224,8 @@ def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig, artifacts
 
     Queries without a shortlist get one from embedding retrieval (size
     ``config.k``). A query that raises gets ``(None, QueryFailure)``, which
-    keeps the calls it made, and the run continues. Queries run
+    keeps the calls it made (a ``gateway.metered()`` scope around each
+    query counts them), and the run continues. Queries run
     concurrently on the gateway; each trace counts only its own query's calls.
     The first query of each (source, shortlist) pair runs before any repeat
     of it, so the first books the backend calls and the repeats the cache
@@ -233,15 +233,16 @@ def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig, artifacts
     """
     def run_one(i: int) -> Outcome:
         q = queries[i]
-        try:
-            if not q.shortlist:
-                q = q.with_shortlist(shortlist(q.source, artifacts, config.k, gateway))
-            return run_match(q, config, artifacts, gateway), None
-        except Exception as exc:  # noqa: BLE001 - record the row, keep running
-            # an error of another kind is a bug: keep its traceback
-            logger.warning("query %d failed in mode %s: %s", i, config.mode, exc,
-                           exc_info=not isinstance(exc, (PipelineError, GatewayError)))
-            return None, QueryFailure(str(exc), getattr(exc, "spent", AccountingSnapshot()))
+        with gateway.metered() as meter:
+            try:
+                if not q.shortlist:
+                    q = q.with_shortlist(shortlist(q.source, artifacts, config.k, gateway))
+                return run_match(q, config, artifacts, gateway), None
+            except Exception as exc:  # noqa: BLE001 - record the row, keep running
+                # an error of another kind is a bug: keep its traceback
+                logger.warning("query %d failed in mode %s: %s", i, config.mode, exc,
+                               exc_info=not isinstance(exc, (PipelineError, GatewayError)))
+                return None, QueryFailure(str(exc), meter.snapshot())
 
     first: dict[tuple, int] = {}
     for i, q in enumerate(queries):
@@ -256,8 +257,7 @@ def run_queries(queries: Sequence[MatchQuery], config: PipelineConfig, artifacts
 
 
 def run_ablation_suite(queries: Sequence[MatchQuery], modes: Sequence[str],
-                       artifacts: Artifacts, gateway: ModelGateway,
-                       base_config: PipelineConfig | None = None, slice_name: str = "all",
+                       artifacts: Artifacts, gateway: ModelGateway, base_config: PipelineConfig,
                        ) -> dict[str, tuple[EvalReport, list[Outcome]]]:
     """Run every mode over the identical query list and score each.
 
@@ -267,9 +267,8 @@ def run_ablation_suite(queries: Sequence[MatchQuery], modes: Sequence[str],
     """
     out: dict[str, tuple[EvalReport, list[Outcome]]] = {}
     for mode in modes:
-        cfg = replace(base_config or PipelineConfig(), mode=mode)
-        outcomes = run_queries(queries, cfg, artifacts, gateway)
-        out[mode] = (evaluate(queries, outcomes, slice_name), outcomes)
+        outcomes = run_queries(queries, replace(base_config, mode=mode), artifacts, gateway)
+        out[mode] = (evaluate(queries, outcomes), outcomes)
     return out
 
 
@@ -362,6 +361,5 @@ def parse_report_csv(text: str) -> dict[str, dict[str, EvalReport]]:
             raise ValueError(f"line {reader.line_num} has {len(row)} fields, "
                              f"not {len(CSV_FIELDS)}")
         slice_name, mode, n, *values = row
-        grid.setdefault(slice_name, {})[mode] = EvalReport(slice_name, int(n),
-                                                           *map(float, values))
+        grid.setdefault(slice_name, {})[mode] = EvalReport(int(n), *map(float, values))
     return grid

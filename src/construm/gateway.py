@@ -53,7 +53,6 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-ROLE_TAGS = ("tree_summary", "relation", "differentiation", "decision")
 MAX_IN_FLIGHT = 16  # default max_in_flight: a gateway's fan-out threads and backend calls
 MAX_ATTEMPTS = 2  # one try and one retry, for chat and embedding calls alike
 MAX_EMBED_INPUTS = 2048  # most texts one embeddings request carries (OpenAI's cap)
@@ -377,7 +376,7 @@ class HttpChatBackend:
     carries them next to the model so the reply cache keys on both.
     """
 
-    def __init__(self, base_url: str, model: str = "gpt-5", api_key: str | None = None,
+    def __init__(self, base_url: str, model: str, api_key: str | None = None,
                  decoding: dict | None = None):
         self.base_url = base_url.rstrip("/")
         self.model = model
@@ -543,8 +542,7 @@ class HashEmbeddingBackend:
 class HttpEmbeddingBackend:
     """Embeddings endpoint backend (``{model, input: [...]}`` POST)."""
 
-    def __init__(self, base_url: str, model: str = "text-embedding-3-small",
-                 api_key: str | None = None):
+    def __init__(self, base_url: str, model: str, api_key: str | None = None):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.api_key = api_key

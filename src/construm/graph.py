@@ -164,25 +164,22 @@ def extract_groups(pairs: Iterable[tuple[int, int, float]],
     return [SimilarityGroup(frozenset(members)) for _, members in sorted(by_label.items())]
 
 
-def expand_candidates(c0: Sequence[ColumnRef], hypergraph: Hypergraph,
-                      cap_total: int = CAP_TOTAL, cap_strong: int = CAP_STRONG) -> list[ColumnRef]:
+def expand_candidates(c0: Sequence[ColumnRef], hypergraph: Hypergraph) -> list[ColumnRef]:
     """Grow a shortlist with near-duplicate neighbors of its strong head.
 
-    The first ``cap_strong`` shortlist members are the strong candidates;
+    The first ``CAP_STRONG`` shortlist members are the strong candidates;
     columns with cosine >= the graph's tau to any of them join the
-    candidate set, highest cosine first, up to ``cap_total`` additions.
+    candidate set, highest cosine first, up to ``CAP_TOTAL`` additions.
     Shortlist order is preserved and additions are appended.
     """
     if not c0:
         raise ValueError("empty shortlist")
-    strong = list(c0)[:cap_strong]
-    if not strong:
-        return list(c0)
+    strong = list(c0)[:CAP_STRONG]
     best = np.max([hypergraph.matrix @ hypergraph.vector(s) for s in strong], axis=0)
     keep = best >= hypergraph.tau
     keep[[hypergraph.index_of(r) for r in c0]] = False
     added = hypergraph.ranked(best, among=[hypergraph.columns[i] for i in np.flatnonzero(keep)])
-    return list(c0) + added[:cap_total]
+    return list(c0) + added[:CAP_TOTAL]
 
 
 def groups_within(candidates: Sequence[ColumnRef], hypergraph: Hypergraph) -> list[SimilarityGroup]:

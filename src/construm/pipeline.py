@@ -233,21 +233,18 @@ def run_match(query: MatchQuery, config: PipelineConfig, artifacts: Artifacts,
     Returns the chosen candidate, the ranked candidate list (chosen first),
     and a trace whose ``spent`` snapshot counts the gateway calls this
     query made, and only those, even while other queries share the gateway.
-    An exception raised on the way carries that snapshot as its ``spent``.
+    A caller that counts a failed query's calls opens its own
+    ``gateway.metered()`` scope around the call.
     """
     if not query.shortlist:
         raise PipelineError("query has an empty shortlist")
     for ref in query.shortlist:
         artifacts.target_catalog.meta(ref)  # raises on unknown candidates
     with gateway.metered() as meter:
-        try:
-            if config.mode == "embed_top1":
-                chosen, ranked, prompt = query.shortlist[0], query.shortlist, ""
-            else:
-                chosen, ranked, prompt = _decide(query, config, artifacts, gateway)
-        except Exception as exc:
-            exc.spent = meter.snapshot()  # so the failed query's calls stay counted
-            raise
+        if config.mode == "embed_top1":
+            chosen, ranked, prompt = query.shortlist[0], query.shortlist, ""
+        else:
+            chosen, ranked, prompt = _decide(query, config, artifacts, gateway)
     return MatchResult(query, chosen, tuple(ranked),
                        MatchTrace(meter.snapshot(), prompt, config.mode))
 

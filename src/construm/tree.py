@@ -47,10 +47,6 @@ class TreeError(Exception):
     pass
 
 
-class UnknownColumnError(TreeError):
-    pass
-
-
 class PackBudgetError(TreeError):
     def __init__(self, budget: int, required: int):
         super().__init__(f"budget too small: {budget} chars given, {required} required")
@@ -161,7 +157,7 @@ def lineage(tree: ContextTree, column: ColumnRef) -> list[TreeNode]:
     """Leaf-to-root path of nodes for one column (parent links only)."""
     leaf_id = tree.leaf_of.get(column)
     if leaf_id is None:
-        raise UnknownColumnError(f"unknown column {column}")
+        raise TreeError(f"unknown column {column}")
     path = [tree.node(leaf_id)]
     node_id = leaf_id
     while node_id != tree.root:
@@ -253,9 +249,8 @@ def even_sample_indices(n: int, k: int) -> list[int]:
 
 def stage2_global_theme(catalog: SchemaCatalog, table: TableMeta,
                         sample_count: int, gateway: ModelGateway) -> str:
-    """Theme/flow text inferred by the LLM from an even column sample."""
-    if sample_count < 2:
-        raise TreeError("sample_count must be >= 2")
+    """Theme/flow text inferred by the LLM from an even column sample of
+    ``sample_count`` (``TreeParams`` holds it at 2 or more) columns."""
     refs = table.columns
     sample = [refs[i] for i in even_sample_indices(len(refs), sample_count)]
     prompt = (
@@ -550,8 +545,7 @@ def block_first_round(catalog: SchemaCatalog, table: TableMeta, params: TreePara
     windows, theme = gateway.concurrently([
         partial(stage1_window_summaries, catalog, table, params.window, gateway,
                 params.min_group),
-        partial(stage2_global_theme, catalog, table,
-                min(len(table.columns), params.sample_count), gateway),
+        partial(stage2_global_theme, catalog, table, params.sample_count, gateway),
     ])
     return windows, theme
 

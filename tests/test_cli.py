@@ -241,6 +241,28 @@ def test_malformed_script_is_user_error(tmp_path, capsys):
         assert f"scripted backend file {script}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mistake", ["script-is-a-directory", "cache-is-a-file",
+                                     "out-under-a-file"])
+def test_path_of_the_wrong_kind_is_user_error(tmp_path, capsys, mistake):
+    source, target, script = fixture_files(tmp_path)
+    backend, cache, out = f"scripted:{script}", [], tmp_path / "run"
+    if mistake == "script-is-a-directory":
+        named = tmp_path / "scripts"
+        named.mkdir()
+        backend = f"scripted:{named}"
+    elif mistake == "cache-is-a-file":
+        named = source
+        cache = ["--cache", str(source)]
+    else:
+        named = out = source / "run"
+    rc = main(["match", "--source-catalog", str(source), "--target-catalog", str(target),
+               "--source", "income_main", "--mode", "llm_local", "--out", str(out),
+               "--backend", backend, *cache])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert str(named) in err and "Traceback" not in err
+
+
 def test_bench_run_without_truth_is_user_error_before_any_query(tmp_path, capsys):
     source, target, script, benchspec = bench_setup(tmp_path)
     bench = write_json(tmp_path / "bench.json", [

@@ -97,8 +97,7 @@ def test_broad_exception_handlers_only_record_or_re_raise():
     # anywhere else, a catch-all would pass a bug off as a degraded prompt
     allowed = ("cli.main",
                "evaluation.run_queries",  # records each query's failure
-               "gateway.ModelGateway.concurrently",  # re-raises in the caller's thread
-               "pipeline.run_match")  # re-raises with the query's spent calls
+               "gateway.ModelGateway.concurrently")  # re-raises in the caller's thread
     found = package_scopes(catches_everything)
     assert found and {f for f in found
                       if not any(f == a or f.startswith(a + ".") for a in allowed)} == set()

@@ -195,8 +195,8 @@ def test_weighted_total_formula():
 
 def test_weighted_total_report_row():
     reports = [
-        EvalReport("a", 12, 0.917, 0.95, 0.95, 1.0, 100.0, 1.0),
-        EvalReport("b", 28, 0.964, 0.99, 1.00, 2.0, 200.0, 2.0),
+        EvalReport(12, 0.917, 0.95, 0.95, 1.0, 100.0, 1.0),
+        EvalReport(28, 0.964, 0.99, 1.00, 2.0, 200.0, 2.0),
     ]
     total = weighted_total(reports)
     assert total.n == 40
@@ -224,7 +224,7 @@ def suite_fixture():
 
 def test_embed_top1_suite_row_has_zero_cost():
     queries, artifacts, gw = suite_fixture()
-    suite = run_ablation_suite(queries, ["embed_top1"], artifacts, gw)
+    suite = run_ablation_suite(queries, ["embed_top1"], artifacts, gw, PipelineConfig())
     report, outcomes = suite["embed_top1"]
     assert report.mean_llm_calls == 0.0
     assert report.mean_tokens == 0.0
@@ -240,7 +240,7 @@ def test_suite_records_errors_and_continues():
         return None
 
     gw_bad = make_gateway(responder=chain_bots(broken_decider, diff_echo_bot, tree_bot))
-    suite = run_ablation_suite(queries, ["llm_local"], artifacts, gw_bad)
+    suite = run_ablation_suite(queries, ["llm_local"], artifacts, gw_bad, PipelineConfig())
     report, outcomes = suite["llm_local"]
     assert all(r is None for r, _ in outcomes)
     assert all("injected" in f.message for _, f in outcomes)
@@ -352,7 +352,8 @@ def test_failed_queries_count_their_calls_in_the_report():
         return None
 
     gw = make_gateway(responder=never_decides)
-    report, outcomes = run_ablation_suite(queries, ["llm_local"], artifacts, gw)["llm_local"]
+    report, outcomes = run_ablation_suite(queries, ["llm_local"], artifacts, gw,
+                                         PipelineConfig())["llm_local"]
     total = gw.accounting.snapshot()
     assert all(r is None for r, _ in outcomes) and total.llm_calls == 12
     assert report.mean_llm_calls == total.llm_calls / 6 == 2.0
@@ -363,19 +364,19 @@ def test_failed_queries_count_their_calls_in_the_report():
 
 def test_empty_mode_list_gives_empty_table():
     queries, artifacts, gw = suite_fixture()
-    assert run_ablation_suite(queries, [], artifacts, gw) == {}
+    assert run_ablation_suite(queries, [], artifacts, gw, PipelineConfig()) == {}
 
 
 # -- rendering ----------------------------------------------------------------------
 
 
 def demo_reports():
-    r1 = EvalReport("2016_2018", 28, 0.964, 0.99, 1.0, 1.5, 5000.0, 12.0)
-    r2 = EvalReport("2018_2020", 32, 0.906, 0.95, 0.97, 1.8, 6000.5, 14.25)
-    r3 = EvalReport("waveé → next, with comma", 5, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+    r1 = EvalReport(28, 0.964, 0.99, 1.0, 1.5, 5000.0, 12.0)
+    r2 = EvalReport(32, 0.906, 0.95, 0.97, 1.8, 6000.5, 14.25)
+    r3 = EvalReport(5, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
     return {"2016_2018": {"full": r1, "embed_top1": r1},
             "2018_2020": {"full": r2},
-            r3.slice_name: {"full": r3}}
+            "waveé → next, with comma": {"full": r3}}
 
 
 def test_markdown_shape_and_total_row():
@@ -398,8 +399,9 @@ def test_csv_round_trip_exact():
 
 
 def test_csv_handles_unicode_slice_names():
-    r = EvalReport("waveé → next, with comma", 5, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-    text = render_report({r.slice_name: {"full": r}}, "csv")
+    name = "waveé → next, with comma"
+    r = EvalReport(5, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+    text = render_report({name: {"full": r}}, "csv")
     grid = parse_report_csv(text)
-    assert list(grid) == ["waveé → next, with comma"]
-    assert grid[r.slice_name]["full"] == r
+    assert list(grid) == [name]
+    assert grid[name]["full"] == r

@@ -6,6 +6,8 @@ import pytest
 from construm.catalog import ColumnRef, Side
 from construm.gateway import HashEmbeddingBackend, ModelGateway
 from construm.graph import (
+    CAP_STRONG,
+    CAP_TOTAL,
     Hypergraph,
     SimilarityGroup,
     build_hypergraph,
@@ -109,38 +111,51 @@ def test_extract_groups_random_vs_dfs_oracle():
 
 
 def test_expand_candidates_ranking_matches_oracle():
-    # A's neighborhood: D at 0.97, E at 0.93, F at 0.91; cap 2 adds D then E
-    e = np.eye(8)
-    vectors = [
-        unit(e[0]),                                  # A
-        unit(0.10 * e[0] + e[1]),                    # B (below tau to A)
-        unit(0.97 * e[0] + np.sqrt(1 - 0.97**2) * e[2]),  # D
-        unit(0.93 * e[0] + np.sqrt(1 - 0.93**2) * e[3]),  # E
-        unit(0.91 * e[0] + np.sqrt(1 - 0.91**2) * e[4]),  # F
-    ]
-    cat, hg = graph_for_vectors(["A", "B", "D", "E", "F"], vectors, tau=0.9)
-    a, b, d, e_, f = cat.refs()
-    got = expand_candidates([a], hg, cap_total=2, cap_strong=3)
-    assert got == [a, d, e_]
+    # eight tau-neighbours of A, listed out of cosine order, and one column
+    # just under tau: expansion adds the CAP_TOTAL nearest, nearest first
+    cosines = [0.93, 0.97, 0.89, 0.99, 0.91, 0.95, 0.98, 0.96, 0.92]
+    assert sum(c >= 0.9 for c in cosines) > CAP_TOTAL
+    e = np.eye(len(cosines) + 1)
+    vectors = [e[0]] + [unit(c * e[0] + np.sqrt(1 - c**2) * e[i + 1])
+                        for i, c in enumerate(cosines)]
+    cat, hg = graph_for_vectors(["A"] + [f"N{i}" for i in range(len(cosines))], vectors,
+                                tau=0.9)
+    a, *others = cat.refs()
+    got = expand_candidates([a], hg)
+    assert len(got) == 1 + CAP_TOTAL
     # oracle: rank all tau-neighbors of A by independently computed cosine
     mat = np.stack(vectors)
     sims = sorted(
-        ((float(mat[0] @ mat[i]), i) for i in range(1, 5) if float(mat[0] @ mat[i]) >= 0.9),
+        ((float(mat[0] @ mat[i]), i) for i in range(1, len(vectors))
+         if float(mat[0] @ mat[i]) >= 0.9),
         reverse=True,
     )
-    assert [i for _, i in sims[:2]] == [2, 3]
+    assert got == [a] + [others[i - 1] for _, i in sims[:CAP_TOTAL]]
+
+
+def test_expand_candidates_reads_only_the_strong_head():
+    # shortlist members S0..S3 are orthogonal, each with one neighbour; only
+    # the first CAP_STRONG members' neighbours join, by cosine to their head
+    head = [0.93, 0.97, 0.95, 0.99]
+    assert len(head) == CAP_STRONG + 1
+    e = np.eye(2 * len(head))
+    vectors = [e[i] for i in range(len(head))] + [
+        unit(c * e[i] + np.sqrt(1 - c**2) * e[len(head) + i]) for i, c in enumerate(head)]
+    cat, hg = graph_for_vectors([f"S{i}" for i in range(len(head))]
+                                + [f"N{i}" for i in range(len(head))], vectors, tau=0.9)
+    refs = list(cat.refs())
+    shortlist, neighbours = refs[:len(head)], refs[len(head):]
+    assert expand_candidates(shortlist, hg) == shortlist + [neighbours[i] for i in (1, 2, 0)]
 
 
 def test_expand_candidates_caps_and_idempotence():
     cat = random_catalog(3, "target", n=6)
     refs = list(cat.refs())
     hg = build_hypergraph(cat, hash_gateway(), tau=0.9)
-    assert expand_candidates(refs[:3], hg, cap_total=0) == refs[:3]
-    assert expand_candidates(refs[:3], hg, cap_strong=0) == refs[:3]  # no strong head
-    assert expand_candidates(refs, hg, cap_total=5) == refs  # nothing left to add
-    expanded = expand_candidates(refs[:2], hg, cap_total=5)
+    assert expand_candidates(refs, hg) == refs  # nothing left to add
+    expanded = expand_candidates(refs[:2], hg)
     assert expanded[:2] == refs[:2]
-    assert len(expanded) <= 2 + 5
+    assert len(expanded) <= 2 + CAP_TOTAL
 
 
 def test_ranked_matches_sort_oracle_with_ties_and_unsorted_tables():

@@ -126,10 +126,11 @@ def test_stage2_theme_is_stored_verbatim():
     assert theme == "THEME: employment history"
 
 
-def test_stage2_requires_two_samples():
-    cat = ordered_catalog(10)
+@pytest.mark.parametrize("field,value", [("sample_count", 1), ("switch_budget", -1)],
+                         ids=["sample_count", "switch_budget"])
+def test_tree_params_reject_one_sample_and_a_negative_switch_budget(field, value):
     with pytest.raises(TreeError):
-        stage2_global_theme(cat, cat.tables[0], 1, tree_gateway())
+        TreeParams(**{field: value})
 
 
 # -- stage 3 --------------------------------------------------------------------
