@@ -4,19 +4,22 @@
 For each seed and each workload of ``perfbench/workloads.py``, it
 generates the workload's source and target catalogs (masked where the
 workload masks them) and builds both sides' context trees with relation
-snippets, twice: once at a pool of 16 with each chat call first sleeping
-0-2 ms, keyed by crc32 of the seed and the prompt, so that only the order
-in which concurrent calls complete changes (``tests/helpers.jittered``,
-which the tier-1 check uses too); and once without the sleep at a pool
-of 1. Replies come from perfbench's ``SimulatedModel`` at zero latency
-and embeddings from the hash embedder. The two builds' ``tree_to_dict``
-outputs must be equal.
+snippets, three times: at pools of 16 and of 2 with each chat call first
+sleeping 0-2 ms, keyed by crc32 of the seed and the prompt, so that only
+the order in which concurrent calls complete changes
+(``tests/helpers.jittered``, which the tier-1 check uses too); and once
+without the sleep at a pool of 1. At a pool of 2, the three wide tables
+of ``offline_build``'s target side outnumber the pool's threads, so the
+clustering waits for their first rounds with every thread busy. Replies
+come from perfbench's ``SimulatedModel`` at zero latency and embeddings
+from the hash embedder. Both jittered builds' ``tree_to_dict`` outputs
+must equal the pool-1 build's.
 
 It imports perfbench's and the tests' modules and writes nothing under
 ``perfbench/`` or ``tests/``. One line per tree names its workload,
-seed, side, node and relation counts, chat calls and build times; the
-script exits 1 at the first tree that differs, naming the first node or
-field that does.
+seed, side, node and relation counts, chat calls and each pool's build
+time; the script exits 1 at the first tree that differs, naming its pool
+and the first node or field that does.
 
 Usage: python benchmarks/schedule_check.py [--seeds 1-10] [--workload NAME]
 """
@@ -38,7 +41,7 @@ from bots import SimulatedModel  # noqa: E402
 from helpers import jittered  # noqa: E402
 from workloads import WORKLOADS, generate  # noqa: E402
 
-JITTERED_POOL = 16
+JITTERED_POOLS = (16, 2)
 
 
 def build(catalog, responder, max_in_flight: int):
@@ -84,17 +87,22 @@ def main(argv=None) -> int:
                 if w.masked:
                     catalog = mask_catalog(catalog)
                 serial, serial_s, calls = build(catalog, model, 1)
-                jitter, jitter_s, _ = build(catalog, jittered(model, seed), JITTERED_POOL)
-                same = list(serial["nodes"]) == list(jitter["nodes"]) and serial == jitter
+                legs = [(pool, *build(catalog, jittered(model, seed), pool)[:2])
+                        for pool in JITTERED_POOLS]
+                differ = [(pool, tree) for pool, tree, _ in legs
+                          if list(serial["nodes"]) != list(tree["nodes"]) or serial != tree]
+                times = ", ".join(f"pool {pool} jittered {s:.2f} s" for pool, _, s in legs)
                 print(f"{name} seed {seed} {side.value}: {len(serial['nodes'])} nodes, "
                       f"{len(serial['relations'])} relations, {calls} calls; pool 1 "
-                      f"{serial_s:.2f} s, pool {JITTERED_POOL} jittered {jitter_s:.2f} s: "
-                      f"{'equal' if same else 'DIFFERENT'}", flush=True)
-                if not same:
-                    print(f"first difference: {first_difference(serial, jitter)}")
+                      f"{serial_s:.2f} s, {times}: {'DIFFERENT' if differ else 'equal'}",
+                      flush=True)
+                for pool, tree in differ:
+                    print(f"first difference at pool {pool}: {first_difference(serial, tree)}")
+                if differ:
                     return 1
                 trees += 1
-    print(f"{trees} trees equal under jitter in {time.perf_counter() - t0:.1f} s")
+    print(f"{trees} trees equal under jitter at pools "
+          f"{' and '.join(map(str, JITTERED_POOLS))} in {time.perf_counter() - t0:.1f} s")
     return 0
 
 

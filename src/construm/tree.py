@@ -27,6 +27,7 @@ import hashlib
 import json
 import logging
 import re
+import threading
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -940,15 +941,20 @@ def build_context_tree(catalog: SchemaCatalog, params: TreeParams, gateway: Mode
                        annotate_relations: bool = False) -> ContextTree:
     """Build the whole per-side tree: per-table subtrees and their clustering.
 
-    Two fan-outs, in which no thunk waits on another. The first holds every
-    table's first round: a narrow table's whole subtree, whose root
-    summary is its description or its leaf summary, and a wide table's
-    root window summaries beside its theme. The second runs each wide
-    table's remaining chain (:func:`build_table_tree` reusing its first
-    round) beside the clustering chain (:func:`cluster_tables`), which
-    clusters the tables on the first-round texts picked here: a narrow
-    table's root summary, a wide table's theme. A wide table's root keeps
-    its own summary in the tree.
+    One fan-out, which lists a chain per wide table first, so their
+    first-round calls take the first of the gateway's slots: the table's
+    root window summaries beside its theme (:func:`block_first_round`),
+    then its remaining chain (:func:`build_table_tree` reusing that first
+    round). Its last item builds every narrow table in a fan-out of its
+    own, waits for each wide table's first round (it cannot hang: the
+    fan-out starts its items in order, so every wide chain is running by
+    then, and a first round waits on nothing), and runs
+    :func:`cluster_tables` on the texts picked here: a narrow table's root
+    summary, a wide table's theme. A wide table's root keeps its own
+    summary in the tree.
+    When a wide table's first round fails, that table's error is raised
+    before the clustering's own; a narrow table's failure surfaces once
+    the wide chains already running have finished.
 
     With ``annotate_relations``, each parent with two or more children
     sends its relation call beside its own summary, so no call follows the
@@ -958,21 +964,38 @@ def build_context_tree(catalog: SchemaCatalog, params: TreeParams, gateway: Mode
     prompts, so every call that finished before the abort is a cache hit.
     """
     relations: Relations | None = {} if annotate_relations else None
-    wide = [len(t.columns) > params.leaf_budget for t in catalog.tables]
-    firsts = gateway.concurrently([
-        partial(block_first_round if w else build_table_tree, catalog, t, params, gateway)
-        for t, w in zip(catalog.tables, wide)])
-    # what each table is clustered on: a wide table's theme, a narrow table's root summary
-    texts = [(f"tbl:{t.table_id}", first[1] if w else first[f"tbl:{t.table_id}"].summary)
-             for t, w, first in zip(catalog.tables, wide, firsts)]
-    *finished, (root, clusters) = gateway.concurrently([
-        partial(build_table_tree, catalog, t, params, gateway, relations, first)
-        for t, w, first in zip(catalog.tables, wide, firsts) if w
-    ] + [partial(cluster_tables, texts, params, gateway, relations)])
-    finished = iter(finished)
+    wide = [t for t in catalog.tables if len(t.columns) > params.leaf_budget]
+    narrow = [t for t in catalog.tables if len(t.columns) <= params.leaf_budget]
+    themes: dict[str, str] = {}
+    ready = {t.table_id: threading.Event() for t in wide}
+
+    def build_wide(table: TableMeta) -> dict[str, TreeNode]:
+        try:
+            first = block_first_round(catalog, table, params, gateway)
+            themes[table.table_id] = first[1]
+        finally:
+            ready[table.table_id].set()  # a failed first round leaves no theme
+        return build_table_tree(catalog, table, params, gateway, relations, first)
+
+    def build_narrow_and_cluster() -> tuple[list[dict[str, TreeNode]], str, dict[str, TreeNode]]:
+        built = gateway.concurrently([partial(build_table_tree, catalog, t, params, gateway)
+                                      for t in narrow])
+        for event in ready.values():
+            event.wait()
+        if len(themes) < len(wide):
+            raise TreeError("a wide table's first round failed; nothing to cluster it on")
+        # what each table is clustered on: a wide table's theme, a narrow table's root summary
+        texts = {**themes, **{t.table_id: nodes[f"tbl:{t.table_id}"].summary
+                              for t, nodes in zip(narrow, built)}}
+        return built, *cluster_tables([(f"tbl:{t.table_id}", texts[t.table_id])
+                                       for t in catalog.tables], params, gateway, relations)
+
+    *finished, (built, root, clusters) = gateway.concurrently(
+        [partial(build_wide, t) for t in wide] + [build_narrow_and_cluster])
+    subtrees = dict(zip([t.table_id for t in wide + narrow], finished + built))
     nodes: dict[str, TreeNode] = {}
-    for w, first in zip(wide, firsts):
-        nodes.update(next(finished) if w else first)
+    for t in catalog.tables:
+        nodes.update(subtrees[t.table_id])
     nodes.update(clusters)
     return ContextTree(catalog.side, root, nodes, params,
                        [r for parent in sorted(relations or ()) for r in relations[parent]])

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import threading
 import zlib
 
@@ -43,6 +44,7 @@ from helpers import (
     cap_merge_oracle,
     chain_bots,
     greedy_merge_oracle,
+    jittered,
     leaf_coverage,
     make_gateway,
     random_catalog,
@@ -1173,6 +1175,71 @@ def test_wide_tables_cluster_on_their_themes():
     assert tree.node(tree.root).children == ("grp:1", "tbl:t2")
 
 
+def test_a_wide_tables_plan_does_not_wait_for_the_narrow_tables():
+    cat = described_tables([150, 2, 2, 2])
+    params = TreeParams(cluster_threshold=1.999)
+    planned = threading.Event()
+
+    def holds_narrow_leaves(prompt):
+        # each narrow table's leaf replies once the wide table's plan has gone out
+        if "TASK: group-plan" in prompt:
+            planned.set()
+        if "TASK: leaf-summary" in prompt and "(t0)" not in prompt:
+            assert planned.wait(timeout=3)
+        return None
+
+    tree = build_context_tree(cat, params, tree_gateway(holds_narrow_leaves))
+    plain = build_context_tree(cat, params, tree_gateway(max_in_flight=1))
+    assert json.dumps(tree_to_dict(tree), sort_keys=True) == \
+        json.dumps(tree_to_dict(plain), sort_keys=True)
+    assert list(tree.nodes) == list(plain.nodes)
+
+
+def in_thread(build, timeout=10):
+    """``build()``'s result or error, from a thread joined with ``timeout``;
+    fails if the thread is still running then, as a hung build would be."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = build()
+        except Exception as exc:  # handed to the test's thread
+            outcome["error"] = exc
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=timeout)
+    assert not runner.is_alive(), "the build hung"
+    return outcome
+
+
+def tree_json(tree):
+    return json.dumps(tree_to_dict(tree), sort_keys=True)
+
+
+def test_small_pools_build_the_serial_tree():
+    # three wide tables, so a pool of 2 or 3 has fewer threads than the build's chains
+    cat = described_tables([150, 2, 130, 3, 2, 170, 2])
+    params = TreeParams(cluster_threshold=1.999)
+
+    def build(max_in_flight):
+        gw = make_gateway(responder=jittered(tree_bot, max_in_flight),
+                          max_in_flight=max_in_flight)
+        return in_thread(lambda: build_context_tree(cat, params, gw, annotate_relations=True))
+
+    serial = build(1)["result"]
+    assert sum(len(serial.node(f"tbl:t{i}").children) > 1 for i in range(7)) == 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, so a lost theme would show
+    try:
+        for max_in_flight in (2, 3, MAX_IN_FLIGHT):
+            tree = build(max_in_flight)["result"]
+            assert tree_json(tree) == tree_json(serial)
+            assert list(tree.nodes) == list(serial.nodes)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # -- relation calls beside their parent's summary ---------------------------------
 
 
@@ -1320,6 +1387,57 @@ def test_first_failure_in_submission_order_is_raised_and_threads_end():
 
     with pytest.raises(TransportError, match="leaf 1 down"):
         build_table_tree(cat, cat.tables[0], PARAMS, tree_gateway(chain_bots(leaves, plan)))
+    assert running.now == 0 and late == []
+    assert threading.active_count() <= threads + MAX_IN_FLIGHT
+
+
+@pytest.mark.parametrize("max_in_flight", [MAX_IN_FLIGHT, 1])
+def test_a_wide_tables_failed_first_round_is_raised_not_the_clusterings(max_in_flight):
+    cat = described_tables([150, 2, 2])
+    threads = threading.active_count()
+
+    def theme_down(prompt):
+        if "TASK: table-theme" in prompt:
+            raise TransportError("theme down")
+        return None
+
+    outcome = in_thread(lambda: build_context_tree(
+        cat, PARAMS, tree_gateway(theme_down, max_in_flight=max_in_flight)))
+    assert type(outcome.get("error")) is TransportError
+    assert str(outcome["error"]) == "theme down"
+    assert threading.active_count() <= threads + MAX_IN_FLIGHT
+
+
+def test_a_narrow_tables_failure_beside_a_wide_chain_is_raised():
+    cat = described_tables([150, 2, 2, 2])
+    threads = threading.active_count()
+    narrow_failed = threading.Event()
+    running, started, late = RunningCount(), set(), []
+    began = {t: threading.Event() for t in ("t1", "t2", "t3")}
+
+    def bot(prompt):
+        if "TASK: group-plan" in prompt:
+            # the wide chain is in flight while the narrow tables fail
+            assert narrow_failed.wait(timeout=10)
+        if "TASK: leaf-summary" in prompt and "(t0)" not in prompt:
+            table = re.search(r"^TABLE: .* \((t\d)\)$", prompt, re.M).group(1)
+            if narrow_failed.is_set() and table not in started:
+                late.append(table)  # a retry is not a start
+            started.add(table)
+            began[table].set()
+            with running:
+                if table == "t3":
+                    assert began["t1"].wait(timeout=10) and began["t2"].wait(timeout=10)
+                    narrow_failed.set()
+                    raise TransportError("t3 leaf down")
+                if table == "t2":
+                    assert narrow_failed.wait(timeout=10)
+                    raise TransportError("t2 leaf down")
+        return None
+
+    outcome = in_thread(lambda: build_context_tree(cat, PARAMS, tree_gateway(bot)))
+    assert type(outcome.get("error")) is TransportError
+    assert str(outcome["error"]) == "t2 leaf down"
     assert running.now == 0 and late == []
     assert threading.active_count() <= threads + MAX_IN_FLIGHT
 
